@@ -3,8 +3,8 @@
 Subcommands: gen, train, adapt, eval, exp-margin, exp-homophily, gradcheck.
 Runs are driven by a JSON config file (flat run settings plus the paths
 source_graph / target_graph / output_dir); command-line flags override the
-file. Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 numerical failure.
+file. Exit codes: 0 success, 1 usage, config or other package error,
+2 data error (including mismatched shapes), 3 numerical failure.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import evaluation, experiments
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, ShapeError, TtgadError
 from .graphstore import SyntheticSpec, compute_stats, generate_synthetic, \
     load_graph, save_graph
 from .pipeline import (RunConfig, adapt_target, full_model_grad_check,
@@ -24,6 +24,10 @@ PATH_KEYS = ("source_graph", "target_graph", "output_dir")
 # architecture must come from the checkpoint, not be overridden at adapt time
 STRUCTURAL_KEYS = ("p", "hidden_dim", "attn_dim", "num_layers",
                    "nsaw_enabled", "identity_encoder")
+
+# process exit code per error kind; the first matching entry wins
+EXIT_CODES = ((ConfigError, 1), ((DataError, ShapeError, OSError), 2),
+              (NumericalError, 3), (TtgadError, 1))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,15 +332,9 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.handler(args)
-    except ConfigError as e:
+    except (TtgadError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return next(code for kinds, code in EXIT_CODES if isinstance(e, kinds))
 
 
 def entry():

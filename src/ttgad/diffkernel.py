@@ -1,9 +1,13 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 arrays.
 
 Everything is a :class:`Tensor` wrapping a 2-D numpy array. Ops executed
-while a :class:`Tape` is active are recorded; ``Tape.backward(loss)`` replays
-the records in exact reverse execution order and accumulates gradients
-additively. With no active tape, ops are plain numpy computations (eval mode).
+while a :class:`Tape` is active are recorded when an input requires a
+gradient, so ops on frozen (``requires_grad=False``) tensors alone never
+reach the tape. ``Tape.backward(loss)`` replays the records in exact reverse
+execution order, accumulates gradients additively, and releases each record
+and each intermediate gradient once it has been passed on; the returned
+:class:`Gradients` holds leaf tensors only. With no active tape, ops are
+plain numpy computations (eval mode).
 
 Design constraints honored throughout:
 
@@ -22,9 +26,9 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 
 __all__ = [
-    "Tensor", "Tape", "Gradients", "backward",
+    "Tensor", "Tape", "Gradients",
     "matmul", "add", "concat_cols", "relu", "sigmoid", "elementwise_mul",
-    "minimum", "negate", "scalar_mul", "sum", "row_mean", "transpose",
+    "minimum", "negate", "scalar_mul", "sum", "transpose",
     "masked_row_softmax", "cosine_rows", "rowwise_dot", "gather_rows",
     "segment_softmax", "segment_sum", "segment_mean",
     "binary_cross_entropy", "dropout",
@@ -44,7 +48,7 @@ class Tensor:
     allocated arrays without copying.
     """
 
-    __slots__ = ("values", "requires_grad", "_tape")
+    __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad=False):
         arr = np.array(values, dtype=np.float64, copy=True)
@@ -56,14 +60,12 @@ class Tensor:
             raise ShapeError("tensors are 2-D (scalars (1,1), vectors 1xN or Nx1)")
         self.values = arr
         self.requires_grad = bool(requires_grad)
-        self._tape = None
 
     @classmethod
     def _wrap(cls, arr, requires_grad):
         t = cls.__new__(cls)
         t.values = arr
         t.requires_grad = requires_grad
-        t._tape = None
         return t
 
     @property
@@ -80,7 +82,10 @@ class Tensor:
 
 
 class Gradients:
-    """Gradient map returned by backward; unknown tensors read as zeros."""
+    """Gradients of the leaf tensors a backward pass reached.
+
+    Unknown tensors, intermediates and frozen tensors read as zeros.
+    """
 
     def __init__(self, store):
         self._store = store
@@ -96,7 +101,7 @@ class Gradients:
 
 
 class Tape:
-    """Ordered record of executed ops for one forward pass."""
+    """Ordered record of executed ops for one forward pass; backward consumes it."""
 
     def __init__(self):
         self._entries = []
@@ -117,8 +122,10 @@ class Tape:
             raise ValueError("backward already ran on this tape; re-run the forward pass")
         self._consumed = True
         store = {id(loss): (loss, np.ones((1, 1)))}
-        for out, bwd in reversed(self._entries):
-            entry = store.get(id(out))
+        entries = self._entries
+        while entries:
+            out, bwd = entries.pop()
+            entry = store.pop(id(out), None)
             if entry is None:
                 continue
             for tensor, grad in bwd(entry[1]):
@@ -130,14 +137,6 @@ class Tape:
                 else:
                     store[id(tensor)] = (tensor, acc[1] + grad)
         return Gradients(store)
-
-
-def backward(loss):
-    """Run the backward pass of the tape that recorded ``loss``."""
-    tape = loss._tape
-    if tape is None:
-        raise ValueError("loss was not recorded on an active tape")
-    return tape.backward(loss)
 
 
 def _as_tensor(x):
@@ -153,11 +152,7 @@ def _make(op, arr, *inputs):
 
 def _emit(out, bwd):
     if _ACTIVE_TAPES and out.requires_grad:
-        tape = _ACTIVE_TAPES[-1]
-        tape._entries.append((out, bwd))
-        out._tape = tape
-        return True
-    return False
+        _ACTIVE_TAPES[-1]._entries.append((out, bwd))
 
 
 def _unbroadcast(g, shape):
@@ -274,17 +269,6 @@ def sum(x):
     out = _make("sum", np.array([[x.values.sum()]]), x)
     shape = x.shape
     _emit(out, lambda g: ((x, np.full(shape, g[0, 0])),))
-    return out
-
-
-def row_mean(x):
-    """Mean across columns of each row, shape (rows, 1)."""
-    x = _as_tensor(x)
-    if x.shape[1] == 0:
-        raise ShapeError("row_mean of zero-width matrix")
-    out = _make("row_mean", x.values.mean(axis=1, keepdims=True), x)
-    cols = x.shape[1]
-    _emit(out, lambda g: ((x, np.repeat(g / cols, cols, axis=1)),))
     return out
 
 

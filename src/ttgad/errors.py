@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
-DataError -> 2, NumericalError -> 3.
+DataError and ShapeError -> 2, NumericalError -> 3, any other
+TtgadError -> 1.
 """
 
 

@@ -23,7 +23,7 @@ from .graphstore import AttributedGraph
 __all__ = [
     "ProjectionEncoder", "NsawLayer", "PredictorHead", "ModelBundle",
     "LayerAttention", "AttentionMatrices",
-    "project", "compute_attention", "symmetrize_attention",
+    "compute_attention", "symmetrize_attention",
     "nsaw_layer_forward", "forward_embeddings", "predict",
     "init_encoder", "init_layer", "init_predictor", "init_bundle",
     "capped_graph",
@@ -42,6 +42,7 @@ class ProjectionEncoder:
     domain: str
 
     def project(self, features):
+        """Map raw node features into the shared embedding space."""
         x = dk.Tensor(features)
         if self.weight is None:
             return x
@@ -51,11 +52,6 @@ class ProjectionEncoder:
                 f"got {x.shape[1]}"
             )
         return dk.matmul(x, dk.transpose(self.weight))
-
-
-def project(encoder, features):
-    """Map raw node features into the shared embedding space."""
-    return encoder.project(features)
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 The affinity score of a node is the mean cosine similarity between its final
 embedding and its neighbors' embeddings; isolated nodes carry score 0 and an
-invalid flag. The self-supervised objective pushes affinity up while a
-sampled non-neighbor regularizer pushes similarity to non-adjacent nodes
-down. The supervised objective adds binary cross-entropy and a class-weighted
-variant of the non-neighbor term that separates anomalies harder.
+invalid flag. One assembly builds the self-supervised objective
+``-sum(affinity) + nonneighbor_weight * mean non-neighbor cosine``, which
+pushes affinity up and similarity to sampled non-adjacent nodes down.
+:func:`ttt_loss` is that objective alone; :func:`train_loss_parts` adds
+binary cross-entropy and a class-weighted mean of the same non-neighbor
+cosines, which separates anomalies harder.
 """
 
 import warnings
@@ -18,9 +20,7 @@ from .errors import ConfigError, DataError, ShapeError
 
 __all__ = [
     "LossWeights", "AffinityScores", "affinity_scores", "affinity_margin",
-    "sample_nonneighbors", "anomaly_weights", "nonneighbor_reg",
-    "self_supervised_loss", "supervised_loss", "train_loss",
-    "train_loss_parts", "ttt_loss",
+    "sample_nonneighbors", "anomaly_weights", "train_loss_parts", "ttt_loss",
 ]
 
 
@@ -174,84 +174,60 @@ def sample_nonneighbors(graph, k, rng):
                              skipped=skipped)
 
 
-def _nonneighbor_mean(h, sample, weights):
-    """Mean over sampled nodes of the per-node mean (weighted) similarity."""
-    if sample.num_sampled_nodes == 0:
-        return dk.Tensor(np.zeros((1, 1)))
-    h_i = dk.gather_rows(h, sample.src)
-    h_j = dk.gather_rows(h, sample.dst)
-    sims = dk.cosine_rows(h_i, h_j)
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)[sample.dst].reshape(-1, 1)
-        sims = dk.elementwise_mul(sims, dk.Tensor(w))
-    per_node = dk.segment_mean(sims, sample.indptr)
-    return dk.scalar_mul(dk.sum(per_node), 1.0 / sample.num_sampled_nodes)
-
-
-def nonneighbor_reg(h, graph, rng, k=5, weights=None):
-    """Sampled estimate of mean similarity to non-neighbors.
-
-    ``weights`` is an optional per-node vector applied by the sampled
-    node's index (class weighting). Samples are redrawn on every call;
-    pass the same rng state to reproduce a draw.
-    """
-    if h.shape[0] != graph.num_nodes:
-        raise ShapeError("embedding rows must match graph nodes")
-    if weights is not None and np.asarray(weights).shape != (graph.num_nodes,):
-        raise ShapeError("weights must have one entry per node")
-    sample = sample_nonneighbors(graph, k, rng)
-    return _nonneighbor_mean(h, sample, weights)
-
-
 # ---------------------------------------------------------------------------
-# Composite objectives
+# Objectives
 
 
-def self_supervised_loss(h, graph, weights, rng):
-    """Negated affinity total plus the non-neighbor regularizer.
+def _self_supervised(h, graph, weights, rng, class_weights=None):
+    """The one assembly: ``-sum(affinity) + nonneighbor_weight * reg``.
 
-    The affinity term sums scores over non-isolated nodes (isolated ones
-    contribute zero); the regularizer is weighted by
-    ``weights.nonneighbor_weight`` and skipped entirely when that is 0.
+    ``reg`` is the mean over sampled nodes of each node's mean cosine to its
+    non-neighbors, from one fresh draw from ``rng``; the draw is skipped when
+    neither the weight nor ``class_weights`` needs it. ``class_weights`` is
+    a per-node vector applied by the sampled non-neighbor's index; its mean
+    is taken from the same cosines. Returns (loss, affinity, reg,
+    class-weighted reg): both regs are None when nothing was drawn, and the
+    weighted one reads 0 without ``class_weights``.
     """
     aff = affinity_scores(h, graph)
-    total = dk.negate(dk.sum(aff.scores))
+    loss = dk.negate(dk.sum(aff.scores))
+    if weights.nonneighbor_weight == 0.0 and class_weights is None:
+        return loss, aff, None, None
+    sample = sample_nonneighbors(graph, weights.neg_samples_k, rng)
+    plain = weighted = dk.Tensor(np.zeros((1, 1)))
+    if sample.num_sampled_nodes:
+        sims = dk.cosine_rows(dk.gather_rows(h, sample.src),
+                              dk.gather_rows(h, sample.dst))
+        scale = 1.0 / sample.num_sampled_nodes
+
+        def mean(values):
+            return dk.scalar_mul(dk.sum(dk.segment_mean(values, sample.indptr)), scale)
+
+        plain = mean(sims)
+        if class_weights is not None:
+            w = dk.Tensor(class_weights[sample.dst].reshape(-1, 1))
+            weighted = mean(dk.elementwise_mul(sims, w))
     if weights.nonneighbor_weight != 0.0:
-        reg = nonneighbor_reg(h, graph, rng, k=weights.neg_samples_k)
-        total = dk.add(total, dk.scalar_mul(reg, weights.nonneighbor_weight))
-    return total
-
-
-def supervised_loss(probs, labels, class_reg=None, class_reg_weight=0.0):
-    """Mean binary cross-entropy, plus an optional weighted separation term."""
-    total = dk.binary_cross_entropy(probs, labels)
-    if class_reg is not None and class_reg_weight != 0.0:
-        total = dk.add(total, dk.scalar_mul(class_reg, class_reg_weight))
-    return total
+        loss = dk.add(loss, dk.scalar_mul(plain, weights.nonneighbor_weight))
+    return loss, aff, plain, weighted
 
 
 def train_loss_parts(probs, h, graph, weights, rng):
     """Source objective and its scalar components.
 
-    One non-neighbor draw is shared between the class-weighted separation
-    term and the unweighted regularizer (both estimate sums over the same
-    index set). Returns (loss tensor, dict of float components).
+    ``bce + class_reg_weight * class_reg + self_weight * loss_self``, where
+    ``loss_self`` is the adaptation objective and ``class_reg`` the
+    class-weighted mean of its non-neighbor cosines (one shared draw).
+    Returns (loss tensor, dict of float components).
     """
     if graph.labels is None:
         raise DataError("source training requires labels")
     weights.validate()
-    sample = sample_nonneighbors(graph, weights.neg_samples_k, rng)
-    w = anomaly_weights(graph.labels, weights.anomaly_weight)
-    class_reg = _nonneighbor_mean(h, sample, w)
-    plain_reg = _nonneighbor_mean(h, sample, None)
-
+    class_weights = anomaly_weights(graph.labels, weights.anomaly_weight)
+    l_self, aff, plain_reg, class_reg = _self_supervised(h, graph, weights, rng,
+                                                         class_weights)
     bce = dk.binary_cross_entropy(probs, graph.labels)
     l_sup = dk.add(bce, dk.scalar_mul(class_reg, weights.class_reg_weight))
-
-    aff = affinity_scores(h, graph)
-    l_self = dk.add(dk.negate(dk.sum(aff.scores)),
-                    dk.scalar_mul(plain_reg, weights.nonneighbor_weight))
-
     total = dk.add(l_sup, dk.scalar_mul(l_self, weights.self_weight))
     parts = {
         "loss": total.item(),
@@ -265,12 +241,10 @@ def train_loss_parts(probs, h, graph, weights, rng):
     return total, parts
 
 
-def train_loss(probs, h, graph, weights, rng):
-    """Supervised source objective: CE + class separation + self-supervision."""
-    total, _ = train_loss_parts(probs, h, graph, weights, rng)
-    return total
-
-
 def ttt_loss(h, graph, weights, rng):
-    """Label-free adaptation objective (the self-supervised term alone)."""
-    return self_supervised_loss(h, graph, weights, rng)
+    """Label-free adaptation objective: ``-sum(affinity) + nonneighbor_weight * reg``.
+
+    Isolated nodes contribute zero affinity; with ``nonneighbor_weight`` 0
+    no non-neighbors are drawn.
+    """
+    return _self_supervised(h, graph, weights, rng)[0]

@@ -10,6 +10,7 @@ is deterministic given (data, config, seed).
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -63,6 +64,8 @@ class RunConfig:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def validate(self):
+        _check_field_types(self)
+        _check_field_types(self.weights)
         if self.source_epochs < 1:
             raise ConfigError("source_epochs ≥ 1")
         if self.lr <= 0:
@@ -108,6 +111,27 @@ class RunConfig:
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         return cls(weights=LossWeights(**wkwargs), **kwargs)
+
+
+_ABSTRACT_TYPES = {int: numbers.Integral, float: numbers.Real}
+
+
+def _check_field_types(obj):
+    """Raise ConfigError unless each dataclass field holds its annotated type.
+
+    Int fields take any integer and float fields any real number, but
+    neither takes a bool; ``X | None`` fields also take None.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kinds = getattr(f.type, "__args__", (f.type,))
+        if isinstance(value, bool):
+            ok = bool in kinds
+        else:
+            ok = any(isinstance(value, _ABSTRACT_TYPES.get(k, k)) for k in kinds)
+        if not ok:
+            kind = getattr(f.type, "__name__", str(f.type))
+            raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
 @dataclass
@@ -323,12 +347,13 @@ def _init_target_encoder(work, graph, config, rng):
 def adapt_target(bundle, centroids, graph, config, rng=None):
     """Adapt the target encoder to an unlabeled graph; decoder stays frozen.
 
-    Gradients flow through every parameter but only the target encoder is
-    updated. After each epoch the centroid distance ratio is evaluated in
-    eval mode; the best-scoring encoder snapshot (the initialization
-    counts) is restored before returning. If the graph carries labels
-    (evaluation only; the objective never sees them) the per-epoch
-    affinity margin is recorded in the trace.
+    Every tensor of the working copy except the target encoder is frozen
+    (``requires_grad=False``): gradients reach the target encoder alone, and
+    ops on frozen weights alone never enter the tape. After each epoch the
+    centroid distance ratio is evaluated in eval mode; the best-scoring
+    encoder snapshot (the initialization counts) is restored before
+    returning. If the graph carries labels (evaluation only; the objective
+    never sees them) the per-epoch affinity margin is recorded in the trace.
 
     Returns (adapted bundle, AdaptationTrace). The input bundle is not
     modified.
@@ -343,6 +368,8 @@ def adapt_target(bundle, centroids, graph, config, rng=None):
     params = _init_target_encoder(work, graph, config, rng)
     if config.ttt_max_epochs > 0 and not params:
         raise DataError("identity encoder leaves nothing to adapt")
+    for name, tensor in work.parameter_items():
+        tensor.requires_grad = name == "target_encoder.weight"
 
     source_weight = work.source_encoder.weight
     source_in = source_weight.shape[1] if source_weight is not None \
@@ -604,8 +631,16 @@ def load_checkpoint(path, expect_nsaw=None):
     centroids = None
     stored = header.get("centroids")
     if stored is not None:
-        centroids = ClassCentroids(normal=np.asarray(stored["normal"], dtype=np.float64),
-                                   anomaly=np.asarray(stored["anomaly"], dtype=np.float64))
+        try:
+            arrays = {key: np.asarray(stored[key], dtype=np.float64)
+                      for key in ("normal", "anomaly")}
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"malformed checkpoint centroids: {e!r}") from e
+        for key, arr in arrays.items():
+            if arr.shape != (config.hidden_dim,) or not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"checkpoint centroid {key!r} must hold "
+                                      f"{config.hidden_dim} finite values")
+        centroids = ClassCentroids(**arrays)
     return LoadedCheckpoint(bundle=bundle, config=config, centroids=centroids)
 
 
@@ -651,8 +686,8 @@ def full_model_grad_check(seed=0, num_points=5, num_nodes=9, feature_dim=4,
         def train_objective(_):
             h, _ = forward_embeddings(bundle, graph, "source")
             probs = predict(bundle, h)
-            return losses.train_loss(probs, h, graph, weights,
-                                     np.random.default_rng(sample_seed))
+            return losses.train_loss_parts(probs, h, graph, weights,
+                                           np.random.default_rng(sample_seed))[0]
 
         def ttt_objective(_):
             h, _ = forward_embeddings(bundle, graph, "target")

@@ -123,6 +123,13 @@ class TestTrain:
                      str(tmp_path / "o")]) == 1
         assert "unknown config key 'momentum'" in capsys.readouterr().err
 
+    def test_wrong_value_type_exits_1(self, workspace, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **{**SMALL, "p": "eight"},
+                           source_graph=str(workspace["source"]))
+        assert main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "p must be of type int" in capsys.readouterr().err
+
     def test_invalid_json_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -232,6 +239,19 @@ class TestEval:
                      "--graph", str(workspace["target"]),
                      "--attention", "plain"]) == 2
         assert "plain was requested" in capsys.readouterr().err
+
+    def test_adapted_checkpoint_on_other_dim_exits_2(self, workspace, tmp_path,
+                                                     capsys):
+        adapted = tmp_path / "adapted"
+        assert main(["adapt", "--checkpoint", str(workspace["checkpoint"]),
+                     "--graph", str(workspace["target"]), "--out", str(adapted),
+                     "--ttt-max-epochs", "1", "--quiet"]) == 0
+        other = tmp_path / "other"
+        assert main(["gen", "--out", str(other), "--seed", "9", "--quiet",
+                     *GEN_ARGS[:2], "--dim", "7"]) == 0
+        assert main(["eval", "--checkpoint", str(adapted / "adapted.bin"),
+                     "--graph", str(other)]) == 2
+        assert "expects feature_dim 4, got 7" in capsys.readouterr().err
 
     def test_unlabeled_graph_exits_2(self, workspace, tmp_path, capsys):
         from ttgad.graphstore import save_graph

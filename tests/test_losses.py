@@ -204,48 +204,45 @@ def test_sampler_draws_look_uniform():
 
 
 # ---------------------------------------------------------------------------
-# Non-neighbor regularizer
+# Non-neighbor regularizer, read from the source objective's parts
+
+
+def regularizer_parts(graph, h_vals, anomaly_weight=20.0, class_reg_weight=0.001,
+                      seed=0):
+    w = losses.LossWeights(neg_samples_k=2, anomaly_weight=anomaly_weight,
+                           class_reg_weight=class_reg_weight)
+    probs = dk.Tensor(np.full((graph.num_nodes, 1), 0.5))
+    _, parts = losses.train_loss_parts(probs, dk.Tensor(h_vals), graph, w,
+                                       np.random.default_rng(seed))
+    return parts
 
 
 def test_weighted_regularizer_exhaustive_example(edgeless3):
     # Identical embeddings, labels [0,0,1], weight 20, k=2 covers everyone:
     # node 0 and 1 average {1, 20}, node 2 averages {1, 1};
     # (10.5 + 10.5 + 1) / 3 = 22/3.
-    h = dk.Tensor(np.ones((3, 2)))
-    w = losses.anomaly_weights(edgeless3.labels, 20.0)
-    reg = losses.nonneighbor_reg(h, edgeless3, np.random.default_rng(0),
-                                 k=2, weights=w)
-    assert reg.item() == pytest.approx(22.0 / 3.0, abs=1e-12)
+    parts = regularizer_parts(edgeless3, np.ones((3, 2)))
+    assert parts["class_reg"] == pytest.approx(22.0 / 3.0, abs=1e-12)
 
 
 def test_unweighted_regularizer_identical_embeddings(edgeless3):
-    h = dk.Tensor(np.ones((3, 2)))
-    reg = losses.nonneighbor_reg(h, edgeless3, np.random.default_rng(0), k=2)
-    assert reg.item() == pytest.approx(1.0, abs=1e-12)
+    parts = regularizer_parts(edgeless3, np.ones((3, 2)))
+    assert parts["nonneighbor_reg"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weight_one_equals_unweighted(edgeless3):
-    h = dk.Tensor(np.random.default_rng(5).standard_normal((3, 4)))
-    w = losses.anomaly_weights(edgeless3.labels, 1.0)
-    a = losses.nonneighbor_reg(h, edgeless3, np.random.default_rng(9), k=2,
-                               weights=w)
-    b = losses.nonneighbor_reg(h, edgeless3, np.random.default_rng(9), k=2)
-    assert a.item() == b.item()
+    h = np.random.default_rng(5).standard_normal((3, 4))
+    parts = regularizer_parts(edgeless3, h, anomaly_weight=1.0, seed=9)
+    assert parts["class_reg"] == parts["nonneighbor_reg"]
 
 
 def test_regularizer_zero_on_complete_graph():
-    g = build_graph("k3", 3, [(0, 1), (0, 2), (1, 2)], np.zeros((3, 1)))
-    h = dk.Tensor(np.ones((3, 2)))
-    with pytest.warns(UserWarning):
-        reg = losses.nonneighbor_reg(h, g, np.random.default_rng(0), k=2)
-    assert reg.item() == 0.0
-
-
-def test_regularizer_weight_shape_check(edgeless3):
-    h = dk.Tensor(np.ones((3, 2)))
-    with pytest.raises(ShapeError, match="one entry per node"):
-        losses.nonneighbor_reg(h, edgeless3, np.random.default_rng(0),
-                               weights=np.ones(5))
+    g = build_graph("k3", 3, [(0, 1), (0, 2), (1, 2)], np.zeros((3, 1)),
+                    labels=[0, 0, 1])
+    with pytest.warns(UserWarning, match="no non-neighbor"):
+        parts = regularizer_parts(g, np.ones((3, 2)))
+    assert parts["class_reg"] == 0.0
+    assert parts["nonneighbor_reg"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,29 +253,28 @@ def test_self_supervised_identical_embeddings_counts_nodes(triangle_iso):
     # Affinity 1 at each of the 3 connected nodes; reg weight 0 leaves -3.
     h = dk.Tensor(np.ones((4, 2)))
     w = losses.LossWeights(nonneighbor_weight=0.0)
-    loss = losses.self_supervised_loss(h, triangle_iso,
-                                       w, np.random.default_rng(0))
+    loss = losses.ttt_loss(h, triangle_iso, w, np.random.default_rng(0))
     assert loss.item() == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_self_supervised_edgeless_is_pure_regularizer(edgeless3):
     h = dk.Tensor(np.ones((3, 2)))
     w = losses.LossWeights(nonneighbor_weight=0.1, neg_samples_k=2)
-    loss = losses.self_supervised_loss(h, edgeless3, w,
-                                       np.random.default_rng(0))
+    loss = losses.ttt_loss(h, edgeless3, w, np.random.default_rng(0))
     # No affinity term; identical embeddings make the sampled mean exactly 1.
     assert loss.item() == pytest.approx(0.1, abs=1e-12)
 
 
-def test_supervised_loss_composition():
-    probs = dk.Tensor([[0.9], [0.2]])
-    bce = dk.binary_cross_entropy(dk.Tensor([[0.9], [0.2]]), [1, 0]).item()
-    reg = dk.Tensor([[4.0]])
-    total = losses.supervised_loss(probs, [1, 0], class_reg=reg,
-                                   class_reg_weight=0.5)
-    assert total.item() == pytest.approx(bce + 2.0, abs=1e-15)
-    bare = losses.supervised_loss(probs, [1, 0])
-    assert bare.item() == pytest.approx(bce, abs=1e-15)
+def test_supervised_loss_composition(edgeless3):
+    # The supervised half is the plain BCE plus the weighted class_reg
+    # (22/3 here), and exactly the BCE when that weight is 0.
+    bce = dk.binary_cross_entropy(dk.Tensor(np.full((3, 1), 0.5)),
+                                  edgeless3.labels).item()
+    parts = regularizer_parts(edgeless3, np.ones((3, 2)), class_reg_weight=0.5)
+    assert parts["bce"] == bce
+    assert parts["loss_sup"] == pytest.approx(bce + 11.0 / 3.0, abs=1e-12)
+    bare = regularizer_parts(edgeless3, np.ones((3, 2)), class_reg_weight=0.0)
+    assert bare["loss_sup"] == bce
 
 
 def test_train_loss_parts_composition(triangle_iso):
@@ -316,18 +312,21 @@ def test_train_loss_requires_labels(triangle_iso):
     h = dk.Tensor(np.ones((4, 2)))
     probs = dk.Tensor(np.full((4, 1), 0.5))
     with pytest.raises(DataError, match="labels"):
-        losses.train_loss(probs, h, triangle_iso.without_labels(),
-                          losses.LossWeights(), np.random.default_rng(0))
+        losses.train_loss_parts(probs, h, triangle_iso.without_labels(),
+                                losses.LossWeights(), np.random.default_rng(0))
 
 
 def test_ttt_loss_equals_self_supervised(triangle_iso):
+    # Both objectives come from one assembly: on the same draw, the
+    # adaptation loss is exactly the source objective's self-supervised part.
     h_vals = np.random.default_rng(6).standard_normal((4, 3))
     w = losses.LossWeights(neg_samples_k=2)
     a = losses.ttt_loss(dk.Tensor(h_vals), triangle_iso, w,
                         np.random.default_rng(8))
-    b = losses.self_supervised_loss(dk.Tensor(h_vals), triangle_iso, w,
-                                    np.random.default_rng(8))
-    assert a.item() == b.item()
+    _, parts = losses.train_loss_parts(dk.Tensor(np.full((4, 1), 0.5)),
+                                       dk.Tensor(h_vals), triangle_iso, w,
+                                       np.random.default_rng(8))
+    assert a.item() == parts["loss_self"]
 
 
 def test_train_loss_gradient_matches_finite_differences(triangle_iso):
@@ -338,8 +337,8 @@ def test_train_loss_gradient_matches_finite_differences(triangle_iso):
 
     def f(h):
         probs = dk.sigmoid(dk.matmul(h, logits))
-        return losses.train_loss(probs, h, triangle_iso, w,
-                                 np.random.default_rng(42))
+        return losses.train_loss_parts(probs, h, triangle_iso, w,
+                                       np.random.default_rng(42))[0]
 
     report = dk.grad_check(f, point, step=1e-5, tol=1e-4)
     assert report.passed, report

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from ttgad import diffkernel as dk
+from ttgad import losses
 from ttgad.diffkernel import Tensor
 from ttgad.errors import CheckpointError, ConfigError, DataError
 from ttgad.gnn import forward_embeddings, init_bundle, init_encoder, predict
@@ -85,9 +87,18 @@ class TestRunConfig:
         ("ttt_init", "warm", "ttt_init must be one of"),
         ("scoring_mode", "votes", "scoring_mode must be one of"),
         ("neighbor_cap", 0, "neighbor_cap must be at least 1"),
+        ("p", "eight", "p must be of type int"),
+        ("p", True, "p must be of type int"),
+        ("p", 8.0, "p must be of type int"),
+        ("lr", "fast", "lr must be of type float"),
+        ("lr", True, "lr must be of type float"),
+        ("neighbor_cap", 2.5, "neighbor_cap must be of type int"),
+        ("nsaw_enabled", 1, "nsaw_enabled must be of type bool"),
+        ("neg_samples_k", "5", "neg_samples_k must be of type int"),
+        ("anomaly_weight", None, "anomaly_weight must be of type float"),
     ])
     def test_validation_messages(self, field_name, value, msg):
-        cfg = RunConfig(**{field_name: value})
+        cfg = RunConfig.from_dict({field_name: value})
         with pytest.raises(ConfigError, match=msg):
             cfg.validate()
 
@@ -110,6 +121,10 @@ class TestRunConfig:
     def test_from_dict_rejects_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'momentum'"):
             RunConfig.from_dict({"momentum": 0.9})
+
+    def test_type_check_accepts_compatible_values(self):
+        RunConfig.from_dict({"lr": 1, "dropout_rate": 0, "neighbor_cap": None,
+                             "seed": np.int64(3)}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +367,38 @@ class TestAdaptTarget:
                                    first.weight.values)
         assert trace.epochs
         assert moved == (trace.chosen_epoch > 0)
+
+    def test_only_target_encoder_gets_gradients(self, monkeypatch):
+        bundle, centroids, cfg = trained_pair(seed=3)
+        graph = generate_synthetic(small_spec(14, feature_dim=3))
+        cfg.ttt_max_epochs = 1
+        seen = []
+        real_step = dk.adam_step
+
+        def spy(params, grads, state):
+            seen.append(grads)
+            return real_step(params, grads, state)
+
+        monkeypatch.setattr(dk, "adam_step", spy)
+        adapted, _ = adapt_target(bundle, centroids, graph, cfg)
+        (grads,) = seen
+        # The frozen weights stay off the gradient map entirely.
+        assert [name for name, t in adapted.parameter_items() if t in grads] \
+            == ["target_encoder.weight"]
+
+        # An all-trainable replica of epoch 1 gives the encoder the same
+        # gradient, bit for bit, and its layers gradients of their own.
+        rng = np.random.default_rng(cfg.seed)
+        ref = clone_bundle(bundle)
+        ref.target_encoder = init_encoder(rng, bundle.layers[0].in_dim, 3, "target")
+        with dk.Tape() as tape:
+            h, _ = forward_embeddings(ref, graph, "target", training=True, rng=rng,
+                                      dropout_rate=cfg.dropout_rate)
+            loss = losses.ttt_loss(h, graph, cfg.weights, rng)
+        expected = tape.backward(loss)
+        assert ref.layers[0].W in expected
+        assert np.array_equal(grads[adapted.target_encoder.weight],
+                              expected[ref.target_encoder.weight])
 
     def test_returned_bundle_reproduces_best_recorded_score(self):
         bundle, centroids, cfg = trained_pair(seed=2)
@@ -622,6 +669,22 @@ class TestCheckpoints:
         h_a, _ = forward_embeddings(bundle, graph, "source")
         h_b, _ = forward_embeddings(loaded.bundle, graph, "source")
         assert np.array_equal(h_a.values, h_b.values)
+
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda c: c.pop("anomaly"), "malformed checkpoint centroids: KeyError"),
+        (lambda c: c["normal"].pop(), "'normal' must hold 6 finite values"),
+        (lambda c: c["anomaly"].__setitem__(0, float("nan")),
+         "'anomaly' must hold 6 finite values"),
+    ], ids=["missing_key", "short", "nan"])
+    def test_bad_centroids_rejected(self, tmp_path, edit, msg):
+        bundle, centroids, cfg = trained_pair(seed=21)
+        path = tmp_path / "m.bin"
+        save_checkpoint(bundle, centroids, cfg, path)
+        header, payload = checkpoint_parts(path)
+        edit(header["centroids"])
+        rewrite(path, header, payload)
+        with pytest.raises(CheckpointError, match=msg):
+            load_checkpoint(path)
 
     def test_target_encoder_round_trips(self, tmp_path):
         bundle, centroids, cfg = trained_pair(seed=20)

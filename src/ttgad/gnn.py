@@ -137,7 +137,10 @@ class ModelBundle:
         return self.layers[-1].out_dim
 
     def parameter_items(self):
-        """All named tensors in a stable order (checkpoint layout)."""
+        """All named tensors in a stable order (checkpoint layout).
+
+        A tensor trains exactly when its ``requires_grad`` flag is set.
+        """
         items = []
         if self.source_encoder.weight is not None:
             items.append(("source_encoder.weight", self.source_encoder.weight))
@@ -152,26 +155,6 @@ class ModelBundle:
         items.append(("predictor.w_out", self.predictor.w_out))
         items.append(("predictor.b_out", self.predictor.b_out))
         return items
-
-    def trainable_source(self):
-        """Parameters updated during source training, in a stable order."""
-        params = []
-        if self.source_encoder.weight is not None:
-            params.append(self.source_encoder.weight)
-        for layer in self.layers:
-            params.append(layer.W)
-            params.append(layer.b)
-            if self.nsaw_enabled:
-                params.append(layer.U)
-        params.extend([self.predictor.w_hidden, self.predictor.b_hidden,
-                       self.predictor.w_out, self.predictor.b_out])
-        return params
-
-    def trainable_target(self):
-        """Parameters updated during test-time training (the target encoder)."""
-        if self.target_encoder is None or self.target_encoder.weight is None:
-            return []
-        return [self.target_encoder.weight]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +202,7 @@ def init_bundle(rng, feature_dim, p, hidden_dim, attn_dim, num_layers,
     layers = []
     for _ in range(num_layers):
         layers.append(init_layer(rng, width, hidden_dim, attn_dim))
+        layers[-1].U.requires_grad = nsaw_enabled
         width = hidden_dim
     predictor = init_predictor(rng, width, hidden_dim)
     return ModelBundle(source_encoder=encoder, target_encoder=None,

@@ -208,6 +208,13 @@ def save_graph(graph, path):
     return out
 
 
+def _read_text(path):
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise GraphFormatError(f"{path.name} is not valid UTF-8: {e}") from e
+
+
 def load_graph(path):
     """Read a graph bundle directory written by :func:`save_graph`."""
     root = Path(path)
@@ -215,22 +222,26 @@ def load_graph(path):
     if not meta_path.is_file():
         raise GraphFormatError(f"missing meta.json under {root}")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(_read_text(meta_path))
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"meta.json is not valid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise GraphFormatError("meta.json must hold a JSON object")
     for key in ("name", "num_nodes", "feature_dim", "has_labels"):
         if key not in meta:
             raise GraphFormatError(f"meta.json missing key {key!r}")
-    n = int(meta["num_nodes"])
-    d = int(meta["feature_dim"])
-    if n < 0 or d < 1:
+    n, d = meta["num_nodes"], meta["feature_dim"]
+    # JSON integers only: bools, floats such as 3.7, strings and null are refused.
+    if type(n) is not int or type(d) is not int or n < 0 or d < 1:
         raise GraphFormatError("meta.json has invalid num_nodes/feature_dim")
+    if not isinstance(meta["has_labels"], bool):
+        raise GraphFormatError("meta.json has_labels must be true or false")
 
     edges_path = root / "edges.tsv"
     if not edges_path.is_file():
         raise GraphFormatError(f"missing edges.tsv under {root}")
     edges = []
-    for lineno, line in enumerate(edges_path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(edges_path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -260,7 +271,7 @@ def load_graph(path):
         lab_path = root / "labels.tsv"
         if not lab_path.is_file():
             raise GraphFormatError(f"missing labels.tsv under {root}")
-        entries = [ln for ln in lab_path.read_text().splitlines() if ln.strip()]
+        entries = [ln for ln in _read_text(lab_path).splitlines() if ln.strip()]
         if len(entries) != n:
             raise GraphFormatError(
                 f"labels.tsv has {len(entries)} entries, expected {n}"

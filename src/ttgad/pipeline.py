@@ -8,6 +8,7 @@ centroid distance ratio and keeping the best-scoring snapshot. Everything
 is deterministic given (data, config, seed).
 """
 
+import copy
 import json
 import math
 import numbers
@@ -20,8 +21,8 @@ import numpy as np
 from . import diffkernel as dk
 from . import evaluation, losses
 from .errors import CheckpointError, ConfigError, DataError
-from .gnn import (ModelBundle, NsawLayer, PredictorHead, ProjectionEncoder,
-                  forward_embeddings, init_bundle, init_encoder, predict)
+from .gnn import (ModelBundle, ProjectionEncoder, forward_embeddings,
+                  init_bundle, init_encoder, predict)
 from .graphstore import SyntheticSpec, generate_synthetic
 from .losses import LossWeights
 
@@ -262,7 +263,7 @@ def train_source(graph, config, rng=None):
                          config.attn_dim, config.num_layers,
                          nsaw_enabled=config.nsaw_enabled,
                          identity_encoder=config.identity_encoder)
-    params = bundle.trainable_source()
+    params = [t for _, t in bundle.parameter_items() if t.requires_grad]
     state = dk.AdamState(params, lr=config.lr)
     log = []
     for epoch in range(1, config.source_epochs + 1):
@@ -290,35 +291,13 @@ def train_source(graph, config, rng=None):
     return bundle, centroids, log
 
 
-def _clone_tensor(tensor):
-    if tensor is None:
-        return None
-    return dk.Tensor(tensor.values, requires_grad=tensor.requires_grad)
-
-
-def _clone_encoder(encoder):
-    if encoder is None:
-        return None
-    return ProjectionEncoder(_clone_tensor(encoder.weight), encoder.domain)
-
-
 def clone_bundle(bundle):
     """Deep copy; the clone shares no tensors with the original."""
-    layers = [NsawLayer(W=_clone_tensor(l.W), b=_clone_tensor(l.b),
-                        U=_clone_tensor(l.U)) for l in bundle.layers]
-    pred = bundle.predictor
-    predictor = PredictorHead(w_hidden=_clone_tensor(pred.w_hidden),
-                              b_hidden=_clone_tensor(pred.b_hidden),
-                              w_out=_clone_tensor(pred.w_out),
-                              b_out=_clone_tensor(pred.b_out))
-    return ModelBundle(source_encoder=_clone_encoder(bundle.source_encoder),
-                       target_encoder=_clone_encoder(bundle.target_encoder),
-                       layers=layers, predictor=predictor,
-                       nsaw_enabled=bundle.nsaw_enabled)
+    return copy.deepcopy(bundle)
 
 
 def _init_target_encoder(work, graph, config, rng):
-    """Install the target encoder per config.ttt_init; returns trainables."""
+    """Install the target encoder per config.ttt_init."""
     shared_width = work.layers[0].in_dim
     source_weight = work.source_encoder.weight
     if source_weight is None:
@@ -327,8 +306,7 @@ def _init_target_encoder(work, graph, config, rng):
                 f"feature dim mismatch without encoder: graph has "
                 f"{graph.feature_dim}, model expects {shared_width}")
         work.target_encoder = ProjectionEncoder(None, "target")
-        return []
-    if config.ttt_init == "keep":
+    elif config.ttt_init == "keep":
         if work.target_encoder is None or work.target_encoder.weight is None:
             raise ConfigError("ttt_init 'keep' needs a bundle with a target encoder")
     elif config.ttt_init == "source":
@@ -341,7 +319,6 @@ def _init_target_encoder(work, graph, config, rng):
     else:
         work.target_encoder = init_encoder(rng, shared_width,
                                            graph.feature_dim, "target")
-    return work.trainable_target()
 
 
 def adapt_target(bundle, centroids, graph, config, rng=None):
@@ -365,11 +342,12 @@ def adapt_target(bundle, centroids, graph, config, rng=None):
         rng = np.random.default_rng(config.seed)
 
     work = clone_bundle(bundle)
-    params = _init_target_encoder(work, graph, config, rng)
-    if config.ttt_max_epochs > 0 and not params:
-        raise DataError("identity encoder leaves nothing to adapt")
+    _init_target_encoder(work, graph, config, rng)
     for name, tensor in work.parameter_items():
         tensor.requires_grad = name == "target_encoder.weight"
+    params = [t for _, t in work.parameter_items() if t.requires_grad]
+    if config.ttt_max_epochs > 0 and not params:
+        raise DataError("identity encoder leaves nothing to adapt")
 
     source_weight = work.source_encoder.weight
     source_in = source_weight.shape[1] if source_weight is not None \
@@ -534,22 +512,14 @@ class LoadedCheckpoint:
     centroids: ClassCentroids | None
 
 
-def _expected_tensor_names(config):
-    names = []
-    if not config.identity_encoder:
-        names.append("source_encoder.weight")
-    for i in range(config.num_layers):
-        names.extend([f"layers.{i}.W", f"layers.{i}.b", f"layers.{i}.U"])
-    names.extend(["predictor.w_hidden", "predictor.b_hidden",
-                  "predictor.w_out", "predictor.b_out"])
-    return names
-
-
 def load_checkpoint(path, expect_nsaw=None):
     """Read a checkpoint back; inverse of :func:`save_checkpoint`.
 
-    ``expect_nsaw`` asserts the stored attention mode: loading a
-    checkpoint whose mode differs is an error, never a silent fallback.
+    The stored tensors fill a fresh bundle of the stored config by name.
+    An unexpected or missing tensor, or one whose shape does not match the
+    config, raises :class:`CheckpointError` here. ``expect_nsaw`` asserts
+    the stored attention mode: loading a checkpoint whose mode differs is
+    an error, never a silent fallback.
     """
     with open(os.fspath(path), "rb") as fh:
         raw = fh.read()
@@ -558,16 +528,17 @@ def load_checkpoint(path, expect_nsaw=None):
         raise CheckpointError("malformed checkpoint: no header line")
     try:
         header = json.loads(raw[:newline])
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # invalid JSON or invalid UTF-8
         raise CheckpointError(f"malformed checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError("malformed checkpoint header: not an object")
     version = header.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
-    for key in ("config", "tensors"):
-        if key not in header:
-            raise CheckpointError(f"malformed checkpoint header: missing {key!r}")
+    if not (isinstance(header.get("config"), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise CheckpointError("malformed checkpoint header: needs a 'config' "
+                              "object and a 'tensors' list")
     try:
         config = RunConfig.from_dict(header["config"]).validate()
     except (ConfigError, TypeError) as e:
@@ -579,54 +550,58 @@ def load_checkpoint(path, expect_nsaw=None):
             f"checkpoint uses {stored} aggregation but {wanted} was requested")
 
     payload = raw[newline + 1:]
-    tensors = {}
+    blocks = {}
     end = 0
     for desc in header["tensors"]:
-        try:
-            name = desc["name"]
-            rows, cols = int(desc["rows"]), int(desc["cols"])
-            offset = int(desc["byte_offset"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointError(f"malformed tensor descriptor: {desc!r}") from e
+        entry = desc if isinstance(desc, dict) else {}
+        name = entry.get("name")
+        rows, cols, offset = (entry.get(k) for k in ("rows", "cols", "byte_offset"))
+        # Sizes are JSON integers; bools and floats are refused.
+        if not isinstance(name, str) or any(type(v) is not int for v in (rows, cols, offset)):
+            raise CheckpointError(f"malformed tensor descriptor: {desc!r}")
         size = rows * cols * 8
         if rows < 1 or cols < 1 or offset < 0 or offset + size > len(payload):
             raise CheckpointError(f"corrupt tensor block {name!r}")
-        if name in tensors:
+        if name in blocks:
             raise CheckpointError(f"duplicate tensor {name!r}")
-        flat = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-        tensors[name] = dk.Tensor(flat.reshape(rows, cols), requires_grad=True)
+        blocks[name] = np.frombuffer(payload, dtype="<f8", count=rows * cols,
+                                     offset=offset).reshape(rows, cols)
         end = max(end, offset + size)
     if end != len(payload):
         raise CheckpointError(
             f"corrupt tensor block: {len(payload) - end} trailing byte(s)")
 
-    expected = _expected_tensor_names(config)
-    known = set(expected) | {"target_encoder.weight"}
-    for name in tensors:
-        if name not in known:
-            raise CheckpointError(f"unexpected tensor {name!r}")
-    for name in expected:
-        if name not in tensors:
-            raise CheckpointError(f"missing tensor {name!r}")
+    # The config records no feature dim; if its tensor is missing, the name check refuses.
+    def stored_cols(name):
+        return blocks[name].shape[1] if name in blocks else 1
 
-    if config.identity_encoder:
-        source_encoder = ProjectionEncoder(None, "source")
-    else:
-        source_encoder = ProjectionEncoder(tensors["source_encoder.weight"], "source")
-    target_encoder = None
-    if "target_encoder.weight" in tensors:
-        target_encoder = ProjectionEncoder(tensors["target_encoder.weight"], "target")
-    layers = [NsawLayer(W=tensors[f"layers.{i}.W"], b=tensors[f"layers.{i}.b"],
-                        U=tensors[f"layers.{i}.U"])
-              for i in range(config.num_layers)]
-    predictor = PredictorHead(w_hidden=tensors["predictor.w_hidden"],
-                              b_hidden=tensors["predictor.b_hidden"],
-                              w_out=tensors["predictor.w_out"],
-                              b_out=tensors["predictor.b_out"])
-    bundle = ModelBundle(source_encoder=source_encoder,
-                         target_encoder=target_encoder,
-                         layers=layers, predictor=predictor,
-                         nsaw_enabled=config.nsaw_enabled)
+    feature_dim = (stored_cols("layers.0.W") // 2 if config.identity_encoder
+                   else stored_cols("source_encoder.weight"))
+    rng = np.random.default_rng(0)
+    try:
+        bundle = init_bundle(rng, feature_dim, config.p, config.hidden_dim,
+                             config.attn_dim, config.num_layers,
+                             nsaw_enabled=config.nsaw_enabled,
+                             identity_encoder=config.identity_encoder)
+    except MemoryError as e:
+        raise CheckpointError(f"checkpoint config sizes do not fit in memory: {e}") from e
+    if "target_encoder.weight" in blocks:
+        bundle.target_encoder = init_encoder(rng, bundle.layers[0].in_dim,
+                                             stored_cols("target_encoder.weight"),
+                                             "target")
+    tensors = dict(bundle.parameter_items())
+    for name in blocks:
+        if name not in tensors:
+            raise CheckpointError(f"unexpected tensor {name!r}")
+    for name in tensors:
+        if name not in blocks:
+            raise CheckpointError(f"missing tensor {name!r}")
+    for name, tensor in tensors.items():
+        if blocks[name].shape != tensor.shape:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {blocks[name].shape}, but the "
+                f"config needs {tensor.shape}")
+        tensor.values[...] = blocks[name]
 
     centroids = None
     stored = header.get("centroids")
@@ -660,10 +635,10 @@ def full_model_grad_check(seed=0, num_points=5, num_nodes=9, feature_dim=4,
     """Finite-difference check of both composite objectives, end to end.
 
     At each of ``num_points`` random parameter points, every coordinate of
-    every trainable tensor is compared against central differences: the
-    supervised objective over the source parameters and the adaptation
-    objective over the target encoder. Forward passes run in eval mode so
-    the function is smooth except at relu kinks.
+    every tensor is compared against central differences: the adaptation
+    objective over the target encoder, the supervised objective over every
+    other tensor. Forward passes run in eval mode so the function is smooth
+    except at relu kinks.
     """
     spec = SyntheticSpec(num_nodes=num_nodes, feature_dim=feature_dim,
                          anomaly_rate=0.25, target_homophily=0.7,
@@ -694,10 +669,11 @@ def full_model_grad_check(seed=0, num_points=5, num_nodes=9, feature_dim=4,
             return losses.ttt_loss(h, graph, weights,
                                    np.random.default_rng(sample_seed))
 
-        for param in bundle.trainable_source():
-            track("train", dk.grad_check(train_objective, param, step=step, tol=tol))
-        for param in bundle.trainable_target():
-            track("ttt", dk.grad_check(ttt_objective, param, step=step, tol=tol))
+        for name, param in bundle.parameter_items():
+            if name == "target_encoder.weight":
+                track("ttt", dk.grad_check(ttt_objective, param, step=step, tol=tol))
+            else:
+                track("train", dk.grad_check(train_objective, param, step=step, tol=tol))
 
     train_report = dk.GradCheckReport(max_rel_error=worst["train"][0],
                                       max_abs_error=worst["train"][1],

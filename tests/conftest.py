@@ -1,7 +1,9 @@
-"""Shared fixtures: tiny deterministic graphs and a small model factory."""
+"""Shared fixtures: tiny deterministic graphs, a small model factory and
+file mutators for fuzzing the loaders."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ttgad import gnn
 from ttgad.graphstore import build_graph
@@ -50,3 +52,36 @@ def small_bundle(feature_dim, width=4, num_layers=2, seed=0, nsaw_enabled=True,
 @pytest.fixture
 def bundle_factory():
     return small_bundle
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing helpers: each draws one corruption of a saved file from ``data``
+# (a hypothesis ``st.data()`` object).
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 100),
+                        st.floats(), st.text(max_size=3),
+                        st.lists(st.integers(0, 3), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(0, 3),
+                                        max_size=1))
+
+
+def mutate_bytes(data, raw):
+    """Truncate ``raw`` or XOR one of its bytes with a nonzero mask."""
+    pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[:pos]
+    flipped = raw[pos] ^ data.draw(st.integers(1, 255), label="mask")
+    return raw[:pos] + bytes([flipped]) + raw[pos + 1:]
+
+
+def edit_json(data, node):
+    """Delete or replace one member anywhere inside a JSON object or array."""
+    keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+    key = data.draw(st.sampled_from(keys), label="key")
+    child = node[key]
+    if isinstance(child, (dict, list)) and child and data.draw(st.booleans(), label="descend"):
+        edit_json(data, child)
+    elif data.draw(st.booleans(), label="delete"):
+        del node[key]
+    else:
+        node[key] = data.draw(JSON_VALUES, label="value")

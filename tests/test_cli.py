@@ -253,6 +253,18 @@ class TestEval:
                      "--graph", str(other)]) == 2
         assert "expects feature_dim 4, got 7" in capsys.readouterr().err
 
+    def test_checkpoint_config_not_object_exits_2(self, workspace, tmp_path,
+                                                  capsys):
+        raw = workspace["checkpoint"].read_bytes()
+        cut = raw.index(b"\n")
+        header = json.loads(raw[:cut])
+        header["config"] = list(header["config"].items())
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + raw[cut:])
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--graph", str(workspace["target"])]) == 2
+        assert "needs a 'config' object" in capsys.readouterr().err
+
     def test_unlabeled_graph_exits_2(self, workspace, tmp_path, capsys):
         from ttgad.graphstore import save_graph
         bare = tmp_path / "bare"

@@ -141,12 +141,13 @@ def test_trainable_parameter_lists():
     assert "layers.0.U" in names and "layers.1.U" in names
     assert names[-4:] == ["predictor.w_hidden", "predictor.b_hidden",
                           "predictor.w_out", "predictor.b_out"]
-    assert len(bundle.trainable_source()) == 1 + 2 * 3 + 4
-    assert bundle.trainable_target() == []
+    assert all(t.requires_grad for _, t in bundle.parameter_items())
 
+    # Without attention U is still stored, but frozen: nothing else is.
     plain = small_bundle(4, num_layers=2, nsaw_enabled=False)
-    assert len(plain.trainable_source()) == 1 + 2 * 2 + 4
-    assert "layers.0.U" in [n for n, _ in plain.parameter_items()]
+    assert [n for n, _ in plain.parameter_items()] == names
+    frozen = [n for n, t in plain.parameter_items() if not t.requires_grad]
+    assert frozen == ["layers.0.U", "layers.1.U"]
 
 
 def test_encoder_for_requires_target(path3):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edit_json, mutate_bytes
 from ttgad.errors import DataError, GraphFormatError
 from ttgad.graphstore import (AttributedGraph, SyntheticSpec, build_graph,
                               compute_stats, generate_synthetic, graphs_equal,
@@ -160,6 +161,22 @@ def test_load_rejects_bad_meta(tmp_path, path3):
     (root / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(GraphFormatError, match="has_labels"):
         load_graph(root)
+    (root / "meta.json").write_text(json.dumps([meta]))
+    with pytest.raises(GraphFormatError, match="JSON object"):
+        load_graph(root)
+    for key in ("num_nodes", "feature_dim"):
+        for bad in ("abc", None, [3], 3.7, 3.0, True):
+            (root / "meta.json").write_text(json.dumps(
+                {**meta, "has_labels": True, key: bad}))
+            with pytest.raises(GraphFormatError, match="invalid num_nodes"):
+                load_graph(root)
+    for bad in (1, "true", None):
+        (root / "meta.json").write_text(json.dumps({**meta, "has_labels": bad}))
+        with pytest.raises(GraphFormatError, match="has_labels must be"):
+            load_graph(root)
+    (root / "meta.json").write_bytes(b'{"name": "g\xff"}')
+    with pytest.raises(GraphFormatError, match="meta.json is not valid UTF-8"):
+        load_graph(root)
 
 
 def test_load_rejects_malformed_binary_length(tmp_path, path3):
@@ -181,6 +198,13 @@ def test_load_rejects_bad_edges(tmp_path, path3):
     (root / "edges.tsv").write_text("0\tx\n")
     with pytest.raises(GraphFormatError, match="non-integer"):
         load_graph(root)
+    (root / "edges.tsv").write_bytes(b"0\t1\n\xc3\n")
+    with pytest.raises(GraphFormatError, match="edges.tsv is not valid UTF-8"):
+        load_graph(root)
+    (root / "edges.tsv").write_text("0\t1\n")
+    (root / "labels.tsv").write_bytes(b"0\n0\n\x81\n")
+    with pytest.raises(GraphFormatError, match="labels.tsv is not valid UTF-8"):
+        load_graph(root)
 
 
 def test_load_rejects_bad_labels(tmp_path, path3):
@@ -191,6 +215,35 @@ def test_load_rejects_bad_labels(tmp_path, path3):
     (root / "labels.tsv").write_text("0\n1\n3\n")
     with pytest.raises(GraphFormatError, match="0 or 1"):
         load_graph(root)
+
+
+@pytest.fixture(scope="module")
+def saved_graph(tmp_path_factory):
+    spec = SyntheticSpec(num_nodes=12, feature_dim=2, anomaly_rate=0.25,
+                         target_homophily=0.8, mean_degree=3.0, seed=5)
+    return save_graph(generate_synthetic(spec), tmp_path_factory.mktemp("g"))
+
+
+@pytest.mark.filterwarnings("ignore:dropping .* self-loop")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_graph_loads_or_raises_data_error(saved_graph, data):
+    files = {p.name: p.read_bytes() for p in saved_graph.iterdir()}
+    if data.draw(st.booleans(), label="edit meta"):
+        meta = json.loads(files["meta.json"])
+        edit_json(data, meta)
+        files["meta.json"] = json.dumps(meta).encode()
+    else:
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        files[name] = mutate_bytes(data, files[name])
+    root = saved_graph.with_name("fuzzed")
+    root.mkdir(exist_ok=True)
+    for name, raw in files.items():
+        (root / name).write_bytes(raw)
+    try:
+        load_graph(root)
+    except DataError:
+        pass
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import edit_json, mutate_bytes
 from ttgad import diffkernel as dk
 from ttgad import losses
 from ttgad.diffkernel import Tensor
@@ -686,6 +689,38 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=msg):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda h: h.__setitem__("config", [["p", 6]]), "needs a 'config' object"),
+        (lambda h: h.__setitem__("tensors", 5), "and a 'tensors' list"),
+        (lambda h: h["tensors"][0].__setitem__("name", ["layers", 0]),
+         "malformed tensor descriptor"),
+        (lambda h: h["config"].__setitem__("attn_dim", 10 ** 12),
+         "config sizes do not fit in memory"),
+    ], ids=["config_not_object", "tensors_not_list", "name_not_string",
+            "config_too_large"])
+    def test_bad_header_rejected(self, tmp_path, edit, msg):
+        bundle, centroids, cfg = trained_pair(seed=22)
+        path = tmp_path / "m.bin"
+        save_checkpoint(bundle, centroids, cfg, path)
+        header, payload = checkpoint_parts(path)
+        edit(header)
+        rewrite(path, header, payload)
+        with pytest.raises(CheckpointError, match=msg):
+            load_checkpoint(path)
+
+    def test_transposed_tensor_rejected(self, tmp_path):
+        bundle, centroids, cfg = trained_pair(seed=23)
+        path = tmp_path / "m.bin"
+        save_checkpoint(bundle, centroids, cfg, path)
+        header, payload = checkpoint_parts(path)
+        (desc,) = [d for d in header["tensors"] if d["name"] == "layers.0.W"]
+        assert (desc["rows"], desc["cols"]) == (6, 12)
+        desc["rows"], desc["cols"] = 12, 6
+        rewrite(path, header, payload)
+        with pytest.raises(CheckpointError, match=r"tensor 'layers\.0\.W' has "
+                           r"shape \(12, 6\), but the config needs \(6, 12\)"):
+            load_checkpoint(path)
+
     def test_target_encoder_round_trips(self, tmp_path):
         bundle, centroids, cfg = trained_pair(seed=20)
         graph = generate_synthetic(small_spec(32, feature_dim=3))
@@ -708,3 +743,36 @@ def test_full_model_grad_check_smoke():
     assert result.passed
     assert result.train_report.max_rel_error <= 1e-4
     assert result.ttt_report.max_rel_error <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the loader: any corruption either loads or raises CheckpointError
+
+
+@pytest.fixture(scope="module")
+def adapted_checkpoint(tmp_path_factory):
+    bundle, centroids, cfg = trained_pair(seed=24)
+    cfg.ttt_max_epochs = 1
+    graph = generate_synthetic(small_spec(33, feature_dim=3))
+    adapted, _ = adapt_target(bundle, centroids, graph, cfg)
+    path = tmp_path_factory.mktemp("fuzz") / "adapted.bin"
+    save_checkpoint(adapted, centroids, cfg, path)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_loads_or_raises_data_error(adapted_checkpoint, data):
+    raw = adapted_checkpoint.read_bytes()
+    if data.draw(st.booleans(), label="edit header"):
+        header, payload = checkpoint_parts(adapted_checkpoint)
+        edit_json(data, header)
+        raw = json.dumps(header).encode() + b"\n" + payload
+    else:
+        raw = mutate_bytes(data, raw)
+    path = adapted_checkpoint.with_name("fuzzed.bin")
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(path)
+    except DataError:
+        pass

@@ -7,7 +7,17 @@ reach the tape. ``Tape.backward(loss)`` replays the records in exact reverse
 execution order, accumulates gradients additively, and releases each record
 and each intermediate gradient once it has been passed on; the returned
 :class:`Gradients` holds leaf tensors only. With no active tape, ops are
-plain numpy computations (eval mode).
+plain numpy and scipy computations (eval mode).
+
+Message passing runs on three sparse pattern ops. A pattern is a CSR pair
+``(indptr, indices)``: slot ``s`` of row ``r`` (``indptr[r] <= s <
+indptr[r + 1]``) pairs row ``r`` with row ``indices[s]``. :func:`pair_dot`
+is an SDDMM (one dot product per slot), :func:`spmm` multiplies the sparse
+matrix of slot weights by a dense matrix, and :func:`pair_cosine` is the
+per-slot cosine. Their backward passes are SpMMs with
+``scipy.sparse.csr_matrix`` plus per-row scalars, so a pattern op keeps only
+per-slot scalars and per-node rows alive on the tape; per-slot rows exist
+only in bounded chunks inside one call.
 
 Design constraints honored throughout:
 
@@ -15,13 +25,15 @@ Design constraints honored throughout:
 - relu has zero derivative at exactly 0;
 - guarded denominators: cosine uses eps = 1e-12, softmax subtracts the
   per-row/per-segment max before exponentiation;
-- segment ops (softmax / sum / mean over CSR rows) give empty segments an
-  all-zero output and route exactly zero gradient outside their slots.
+- segment ops (softmax / mean over CSR rows) and pattern ops give empty
+  rows an all-zero output and route exactly zero gradient outside their
+  slots.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import NumericalError, ShapeError
 
@@ -29,8 +41,8 @@ __all__ = [
     "Tensor", "Tape", "Gradients",
     "matmul", "add", "concat_cols", "relu", "sigmoid", "elementwise_mul",
     "minimum", "negate", "scalar_mul", "sum", "transpose",
-    "masked_row_softmax", "cosine_rows", "rowwise_dot", "gather_rows",
-    "segment_softmax", "segment_sum", "segment_mean",
+    "masked_row_softmax", "gather_rows", "segment_softmax", "segment_mean",
+    "pair_dot", "spmm", "pair_cosine",
     "binary_cross_entropy", "dropout",
     "AdamState", "adam_step", "GradCheckReport", "grad_check",
 ]
@@ -129,7 +141,7 @@ class Tape:
             if entry is None:
                 continue
             for tensor, grad in bwd(entry[1]):
-                if not tensor.requires_grad:
+                if grad is None or not tensor.requires_grad:
                     continue
                 acc = store.get(id(tensor))
                 if acc is None:
@@ -310,48 +322,6 @@ def masked_row_softmax(scores, mask):
     return out
 
 
-def cosine_rows(a, b):
-    """Cosine similarity of paired rows: out[i] = cos(a[i], b[i]), shape (m, 1).
-
-    The denominator is max(|a_i| * |b_i|, 1e-12); pairs under the guard get
-    value ~0 and exactly zero gradient.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_rows: {a.shape} vs {b.shape}")
-    av, bv = a.values, b.values
-    dot = (av * bv).sum(axis=1, keepdims=True)
-    na = np.sqrt((av * av).sum(axis=1, keepdims=True))
-    nb = np.sqrt((bv * bv).sum(axis=1, keepdims=True))
-    prod = na * nb
-    guarded = prod < COSINE_EPS
-    denom = np.maximum(prod, COSINE_EPS)
-    c = dot / denom
-    out = _make("cosine_rows", c, a, b)
-
-    def bwd(g):
-        live = ~guarded
-        na2 = np.where(guarded, 1.0, na * na)
-        nb2 = np.where(guarded, 1.0, nb * nb)
-        ga = np.where(live, g * (bv / denom - c * av / na2), 0.0)
-        gb = np.where(live, g * (av / denom - c * bv / nb2), 0.0)
-        return ((a, ga), (b, gb))
-
-    _emit(out, bwd)
-    return out
-
-
-def rowwise_dot(a, b):
-    """Dot product of paired rows, shape (m, 1)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"rowwise_dot: {a.shape} vs {b.shape}")
-    av, bv = a.values, b.values
-    out = _make("rowwise_dot", (av * bv).sum(axis=1, keepdims=True), a, b)
-    _emit(out, lambda g: ((a, g * bv), (b, g * av)))
-    return out
-
-
 def gather_rows(x, idx):
     """Select rows by index; scatter-adds gradients back on the reverse pass."""
     x = _as_tensor(x)
@@ -426,16 +396,6 @@ def segment_softmax(x, indptr):
     return out
 
 
-def segment_sum(x, indptr):
-    """Sum rows within each segment; output has one row per segment."""
-    x = _as_tensor(x)
-    indptr = _check_indptr(indptr, x.shape[0])
-    out = _make("segment_sum", _segment_sums(x.values, indptr), x)
-    seg = _segment_ids(indptr)
-    _emit(out, lambda g: ((x, g[seg]),))
-    return out
-
-
 def segment_mean(x, indptr):
     """Mean of rows within each segment; empty segments give zero rows."""
     x = _as_tensor(x)
@@ -447,6 +407,118 @@ def segment_mean(x, indptr):
     seg = _segment_ids(indptr)
     inv = 1.0 / safe
     _emit(out, lambda g: ((x, g[seg] * inv[seg][:, None]),))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Sparse pattern ops (SDDMM, SpMM and pair cosine over a CSR pattern)
+
+# Bytes of one gathered block in _sampled_dot; blocks that stay in cache run
+# several times faster than whole (slots x width) gathers.
+_CHUNK_BYTES = 1 << 18
+
+
+def _pattern(indptr, indices, num_rows, num_cols):
+    """Validated pattern arrays plus each slot's row, all int64."""
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    indptr = _check_indptr(indptr, indices.size)
+    if num_rows is not None and indptr.size != num_rows + 1:
+        raise ShapeError(f"pattern has {indptr.size - 1} rows, expected {num_rows}")
+    if indices.size and (indices.min() < 0 or indices.max() >= num_cols):
+        raise ShapeError("pattern column index out of range")
+    return indptr, indices, _segment_ids(indptr)
+
+
+def _csr(data, indptr, indices, num_cols):
+    return scipy.sparse.csr_matrix((data, indices, indptr),
+                                   shape=(indptr.size - 1, num_cols))
+
+
+def _sampled_dot(a, b, rows, cols):
+    """``a[rows[s]] · b[cols[s]]`` per slot, gathering one chunk at a time."""
+    out = np.empty(rows.size)
+    chunk = max(1, _CHUNK_BYTES // (8 * max(a.shape[1], 1)))
+    for start in range(0, rows.size, chunk):
+        stop = start + chunk
+        out[start:stop] = np.einsum("ij,ij->i", a[rows[start:stop]], b[cols[start:stop]])
+    return out
+
+
+def pair_dot(a, b, indptr, indices):
+    """SDDMM: ``out[s] = a[row(s)] · b[indices[s]]``, shape (slots, 1).
+
+    ``a`` has one row per pattern row, ``b`` one row per column index.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"pair_dot: {a.shape} vs {b.shape}")
+    indptr, indices, rows = _pattern(indptr, indices, a.shape[0], b.shape[0])
+    av, bv = a.values, b.values
+    out = _make("pair_dot", _sampled_dot(av, bv, rows, indices).reshape(-1, 1), a, b)
+
+    def bwd(g):
+        m = _csr(g[:, 0], indptr, indices, bv.shape[0])
+        return ((a, m @ bv if a.requires_grad else None),
+                (b, m.T @ av if b.requires_grad else None))
+
+    _emit(out, bwd)
+    return out
+
+
+def spmm(w, x, indptr, indices):
+    """SpMM: ``out = M_w @ x``, where ``M_w[row(s), indices[s]] = w[s]``.
+
+    ``w`` is (slots, 1); the output has one row per pattern row, and a row
+    without slots is zero. Duplicate slots add up.
+    """
+    w, x = _as_tensor(w), _as_tensor(x)
+    indptr, indices, rows = _pattern(indptr, indices, None, x.shape[0])
+    if w.shape != (indices.size, 1):
+        raise ShapeError(f"spmm: weights {w.shape} for {indices.size} slots")
+    xv = x.values
+    m = _csr(w.values[:, 0], indptr, indices, xv.shape[0])
+    out = _make("spmm", m @ xv, w, x)
+
+    def bwd(g):
+        gw = _sampled_dot(g, xv, rows, indices).reshape(-1, 1) if w.requires_grad else None
+        return ((w, gw), (x, m.T @ g if x.requires_grad else None))
+
+    _emit(out, bwd)
+    return out
+
+
+def pair_cosine(x, indptr, indices):
+    """Cosine of ``x[row(s)]`` and ``x[indices[s]]`` per slot, shape (slots, 1).
+
+    The pattern need not be symmetric. The denominator is
+    max(|x_r| * |x_c|, 1e-12); a pair under the guard gets value
+    dot / 1e-12 (below 1 in magnitude) and exactly zero gradient, so an
+    all-zero row gets exactly zero gradient.
+    """
+    x = _as_tensor(x)
+    n = x.shape[0]
+    indptr, indices, rows = _pattern(indptr, indices, n, n)
+    xv = x.values
+    sq = (xv * xv).sum(axis=1)
+    norms = np.sqrt(sq)
+    prod = norms[rows] * norms[indices]
+    live = prod >= COSINE_EPS
+    denom = np.maximum(prod, COSINE_EPS)
+    c = _sampled_dot(xv, xv, rows, indices) / denom
+    out = _make("pair_cosine", c.reshape(-1, 1), x)
+
+    def bwd(g):
+        # d c_s / d x_r = x_c / denom_s - c_s x_r / |x_r|^2, and symmetrically
+        # for x_c: two SpMMs carry the first terms, bincounts the second.
+        q = np.where(live, g[:, 0] / denom, 0.0)
+        t = np.where(live, g[:, 0] * c, 0.0)
+        m = _csr(q, indptr, indices, n)
+        inv_sq = np.divide(1.0, sq, out=np.zeros(n), where=sq > 0)
+        self_term = (np.bincount(rows, weights=t, minlength=n)
+                     + np.bincount(indices, weights=t, minlength=n)) * inv_sq
+        return ((x, m @ xv + m.T @ xv - xv * self_term[:, None]),)
+
+    _emit(out, bwd)
     return out
 
 

@@ -4,11 +4,14 @@ A model bundle holds one projection encoder per domain (source always,
 target once adaptation starts), a stack of shared message-passing layers,
 and a small MLP head that maps final embeddings to anomaly probabilities.
 
-Attention is computed per directed CSR slot: scores are dot products of
-relu-projected endpoint embeddings, softmax-normalized over each node's
-neighborhood, then symmetrized with an elementwise min against the reverse
-slot. Entries outside the adjacency never exist, so they are exactly zero
-with exactly zero gradient.
+Message passing is sparse-matrix algebra over the graph's CSR pattern.
+Attention scores are an SDDMM (:func:`diffkernel.pair_dot`) of the
+relu-projected embeddings with themselves, one score per directed slot,
+softmax-normalized over each node's neighborhood, then symmetrized with an
+elementwise min against the reverse slot. The message is the SpMM
+(:func:`diffkernel.spmm`) of those slot weights, or of 1/degree in plain
+mode, with the layer input. Entries outside the adjacency never exist, so
+they are exactly zero with exactly zero gradient.
 """
 
 import math
@@ -221,9 +224,7 @@ def compute_attention(layer, h, graph):
     each node's neighborhood. Rows of isolated nodes simply have no slots.
     """
     z = dk.relu(dk.matmul(h, layer.U))
-    z_src = dk.gather_rows(z, graph.slot_src)
-    z_dst = dk.gather_rows(z, graph.indices)
-    scores = dk.rowwise_dot(z_src, z_dst)
+    scores = dk.pair_dot(z, z, graph.indptr, graph.indices)
     return dk.segment_softmax(scores, graph.indptr)
 
 
@@ -244,15 +245,15 @@ def nsaw_layer_forward(layer, h, graph, mode="nsaw", sym_attention=None):
         raise ShapeError("layer input rows must match graph nodes")
     if layer.in_dim != h.shape[1]:
         raise ShapeError(f"layer expects width {layer.in_dim}, got {h.shape[1]}")
-    neighbors = dk.gather_rows(h, graph.indices)
     if mode == "nsaw":
         if sym_attention is None:
             sym_attention = symmetrize_attention(compute_attention(layer, h, graph), graph)
-        message = dk.segment_sum(dk.elementwise_mul(sym_attention, neighbors), graph.indptr)
+        weights = sym_attention
     elif mode == "plain":
-        message = dk.segment_mean(neighbors, graph.indptr)
+        weights = dk.Tensor((1.0 / graph.degrees[graph.slot_src]).reshape(-1, 1))
     else:
         raise ConfigError(f"unknown aggregation mode {mode!r}")
+    message = dk.spmm(weights, h, graph.indptr, graph.indices)
     stacked = dk.concat_cols(message, h)
     return dk.relu(dk.add(dk.matmul(stacked, dk.transpose(layer.W)), layer.b))
 

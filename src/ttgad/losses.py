@@ -8,6 +8,12 @@ pushes affinity up and similarity to sampled non-adjacent nodes down.
 :func:`ttt_loss` is that objective alone; :func:`train_loss_parts` adds
 binary cross-entropy and a class-weighted mean of the same non-neighbor
 cosines, which separates anomalies harder.
+
+Both cosine terms are one sparse pattern op each
+(:func:`diffkernel.pair_cosine`): affinity over the graph's CSR adjacency,
+separation over the non-neighbor sample's CSR pattern, which is not
+symmetric. The cosines are computed per pair and their gradients return to
+the nodes as SpMMs, with no per-pair embedding copies kept for backward.
 """
 
 import warnings
@@ -76,9 +82,7 @@ def affinity_scores(h, graph):
     """Mean cosine similarity of each node's embedding to its neighbors'."""
     if h.shape[0] != graph.num_nodes:
         raise ShapeError("embedding rows must match graph nodes")
-    h_src = dk.gather_rows(h, graph.slot_src)
-    h_dst = dk.gather_rows(h, graph.indices)
-    sims = dk.cosine_rows(h_src, h_dst)
+    sims = dk.pair_cosine(h, graph.indptr, graph.indices)
     scores = dk.segment_mean(sims, graph.indptr)
     return AffinityScores(scores=scores, valid=graph.degrees > 0)
 
@@ -196,8 +200,7 @@ def _self_supervised(h, graph, weights, rng, class_weights=None):
     sample = sample_nonneighbors(graph, weights.neg_samples_k, rng)
     plain = weighted = dk.Tensor(np.zeros((1, 1)))
     if sample.num_sampled_nodes:
-        sims = dk.cosine_rows(dk.gather_rows(h, sample.src),
-                              dk.gather_rows(h, sample.dst))
+        sims = dk.pair_cosine(h, sample.indptr, sample.dst)
         scale = 1.0 / sample.num_sampled_nodes
 
         def mean(values):

@@ -516,10 +516,10 @@ def load_checkpoint(path, expect_nsaw=None):
     """Read a checkpoint back; inverse of :func:`save_checkpoint`.
 
     The stored tensors fill a fresh bundle of the stored config by name.
-    An unexpected or missing tensor, or one whose shape does not match the
-    config, raises :class:`CheckpointError` here. ``expect_nsaw`` asserts
-    the stored attention mode: loading a checkpoint whose mode differs is
-    an error, never a silent fallback.
+    An unexpected or missing tensor, one whose shape does not match the
+    config, or one holding NaN or inf raises :class:`CheckpointError` here.
+    ``expect_nsaw`` asserts the stored attention mode: loading a checkpoint
+    whose mode differs is an error, never a silent fallback.
     """
     with open(os.fspath(path), "rb") as fh:
         raw = fh.read()
@@ -601,6 +601,8 @@ def load_checkpoint(path, expect_nsaw=None):
             raise CheckpointError(
                 f"tensor {name!r} has shape {blocks[name].shape}, but the "
                 f"config needs {tensor.shape}")
+        if not np.all(np.isfinite(blocks[name])):
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
         tensor.values[...] = blocks[name]
 
     centroids = None

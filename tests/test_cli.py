@@ -265,6 +265,18 @@ class TestEval:
                      "--graph", str(workspace["target"])]) == 2
         assert "needs a 'config' object" in capsys.readouterr().err
 
+    def test_nonfinite_checkpoint_tensor_exits_2(self, workspace, tmp_path, capsys):
+        raw = workspace["checkpoint"].read_bytes()
+        cut = raw.index(b"\n")
+        header = json.loads(raw[:cut])
+        (desc,) = [d for d in header["tensors"] if d["name"] == "layers.0.W"]
+        at = cut + 1 + desc["byte_offset"]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw[:at] + np.array([np.nan], dtype="<f8").tobytes() + raw[at + 8:])
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--graph", str(workspace["target"])]) == 2
+        assert "tensor 'layers.0.W' holds non-finite values" in capsys.readouterr().err
+
     def test_unlabeled_graph_exits_2(self, workspace, tmp_path, capsys):
         from ttgad.graphstore import save_graph
         bare = tmp_path / "bare"

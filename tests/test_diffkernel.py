@@ -48,6 +48,71 @@ def ref_adam(param, grad_sequence, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     return p
 
 
+def ref_pattern_rows(indptr):
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def ref_pair_dot(a, b, indptr, indices, g):
+    """Gather -> rowwise dot, and its scatter-add backward for upstream g."""
+    rows = ref_pattern_rows(indptr)
+    a_src, b_dst = a[rows], b[indices]
+    out = (a_src * b_dst).sum(axis=1)
+    ga, gb = np.zeros_like(a), np.zeros_like(b)
+    np.add.at(ga, rows, g[:, None] * b_dst)
+    np.add.at(gb, indices, g[:, None] * a_src)
+    return out, ga, gb
+
+
+def ref_spmm(w, x, indptr, indices, g):
+    """Gather -> weight -> segment sum, and its backward for upstream g."""
+    rows = ref_pattern_rows(indptr)
+    out = np.zeros((len(indptr) - 1, x.shape[1]))
+    np.add.at(out, rows, w[:, None] * x[indices])
+    gw = (g[rows] * x[indices]).sum(axis=1)
+    gx = np.zeros_like(x)
+    np.add.at(gx, indices, w[:, None] * g[rows])
+    return out, gw, gx
+
+
+def ref_pair_cosine(x, indptr, indices, g):
+    """Gather -> guarded cosine of paired rows, and its backward."""
+    rows = ref_pattern_rows(indptr)
+    av, bv = x[rows], x[indices]
+    dot = (av * bv).sum(axis=1, keepdims=True)
+    na = np.sqrt((av * av).sum(axis=1, keepdims=True))
+    nb = np.sqrt((bv * bv).sum(axis=1, keepdims=True))
+    prod = na * nb
+    live = prod >= 1e-12
+    denom = np.maximum(prod, 1e-12)
+    c = dot / denom
+    gs = g[:, None]
+    na2 = np.where(live, na * na, 1.0)
+    nb2 = np.where(live, nb * nb, 1.0)
+    ga = np.where(live, gs * (bv / denom - c * av / na2), 0.0)
+    gb = np.where(live, gs * (av / denom - c * bv / nb2), 0.0)
+    gx = np.zeros_like(x)
+    np.add.at(gx, rows, ga)
+    np.add.at(gx, indices, gb)
+    return c[:, 0], gx
+
+
+def random_pattern(rng, n, symmetric, isolated=2, edge_prob=0.4):
+    """CSR pattern on n nodes without self-pairs; the first ``isolated``
+    nodes have no slot. Non-symmetric patterns get shuffled rows."""
+    mask = rng.random((n, n)) < edge_prob
+    np.fill_diagonal(mask, False)
+    if symmetric:
+        mask |= mask.T
+    mask[:isolated, :] = False
+    mask[:, :isolated] = False
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    indices = np.nonzero(mask)[1]
+    if not symmetric:
+        for r in range(n):
+            rng.shuffle(indices[indptr[r]:indptr[r + 1]])
+    return indptr, indices
+
+
 def numeric_grad(f, point, step=1e-5):
     """Central differences of a scalar function of one tensor."""
     base = point.values
@@ -155,10 +220,10 @@ def test_masked_softmax_empty_row_is_zero():
     assert abs(out.values[1].sum() - 1.0) < 1e-9
 
 
-def test_cosine_rows_axis_cases():
-    a = dk.Tensor([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    b = dk.Tensor([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    out = dk.cosine_rows(a, b)
+def test_pair_cosine_axis_cases():
+    # pairs (0, 0), (0, 1), (2, 3): parallel, orthogonal, and a zero row
+    x = dk.Tensor([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    out = dk.pair_cosine(x, np.array([0, 2, 2, 3, 3]), np.array([0, 1, 3]))
     np.testing.assert_allclose(out.values[:, 0], [1.0, 0.0, 0.0], atol=0)
 
 
@@ -210,14 +275,12 @@ def test_minimum_splits_ties_evenly():
     assert grads[b][0, 0] == 0.5
 
 
-def test_cosine_zero_row_gets_zero_gradient():
-    a = dk.Tensor([[0.0, 0.0]], requires_grad=True)
-    b = dk.Tensor([[1.0, 2.0]], requires_grad=True)
+def test_pair_cosine_zero_row_gets_zero_gradient():
+    x = dk.Tensor([[0.0, 0.0], [1.0, 2.0]], requires_grad=True)
     with dk.Tape() as tape:
-        loss = dk.sum(dk.cosine_rows(a, b))
+        loss = dk.sum(dk.pair_cosine(x, np.array([0, 1, 1]), np.array([1])))
     grads = tape.backward(loss)
-    assert np.array_equal(grads[a], [[0.0, 0.0]])
-    assert np.array_equal(grads[b], [[0.0, 0.0]])
+    assert np.array_equal(grads[x], [[0.0, 0.0], [0.0, 0.0]])
 
 
 def test_reused_tensor_accumulates():
@@ -319,10 +382,10 @@ def test_segment_softmax_values_and_empty_segment():
     assert out.values[2, 0] == 1.0
 
 
-def test_segment_sum_and_mean():
+def test_spmm_sum_and_segment_mean():
     x = dk.Tensor([[1.0], [2.0], [5.0]])
     indptr = np.array([0, 2, 2, 3])
-    sums = dk.segment_sum(x, indptr)
+    sums = dk.spmm(dk.Tensor(np.ones((3, 1))), x, indptr, np.arange(3))
     np.testing.assert_allclose(sums.values[:, 0], [3.0, 0.0, 5.0])
     means = dk.segment_mean(x, indptr)
     np.testing.assert_allclose(means.values[:, 0], [1.5, 0.0, 5.0])
@@ -342,6 +405,136 @@ def test_segment_ops_gradients():
 
     assert dk.grad_check(f_softmax, x).passed
     assert dk.grad_check(f_mean, x).passed
+
+
+# ---------------------------------------------------------------------------
+# Sparse pattern ops
+
+
+def _taped(op, inputs, g):
+    """Run ``op`` on tape, backprop ``sum(out * g)``; return out and grads."""
+    with dk.Tape() as tape:
+        out = op()
+        loss = dk.sum(dk.elementwise_mul(out, dk.Tensor(g.reshape(out.shape))))
+    grads = tape.backward(loss)
+    return out.values, [grads[t] for t in inputs]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_pattern_ops_match_gather_scatter_oracle(symmetric):
+    rng = np.random.default_rng(5)
+    n, d = 9, 4
+    indptr, indices = random_pattern(rng, n, symmetric)
+    slots = indices.size
+    a = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    b = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    w = dk.Tensor(rng.standard_normal((slots, 1)), requires_grad=True)
+
+    g = rng.standard_normal(slots)
+    out, (ga, gb) = _taped(lambda: dk.pair_dot(a, b, indptr, indices), [a, b], g)
+    want, want_a, want_b = ref_pair_dot(a.values, b.values, indptr, indices, g)
+    np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ga, want_a, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gb, want_b, rtol=1e-12, atol=1e-12)
+
+    g = rng.standard_normal((n, d))
+    out, (gw, gx) = _taped(lambda: dk.spmm(w, a, indptr, indices), [w, a], g)
+    want, want_w, want_x = ref_spmm(w.values[:, 0], a.values, indptr, indices, g)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gw[:, 0], want_w, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
+
+    g = rng.standard_normal(slots)
+    out, (gx,) = _taped(lambda: dk.pair_cosine(a, indptr, indices), [a], g)
+    want, want_x = ref_pair_cosine(a.values, indptr, indices, g)
+    np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_pattern_ops_gradients_match_finite_differences(symmetric):
+    rng = np.random.default_rng(11)
+    n, d = 7, 3
+    indptr, indices = random_pattern(rng, n, symmetric)
+    weights = dk.Tensor(rng.standard_normal((indices.size, 1)))
+    other = dk.Tensor(rng.standard_normal((n, d)))
+    mix = dk.Tensor(rng.standard_normal((n, d)))
+
+    def slot_loss(out):
+        return dk.sum(dk.elementwise_mul(out, weights))
+
+    def node_loss(out):
+        return dk.sum(dk.elementwise_mul(out, mix))
+
+    x = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    w = dk.Tensor(rng.standard_normal((indices.size, 1)), requires_grad=True)
+    checks = [
+        (lambda t: slot_loss(dk.pair_dot(t, other, indptr, indices)), x),
+        (lambda t: slot_loss(dk.pair_dot(other, t, indptr, indices)), x),
+        (lambda t: slot_loss(dk.pair_dot(t, t, indptr, indices)), x),
+        (lambda t: node_loss(dk.spmm(weights, t, indptr, indices)), x),
+        (lambda t: node_loss(dk.spmm(t, other, indptr, indices)), w),
+        (lambda t: slot_loss(dk.pair_cosine(t, indptr, indices)), x),
+    ]
+    for f, point in checks:
+        report = dk.grad_check(f, point)
+        assert report.passed, report
+
+
+def test_spmm_skips_gradient_of_frozen_side():
+    x = dk.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    w = dk.Tensor([[0.5], [2.0]])
+    with dk.Tape() as tape:
+        loss = dk.sum(dk.spmm(w, x, np.array([0, 1, 2]), np.array([1, 0])))
+    grads = tape.backward(loss)
+    assert np.array_equal(grads[x], [[2.0, 2.0], [0.5, 0.5]])
+    assert w not in grads
+
+
+def test_pair_cosine_zero_row_and_guarded_pair_get_exact_zero_gradient():
+    # node 0 is all zero; nodes 2 and 3 are tiny, so their product falls
+    # under the 1e-12 guard; nodes 1 and 4 form an ordinary pair.
+    x = dk.Tensor([[0.0, 0.0], [1.0, 2.0], [1e-7, 0.0], [1e-7, 1e-7], [2.0, -1.0]],
+                  requires_grad=True)
+    indptr = np.array([0, 2, 3, 4, 4, 5])
+    indices = np.array([1, 4, 0, 3, 1])
+    with dk.Tape() as tape:
+        out = dk.pair_cosine(x, indptr, indices)
+        loss = dk.sum(dk.elementwise_mul(out, dk.Tensor([[1.0], [2.0], [3.0], [4.0], [5.0]])))
+    grads = tape.backward(loss)
+    assert np.array_equal(grads[x][[0, 2, 3]], np.zeros((3, 2)))
+    assert np.all(grads[x][[1, 4]] != 0.0)
+    # a guarded value is dot / 1e-12: 0 with a zero row, 1e-14 / 1e-12 here
+    assert np.array_equal(out.values[:3, 0], [0.0, 0.0, 0.0])
+    np.testing.assert_allclose(out.values[3, 0], 1e-14 / 1e-12, rtol=1e-15)
+
+
+def test_pattern_ops_on_empty_pattern_give_zeros():
+    x = dk.Tensor(np.ones((3, 2)), requires_grad=True)
+    indptr, indices = np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    w = dk.Tensor(np.zeros((0, 1)), requires_grad=True)
+    with dk.Tape() as tape:
+        dots = dk.pair_dot(x, x, indptr, indices)
+        cos = dk.pair_cosine(x, indptr, indices)
+        msg = dk.spmm(w, x, indptr, indices)
+        loss = dk.add(dk.add(dk.sum(dots), dk.sum(cos)), dk.sum(msg))
+    assert dots.shape == cos.shape == (0, 1)
+    assert np.array_equal(msg.values, np.zeros((3, 2)))
+    grads = tape.backward(loss)
+    assert np.array_equal(grads[x], np.zeros((3, 2)))
+    assert grads[w].shape == (0, 1)
+
+
+def test_pattern_ops_reject_bad_patterns():
+    x = dk.Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError):
+        dk.pair_cosine(x, np.array([0, 1, 2, 3]), np.array([0, 1, 3]))
+    with pytest.raises(ShapeError):
+        dk.pair_dot(x, x, np.array([0, 1, 2]), np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        dk.spmm(dk.Tensor(np.ones((2, 1))), x, np.array([0, 1, 2, 3]), np.array([0, 1, 2]))
+    with pytest.raises(ShapeError):
+        dk.spmm(dk.Tensor(np.ones((2, 1))), x, np.array([0, 2, 1, 2]), np.array([0, 1]))
 
 
 @settings(max_examples=50, deadline=None)

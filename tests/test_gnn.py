@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import small_bundle
 from ttgad import diffkernel as dk
-from ttgad import gnn
+from ttgad import gnn, losses
 from ttgad.errors import ConfigError, ShapeError
 from ttgad.graphstore import SyntheticSpec, build_graph, generate_synthetic
 
@@ -383,3 +383,32 @@ def test_attention_contract_on_random_graphs(seed, n):
         nz = np.diff(g.indptr) > 0
         sums = np.add.reduceat(pre, g.indptr[:-1][nz])
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Memory contract of the taped forward
+
+
+def test_tape_keeps_no_per_slot_rows():
+    # 30 nodes, about 500 slots: every array the tape keeps for backward is
+    # per-node (at most num_nodes rows) or a per-slot scalar (one column).
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, 30, dim=6, edge_prob=0.6)
+    assert g.num_slots > 10 * g.num_nodes
+    bundle = small_bundle(g.feature_dim, width=8, num_layers=2)
+    with dk.Tape() as tape:
+        h, _ = gnn.forward_embeddings(bundle, g, "source", training=True,
+                                      rng=rng, dropout_rate=0.5)
+        losses.ttt_loss(h, g, losses.LossWeights(), rng)
+        entries = list(tape._entries)
+
+    def per_node_or_scalar(arr):
+        return arr.ndim < 2 or arr.shape[0] <= g.num_nodes or arr.shape[1] == 1
+
+    assert len(entries) > 20
+    for out, bwd in entries:
+        assert per_node_or_scalar(out.values), (bwd.__qualname__, out.shape)
+        for cell in bwd.__closure__ or ():
+            kept = cell.cell_contents
+            if isinstance(kept, np.ndarray):
+                assert per_node_or_scalar(kept), (bwd.__qualname__, kept.shape)

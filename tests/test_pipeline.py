@@ -721,6 +721,21 @@ class TestCheckpoints:
                            r"shape \(12, 6\), but the config needs \(6, 12\)"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_tensor_rejected(self, tmp_path, bad):
+        bundle, centroids, cfg = trained_pair(seed=24)
+        path = tmp_path / "m.bin"
+        save_checkpoint(bundle, centroids, cfg, path)
+        header, payload = checkpoint_parts(path)
+        (desc,) = [d for d in header["tensors"] if d["name"] == "layers.0.W"]
+        data = bytearray(payload)
+        at = desc["byte_offset"] + 8 * 5
+        data[at:at + 8] = np.array([bad], dtype="<f8").tobytes()
+        rewrite(path, header, bytes(data))
+        with pytest.raises(CheckpointError,
+                           match=r"tensor 'layers\.0\.W' holds non-finite values"):
+            load_checkpoint(path)
+
     def test_target_encoder_round_trips(self, tmp_path):
         bundle, centroids, cfg = trained_pair(seed=20)
         graph = generate_synthetic(small_spec(32, feature_dim=3))

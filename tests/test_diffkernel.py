@@ -220,7 +220,7 @@ def test_masked_softmax_empty_row_is_zero():
     assert abs(out.values[1].sum() - 1.0) < 1e-9
 
 
-def test_pair_cosine_axis_cases():
+def test_cosine_rows_axis_cases():
     # pairs (0, 0), (0, 1), (2, 3): parallel, orthogonal, and a zero row
     x = dk.Tensor([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     out = dk.pair_cosine(x, np.array([0, 2, 2, 3, 3]), np.array([0, 1, 3]))
@@ -275,7 +275,7 @@ def test_minimum_splits_ties_evenly():
     assert grads[b][0, 0] == 0.5
 
 
-def test_pair_cosine_zero_row_gets_zero_gradient():
+def test_cosine_zero_row_gets_zero_gradient():
     x = dk.Tensor([[0.0, 0.0], [1.0, 2.0]], requires_grad=True)
     with dk.Tape() as tape:
         loss = dk.sum(dk.pair_cosine(x, np.array([0, 1, 1]), np.array([1])))
@@ -382,7 +382,7 @@ def test_segment_softmax_values_and_empty_segment():
     assert out.values[2, 0] == 1.0
 
 
-def test_spmm_sum_and_segment_mean():
+def test_segment_sum_and_mean():
     x = dk.Tensor([[1.0], [2.0], [5.0]])
     indptr = np.array([0, 2, 2, 3])
     sums = dk.spmm(dk.Tensor(np.ones((3, 1))), x, indptr, np.arange(3))

@@ -9,12 +9,14 @@ and each intermediate gradient once it has been passed on; the returned
 :class:`Gradients` holds leaf tensors only. With no active tape, ops are
 plain numpy and scipy computations (eval mode).
 
-Message passing runs on three sparse pattern ops. A pattern is a CSR pair
-``(indptr, indices)``: slot ``s`` of row ``r`` (``indptr[r] <= s <
-indptr[r + 1]``) pairs row ``r`` with row ``indices[s]``. :func:`pair_dot`
-is an SDDMM (one dot product per slot), :func:`spmm` multiplies the sparse
-matrix of slot weights by a dense matrix, and :func:`pair_cosine` is the
-per-slot cosine. Their backward passes are SpMMs with
+Message passing runs on ops over a :class:`Pattern`: a CSR pattern whose
+slot ``s`` of row ``r`` (``indptr[r] <= s < indptr[r + 1]``) pairs row ``r``
+with column ``indices[s]``. Its owner validates it once; the ops check only
+shapes against it. :func:`pair_dot` is an SDDMM, :func:`spmm` an SpMM,
+:func:`pair_cosine` the per-slot cosine, :func:`segment_softmax` and
+:func:`segment_mean` reduce over each row's slots, and :func:`reverse_min`
+takes the min of each slot and its mirror on a symmetric pattern. The
+backward passes of the first three are SpMMs with
 ``scipy.sparse.csr_matrix`` plus per-row scalars, so a pattern op keeps only
 per-slot scalars and per-node rows alive on the tape; per-slot rows exist
 only in bounded chunks inside one call.
@@ -25,9 +27,8 @@ Design constraints honored throughout:
 - relu has zero derivative at exactly 0;
 - guarded denominators: cosine uses eps = 1e-12, softmax subtracts the
   per-row/per-segment max before exponentiation;
-- segment ops (softmax / mean over CSR rows) and pattern ops give empty
-  rows an all-zero output and route exactly zero gradient outside their
-  slots.
+- pattern ops give empty rows an all-zero output and route exactly zero
+  gradient outside their slots.
 """
 
 from dataclasses import dataclass
@@ -40,8 +41,8 @@ from .errors import NumericalError, ShapeError
 __all__ = [
     "Tensor", "Tape", "Gradients",
     "matmul", "add", "concat_cols", "relu", "sigmoid", "elementwise_mul",
-    "minimum", "negate", "scalar_mul", "sum", "transpose",
-    "masked_row_softmax", "gather_rows", "segment_softmax", "segment_mean",
+    "negate", "scalar_mul", "sum", "transpose", "masked_row_softmax",
+    "Pattern", "segment_softmax", "segment_mean", "reverse_min",
     "pair_dot", "spmm", "pair_cosine",
     "binary_cross_entropy", "dropout",
     "AdamState", "adam_step", "GradCheckReport", "grad_check",
@@ -213,22 +214,6 @@ def elementwise_mul(a, b):
     return out
 
 
-def minimum(a, b):
-    """Elementwise min; gradient goes to the smaller side, split 0.5 on ties."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"minimum: {a.shape} vs {b.shape}")
-    av, bv = a.values, b.values
-    out = _make("minimum", np.minimum(av, bv), a, b)
-
-    def bwd(g):
-        wa = np.where(av < bv, 1.0, np.where(av == bv, 0.5, 0.0))
-        return ((a, g * wa), (b, g * (1.0 - wa)))
-
-    _emit(out, bwd)
-    return out
-
-
 def negate(x):
     x = _as_tensor(x)
     out = _make("negate", -x.values, x)
@@ -322,35 +307,43 @@ def masked_row_softmax(scores, mask):
     return out
 
 
-def gather_rows(x, idx):
-    """Select rows by index; scatter-adds gradients back on the reverse pass."""
-    x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError("gather_rows: index out of range")
-    out = _make("gather_rows", x.values[idx], x)
-    rows = x.shape[0]
-
-    def bwd(g):
-        buf = np.zeros((rows, g.shape[1]))
-        np.add.at(buf, idx, g)
-        return ((x, buf),)
-
-    _emit(out, bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Segment ops (contiguous CSR-style segments described by an indptr array)
+# Sparse pattern ops over a CSR Pattern: segment reductions, the reverse-slot
+# min, SDDMM, SpMM and pair cosine
 
 
-def _check_indptr(indptr, total):
-    indptr = np.asarray(indptr, dtype=np.int64)
-    if indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0 or indptr[-1] != total:
-        raise ShapeError("indptr must start at 0 and end at the number of rows")
-    if np.any(np.diff(indptr) < 0):
-        raise ShapeError("indptr must be non-decreasing")
-    return indptr
+class Pattern:
+    """A CSR pattern, validated once; ``rows[s]`` is the row of slot ``s``.
+
+    ``reverse`` maps slot (r, c) to slot (c, r); it stays None unless the
+    owner proves the pattern symmetric and sets it. int64 arrays are kept
+    as given, not copied, and must not be mutated.
+    """
+
+    __slots__ = ("indptr", "indices", "rows", "num_rows", "num_cols", "reverse")
+
+    def __init__(self, indptr, indices, num_rows, num_cols):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        if indptr.shape != (num_rows + 1,):
+            raise ShapeError(f"indptr must have num_rows + 1 = {num_rows + 1} entries")
+        if indices.ndim != 1 or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ShapeError("indptr must start at 0 and end at the number of slots")
+        widths = np.diff(indptr)
+        if np.any(widths < 0):
+            raise ShapeError("indptr must be non-decreasing")
+        if indices.size and (indices.min() < 0 or indices.max() >= num_cols):
+            raise ShapeError("pattern column index out of range")
+        self.indptr = indptr
+        self.indices = indices
+        self.rows = np.repeat(np.arange(num_rows, dtype=np.int64), widths)
+        self.num_rows = int(num_rows)
+        self.num_cols = int(num_cols)
+        self.reverse = None
+
+    @property
+    def shape(self):
+        return self.num_rows, self.num_cols
 
 
 def _segment_sums(values, indptr):
@@ -364,22 +357,19 @@ def _segment_sums(values, indptr):
     return out
 
 
-def _segment_ids(indptr):
-    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+def _check_slots(op, x, pattern, width=None):
+    if x.shape[0] != pattern.indices.size or width not in (None, x.shape[1]):
+        raise ShapeError(f"{op}: {x.shape} for {pattern.indices.size} slots")
 
 
-def segment_softmax(x, indptr):
-    """Softmax within each contiguous segment of rows of a (m, 1) tensor."""
+def segment_softmax(x, pattern):
+    """Softmax of a (slots, 1) tensor over each row's slots."""
     x = _as_tensor(x)
-    if x.shape[1] != 1:
-        raise ShapeError("segment_softmax expects a column vector")
-    indptr = _check_indptr(indptr, x.shape[0])
+    _check_slots("segment_softmax", x, pattern, width=1)
+    indptr, seg = pattern.indptr, pattern.rows
     flat = x.values[:, 0]
-    seg = _segment_ids(indptr)
-    n = indptr.size - 1
-    seg_max = np.full(n, -np.inf)
-    widths = np.diff(indptr)
-    nz = widths > 0
+    seg_max = np.full(pattern.num_rows, -np.inf)
+    nz = np.diff(indptr) > 0
     if flat.size and nz.any():
         seg_max[nz] = np.maximum.reduceat(flat, indptr[:-1][nz])
     e = np.exp(flat - seg_max[seg]) if flat.size else flat.copy()
@@ -396,42 +386,49 @@ def segment_softmax(x, indptr):
     return out
 
 
-def segment_mean(x, indptr):
-    """Mean of rows within each segment; empty segments give zero rows."""
+def segment_mean(x, pattern):
+    """Mean of a (slots, k) tensor over each row's slots; empty rows give zeros."""
     x = _as_tensor(x)
-    indptr = _check_indptr(indptr, x.shape[0])
-    widths = np.diff(indptr).astype(np.float64)
-    safe = np.maximum(widths, 1.0)
-    sums = _segment_sums(x.values, indptr)
+    _check_slots("segment_mean", x, pattern)
+    safe = np.maximum(np.diff(pattern.indptr).astype(np.float64), 1.0)
+    sums = _segment_sums(x.values, pattern.indptr)
     out = _make("segment_mean", sums / safe[:, None], x)
-    seg = _segment_ids(indptr)
-    inv = 1.0 / safe
+    seg, inv = pattern.rows, 1.0 / safe
     _emit(out, lambda g: ((x, g[seg] * inv[seg][:, None]),))
     return out
 
 
-# ---------------------------------------------------------------------------
-# Sparse pattern ops (SDDMM, SpMM and pair cosine over a CSR pattern)
+def reverse_min(x, pattern):
+    """``min(x[s], x[reverse[s]])`` per slot of a symmetric pattern.
+
+    The gradient of each output goes to the smaller of its two slots, split
+    0.5 each on a tie, so the result is exactly symmetric.
+    """
+    x = _as_tensor(x)
+    if pattern.reverse is None:
+        raise ShapeError("reverse_min needs a symmetric pattern")
+    _check_slots("reverse_min", x, pattern)
+    rev = pattern.reverse
+    xv = x.values
+    mirrored = xv[rev]
+    out = _make("reverse_min", np.minimum(xv, mirrored), x)
+
+    def bwd(g):
+        wa = np.where(xv < mirrored, 1.0, np.where(xv == mirrored, 0.5, 0.0))
+        return ((x, g * wa + (g * (1.0 - wa))[rev]),)
+
+    _emit(out, bwd)
+    return out
+
 
 # Bytes of one gathered block in _sampled_dot; blocks that stay in cache run
 # several times faster than whole (slots x width) gathers.
 _CHUNK_BYTES = 1 << 18
 
 
-def _pattern(indptr, indices, num_rows, num_cols):
-    """Validated pattern arrays plus each slot's row, all int64."""
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    indptr = _check_indptr(indptr, indices.size)
-    if num_rows is not None and indptr.size != num_rows + 1:
-        raise ShapeError(f"pattern has {indptr.size - 1} rows, expected {num_rows}")
-    if indices.size and (indices.min() < 0 or indices.max() >= num_cols):
-        raise ShapeError("pattern column index out of range")
-    return indptr, indices, _segment_ids(indptr)
-
-
-def _csr(data, indptr, indices, num_cols):
-    return scipy.sparse.csr_matrix((data, indices, indptr),
-                                   shape=(indptr.size - 1, num_cols))
+def _csr(data, pattern):
+    return scipy.sparse.csr_matrix((data, pattern.indices, pattern.indptr),
+                                   shape=pattern.shape)
 
 
 def _sampled_dot(a, b, rows, cols):
@@ -444,20 +441,20 @@ def _sampled_dot(a, b, rows, cols):
     return out
 
 
-def pair_dot(a, b, indptr, indices):
+def pair_dot(a, b, pattern):
     """SDDMM: ``out[s] = a[row(s)] · b[indices[s]]``, shape (slots, 1).
 
-    ``a`` has one row per pattern row, ``b`` one row per column index.
+    ``a`` has one row per pattern row, ``b`` one row per pattern column.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"pair_dot: {a.shape} vs {b.shape}")
-    indptr, indices, rows = _pattern(indptr, indices, a.shape[0], b.shape[0])
+    if a.shape[1] != b.shape[1] or (a.shape[0], b.shape[0]) != pattern.shape:
+        raise ShapeError(f"pair_dot: {a.shape} vs {b.shape} over {pattern.shape}")
     av, bv = a.values, b.values
-    out = _make("pair_dot", _sampled_dot(av, bv, rows, indices).reshape(-1, 1), a, b)
+    out = _make("pair_dot", _sampled_dot(av, bv, pattern.rows, pattern.indices)
+                .reshape(-1, 1), a, b)
 
     def bwd(g):
-        m = _csr(g[:, 0], indptr, indices, bv.shape[0])
+        m = _csr(g[:, 0], pattern)
         return ((a, m @ bv if a.requires_grad else None),
                 (b, m.T @ av if b.requires_grad else None))
 
@@ -465,39 +462,42 @@ def pair_dot(a, b, indptr, indices):
     return out
 
 
-def spmm(w, x, indptr, indices):
+def spmm(w, x, pattern):
     """SpMM: ``out = M_w @ x``, where ``M_w[row(s), indices[s]] = w[s]``.
 
-    ``w`` is (slots, 1); the output has one row per pattern row, and a row
-    without slots is zero. Duplicate slots add up.
+    ``w`` is (slots, 1) and ``x`` has one row per pattern column; the output
+    has one row per pattern row, and a row without slots is zero.
     """
     w, x = _as_tensor(w), _as_tensor(x)
-    indptr, indices, rows = _pattern(indptr, indices, None, x.shape[0])
-    if w.shape != (indices.size, 1):
-        raise ShapeError(f"spmm: weights {w.shape} for {indices.size} slots")
+    _check_slots("spmm", w, pattern, width=1)
+    if x.shape[0] != pattern.num_cols:
+        raise ShapeError(f"spmm: input {x.shape} over {pattern.shape}")
     xv = x.values
-    m = _csr(w.values[:, 0], indptr, indices, xv.shape[0])
+    m = _csr(w.values[:, 0], pattern)
     out = _make("spmm", m @ xv, w, x)
 
     def bwd(g):
-        gw = _sampled_dot(g, xv, rows, indices).reshape(-1, 1) if w.requires_grad else None
+        gw = (_sampled_dot(g, xv, pattern.rows, pattern.indices).reshape(-1, 1)
+              if w.requires_grad else None)
         return ((w, gw), (x, m.T @ g if x.requires_grad else None))
 
     _emit(out, bwd)
     return out
 
 
-def pair_cosine(x, indptr, indices):
+def pair_cosine(x, pattern):
     """Cosine of ``x[row(s)]`` and ``x[indices[s]]`` per slot, shape (slots, 1).
 
-    The pattern need not be symmetric. The denominator is
-    max(|x_r| * |x_c|, 1e-12); a pair under the guard gets value
-    dot / 1e-12 (below 1 in magnitude) and exactly zero gradient, so an
-    all-zero row gets exactly zero gradient.
+    The pattern is square, with one row of ``x`` per node, but need not be
+    symmetric. The denominator is max(|x_r| * |x_c|, 1e-12); a pair under
+    the guard gets value dot / 1e-12 (below 1 in magnitude) and exactly zero
+    gradient, so an all-zero row gets exactly zero gradient.
     """
     x = _as_tensor(x)
     n = x.shape[0]
-    indptr, indices, rows = _pattern(indptr, indices, n, n)
+    if pattern.shape != (n, n):
+        raise ShapeError(f"pair_cosine: {x.shape} over {pattern.shape}")
+    rows, indices = pattern.rows, pattern.indices
     xv = x.values
     sq = (xv * xv).sum(axis=1)
     norms = np.sqrt(sq)
@@ -512,7 +512,7 @@ def pair_cosine(x, indptr, indices):
         # for x_c: two SpMMs carry the first terms, bincounts the second.
         q = np.where(live, g[:, 0] / denom, 0.0)
         t = np.where(live, g[:, 0] * c, 0.0)
-        m = _csr(q, indptr, indices, n)
+        m = _csr(q, pattern)
         inv_sq = np.divide(1.0, sq, out=np.zeros(n), where=sq > 0)
         self_term = (np.bincount(rows, weights=t, minlength=n)
                      + np.bincount(indices, weights=t, minlength=n)) * inv_sq

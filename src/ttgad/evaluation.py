@@ -8,8 +8,6 @@ ranks averaged, AUPRC as average precision with tied-score blocks
 processed atomically.
 """
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +17,7 @@ from .errors import ConfigError, DataError
 
 __all__ = [
     "AnomalyRanking", "MetricResult", "score_nodes",
-    "auroc", "auprc", "metric_result",
-    "homophily_report", "export_embeddings",
+    "auroc", "auprc", "metric_result", "homophily_report",
 ]
 
 SCORING_MODES = ("affinity", "predictor")
@@ -149,7 +146,7 @@ def metric_result(scores, labels):
 
 
 # ---------------------------------------------------------------------------
-# Reports and exports
+# Reports
 
 
 def homophily_report(bundle, graph, domain=None):
@@ -172,26 +169,3 @@ def homophily_report(bundle, graph, domain=None):
         report[key] = counts.tolist()
         report[f"mean_{key}"] = float(vals[member].mean()) if member.any() else None
     return report
-
-
-def export_embeddings(bundle, graph, path, domain=None):
-    """Write final-layer eval-mode embeddings as 32-bit floats.
-
-    The binary layout matches the on-disk feature convention (row-major
-    little-endian float32); a JSON sidecar at ``path + ".json"`` records
-    the shape and, when present, the labels.
-    """
-    if graph.num_nodes == 0:
-        raise DataError("empty graph")
-    domain = _resolve_domain(bundle, domain)
-    h, _ = gnn.forward_embeddings(bundle, graph, domain)
-    arr = np.ascontiguousarray(h.values, dtype="<f4")
-    sidecar = {"num_nodes": int(arr.shape[0]), "dim": int(arr.shape[1])}
-    if graph.labels is not None:
-        sidecar["labels"] = [int(v) for v in graph.labels]
-    path = os.fspath(path)
-    with open(path, "wb") as fh:
-        fh.write(arr.tobytes())
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

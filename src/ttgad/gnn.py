@@ -4,14 +4,15 @@ A model bundle holds one projection encoder per domain (source always,
 target once adaptation starts), a stack of shared message-passing layers,
 and a small MLP head that maps final embeddings to anomaly probabilities.
 
-Message passing is sparse-matrix algebra over the graph's CSR pattern.
-Attention scores are an SDDMM (:func:`diffkernel.pair_dot`) of the
-relu-projected embeddings with themselves, one score per directed slot,
-softmax-normalized over each node's neighborhood, then symmetrized with an
-elementwise min against the reverse slot. The message is the SpMM
-(:func:`diffkernel.spmm`) of those slot weights, or of 1/degree in plain
-mode, with the layer input. Entries outside the adjacency never exist, so
-they are exactly zero with exactly zero gradient.
+Message passing is sparse-matrix algebra over the graph's
+:class:`diffkernel.Pattern`. Attention scores are an SDDMM
+(:func:`diffkernel.pair_dot`) of the relu-projected embeddings with
+themselves, one score per directed slot, softmax-normalized over each
+node's neighborhood, then symmetrized by :func:`diffkernel.reverse_min`
+against the reverse slot. The message is the SpMM (:func:`diffkernel.spmm`)
+of those slot weights, or of 1/degree in plain mode, with the layer input.
+Entries outside the adjacency never exist, so they are exactly zero with
+exactly zero gradient.
 """
 
 import math
@@ -29,7 +30,7 @@ __all__ = [
     "compute_attention", "symmetrize_attention",
     "nsaw_layer_forward", "forward_embeddings", "predict",
     "init_encoder", "init_layer", "init_predictor", "init_bundle",
-    "capped_graph",
+    "parameter_shapes", "capped_graph",
 ]
 
 
@@ -213,6 +214,25 @@ def init_bundle(rng, feature_dim, p, hidden_dim, attn_dim, num_layers,
                        nsaw_enabled=nsaw_enabled)
 
 
+def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
+                     identity_encoder, target_cols=None):
+    """``parameter_items()`` names and shapes of :func:`init_bundle`, drawing nothing.
+
+    ``target_cols`` adds a target encoder for features of that width.
+    """
+    width = feature_dim if identity_encoder else p
+    shapes = [] if identity_encoder else [("source_encoder.weight", (p, feature_dim))]
+    if target_cols is not None:
+        shapes.append(("target_encoder.weight", (width, target_cols)))
+    for i in range(num_layers):
+        shapes += [(f"layers.{i}.W", (hidden_dim, 2 * width)),
+                   (f"layers.{i}.b", (1, hidden_dim)), (f"layers.{i}.U", (width, attn_dim))]
+        width = hidden_dim
+    return shapes + [("predictor.w_hidden", (hidden_dim, width)),
+                     ("predictor.b_hidden", (1, hidden_dim)),
+                     ("predictor.w_out", (1, hidden_dim)), ("predictor.b_out", (1, 1))]
+
+
 # ---------------------------------------------------------------------------
 # Forward passes
 
@@ -224,14 +244,13 @@ def compute_attention(layer, h, graph):
     each node's neighborhood. Rows of isolated nodes simply have no slots.
     """
     z = dk.relu(dk.matmul(h, layer.U))
-    scores = dk.pair_dot(z, z, graph.indptr, graph.indices)
-    return dk.segment_softmax(scores, graph.indptr)
+    scores = dk.pair_dot(z, z, graph.pattern)
+    return dk.segment_softmax(scores, graph.pattern)
 
 
 def symmetrize_attention(attention, graph):
     """min(A[u,v], A[v,u]) per slot; exactly symmetric, no renormalization."""
-    reverse = dk.gather_rows(attention, graph.reverse_slot)
-    return dk.minimum(attention, reverse)
+    return dk.reverse_min(attention, graph.pattern)
 
 
 def nsaw_layer_forward(layer, h, graph, mode="nsaw", sym_attention=None):
@@ -253,7 +272,7 @@ def nsaw_layer_forward(layer, h, graph, mode="nsaw", sym_attention=None):
         weights = dk.Tensor((1.0 / graph.degrees[graph.slot_src]).reshape(-1, 1))
     else:
         raise ConfigError(f"unknown aggregation mode {mode!r}")
-    message = dk.spmm(weights, h, graph.indptr, graph.indices)
+    message = dk.spmm(weights, h, graph.pattern)
     stacked = dk.concat_cols(message, h)
     return dk.relu(dk.add(dk.matmul(stacked, dk.transpose(layer.W)), layer.b))
 

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, GraphFormatError
+from . import diffkernel as dk
+from .errors import DataError, GraphFormatError, ShapeError
 
 __all__ = [
     "AttributedGraph",
@@ -43,7 +44,10 @@ class AttributedGraph:
 
     Use :func:`build_graph` to construct one from an arbitrary edge list; the
     constructor itself validates that the arrays already satisfy the CSR
-    contract (symmetric, sorted, deduplicated, no self-loops).
+    contract (symmetric, sorted, deduplicated, no self-loops). ``pattern``
+    is the graph's one :class:`diffkernel.Pattern`; ``indptr``, ``indices``,
+    ``slot_src`` (each directed slot's source node) and ``reverse_slot``
+    (the permutation from slot u -> v to slot v -> u) are its arrays.
     """
 
     def __init__(self, name, num_nodes, indptr, indices, features, labels=None):
@@ -59,15 +63,11 @@ class AttributedGraph:
         n = self.num_nodes
         if n < 0:
             raise DataError("num_nodes must be non-negative")
-        if self.indptr.shape != (n + 1,):
-            raise DataError("indptr must have num_nodes + 1 entries")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.shape[0]:
-            raise DataError("indptr must start at 0 and end at len(indices)")
-        if np.any(np.diff(self.indptr) < 0):
-            raise DataError("indptr must be non-decreasing")
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= n:
-                raise DataError("column index out of range")
+        try:
+            self.pattern = dk.Pattern(self.indptr, self.indices, n, n)
+        except ShapeError as e:
+            raise DataError(str(e)) from e
+        self.slot_src = self.pattern.rows
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise DataError("features must be a (num_nodes, feature_dim) matrix")
         if not np.all(np.isfinite(self.features)):
@@ -88,8 +88,13 @@ class AttributedGraph:
                 raise DataError("row columns must be sorted ascending without duplicates")
         if np.any(self.indices == self.slot_src):
             raise DataError("self-loops are not allowed")
-        # Symmetry: computing reverse_slot fails loudly if any (v, u) is missing.
-        self.reverse_slot
+        # Symmetry: every slot (u -> v) needs its mirror (v -> u).
+        keys = self.slot_keys
+        rev = self.indices * np.int64(n) + self.slot_src
+        pos = np.searchsorted(keys, rev)
+        if np.any((pos >= keys.size) | (keys[np.minimum(pos, keys.size - 1)] != rev)):
+            raise DataError("adjacency is not symmetric")
+        self.reverse_slot = self.pattern.reverse = pos.astype(np.int64, copy=False)
 
     @property
     def feature_dim(self):
@@ -109,25 +114,9 @@ class AttributedGraph:
         return np.diff(self.indptr)
 
     @cached_property
-    def slot_src(self):
-        """Source node of each directed slot (row index, repeated by degree)."""
-        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
-
-    @cached_property
     def slot_keys(self):
         """src * n + dst per slot; globally sorted ascending by CSR layout."""
         return self.slot_src * np.int64(self.num_nodes) + self.indices
-
-    @cached_property
-    def reverse_slot(self):
-        """Permutation mapping slot (u -> v) to the slot of (v -> u)."""
-        keys = self.slot_keys
-        rev = self.indices * np.int64(self.num_nodes) + self.slot_src
-        pos = np.searchsorted(keys, rev)
-        bad = (pos >= keys.size) | (keys[np.minimum(pos, keys.size - 1)] != rev)
-        if np.any(bad):
-            raise DataError("adjacency is not symmetric")
-        return pos.astype(np.int64)
 
     @cached_property
     def undirected_edges(self):

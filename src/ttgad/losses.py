@@ -9,11 +9,11 @@ pushes affinity up and similarity to sampled non-adjacent nodes down.
 binary cross-entropy and a class-weighted mean of the same non-neighbor
 cosines, which separates anomalies harder.
 
-Both cosine terms are one sparse pattern op each
-(:func:`diffkernel.pair_cosine`): affinity over the graph's CSR adjacency,
-separation over the non-neighbor sample's CSR pattern, which is not
-symmetric. The cosines are computed per pair and their gradients return to
-the nodes as SpMMs, with no per-pair embedding copies kept for backward.
+Both cosine terms are one :func:`diffkernel.pair_cosine` and one
+:func:`diffkernel.segment_mean` over a :class:`diffkernel.Pattern`: the
+graph's for affinity, and for separation the non-symmetric one that each
+non-neighbor draw builds. Cosine gradients return to the nodes as SpMMs,
+with no per-pair embedding copies kept for backward.
 """
 
 import warnings
@@ -82,8 +82,8 @@ def affinity_scores(h, graph):
     """Mean cosine similarity of each node's embedding to its neighbors'."""
     if h.shape[0] != graph.num_nodes:
         raise ShapeError("embedding rows must match graph nodes")
-    sims = dk.pair_cosine(h, graph.indptr, graph.indices)
-    scores = dk.segment_mean(sims, graph.indptr)
+    sims = dk.pair_cosine(h, graph.pattern)
+    scores = dk.segment_mean(sims, graph.pattern)
     return AffinityScores(scores=scores, valid=graph.degrees > 0)
 
 
@@ -106,13 +106,23 @@ def affinity_margin(score_values, valid, labels):
 
 @dataclass
 class NonneighborSample:
-    """Flat per-node sample arrays: segment i covers node i's draws."""
+    """One draw as a CSR pattern: row i holds node i's sampled non-neighbors."""
 
-    src: np.ndarray
-    dst: np.ndarray
-    indptr: np.ndarray
+    pattern: dk.Pattern
     num_sampled_nodes: int
     skipped: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def src(self):
+        return self.pattern.rows
+
+    @property
+    def dst(self):
+        return self.pattern.indices
+
+    @property
+    def indptr(self):
+        return self.pattern.indptr
 
 
 def _edge_member(graph, src_ids, cand):
@@ -171,9 +181,7 @@ def sample_nonneighbors(graph, k, rng):
         count[i] = take[i]
 
     indptr = np.concatenate([[0], np.cumsum(take)])
-    src = np.repeat(np.arange(n, dtype=np.int64), take)
-    dst = taken[taken >= 0]
-    return NonneighborSample(src=src, dst=dst, indptr=indptr,
+    return NonneighborSample(pattern=dk.Pattern(indptr, taken[taken >= 0], n, n),
                              num_sampled_nodes=int((take > 0).sum()),
                              skipped=skipped)
 
@@ -200,11 +208,11 @@ def _self_supervised(h, graph, weights, rng, class_weights=None):
     sample = sample_nonneighbors(graph, weights.neg_samples_k, rng)
     plain = weighted = dk.Tensor(np.zeros((1, 1)))
     if sample.num_sampled_nodes:
-        sims = dk.pair_cosine(h, sample.indptr, sample.dst)
+        sims = dk.pair_cosine(h, sample.pattern)
         scale = 1.0 / sample.num_sampled_nodes
 
         def mean(values):
-            return dk.scalar_mul(dk.sum(dk.segment_mean(values, sample.indptr)), scale)
+            return dk.scalar_mul(dk.sum(dk.segment_mean(values, sample.pattern)), scale)
 
         plain = mean(sims)
         if class_weights is not None:

@@ -22,7 +22,7 @@ from . import diffkernel as dk
 from . import evaluation, losses
 from .errors import CheckpointError, ConfigError, DataError
 from .gnn import (ModelBundle, ProjectionEncoder, forward_embeddings,
-                  init_bundle, init_encoder, predict)
+                  init_bundle, init_encoder, parameter_shapes, predict)
 from .graphstore import SyntheticSpec, generate_synthetic
 from .losses import LossWeights
 
@@ -517,7 +517,8 @@ def load_checkpoint(path, expect_nsaw=None):
 
     The stored tensors fill a fresh bundle of the stored config by name.
     An unexpected or missing tensor, one whose shape does not match the
-    config, or one holding NaN or inf raises :class:`CheckpointError` here.
+    config, or one holding NaN or inf raises :class:`CheckpointError` here,
+    before any of the bundle is allocated.
     ``expect_nsaw`` asserts the stored attention mode: loading a checkpoint
     whose mode differs is an error, never a silent fallback.
     """
@@ -577,32 +578,38 @@ def load_checkpoint(path, expect_nsaw=None):
 
     feature_dim = (stored_cols("layers.0.W") // 2 if config.identity_encoder
                    else stored_cols("source_encoder.weight"))
-    rng = np.random.default_rng(0)
-    try:
-        bundle = init_bundle(rng, feature_dim, config.p, config.hidden_dim,
-                             config.attn_dim, config.num_layers,
-                             nsaw_enabled=config.nsaw_enabled,
-                             identity_encoder=config.identity_encoder)
-    except MemoryError as e:
-        raise CheckpointError(f"checkpoint config sizes do not fit in memory: {e}") from e
-    if "target_encoder.weight" in blocks:
-        bundle.target_encoder = init_encoder(rng, bundle.layers[0].in_dim,
-                                             stored_cols("target_encoder.weight"),
-                                             "target")
-    tensors = dict(bundle.parameter_items())
+    target_cols = (stored_cols("target_encoder.weight")
+                   if "target_encoder.weight" in blocks else None)
+    shapes = dict(parameter_shapes(feature_dim, config.p, config.hidden_dim,
+                                   config.attn_dim, config.num_layers,
+                                   config.identity_encoder, target_cols))
+    needed = 8 * sum(rows * cols for rows, cols in shapes.values())
+    if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise CheckpointError(f"checkpoint config sizes do not fit in memory: "
+                              f"{needed} bytes of parameters")
     for name in blocks:
-        if name not in tensors:
+        if name not in shapes:
             raise CheckpointError(f"unexpected tensor {name!r}")
-    for name in tensors:
+    for name in shapes:
         if name not in blocks:
             raise CheckpointError(f"missing tensor {name!r}")
-    for name, tensor in tensors.items():
-        if blocks[name].shape != tensor.shape:
+    for name, shape in shapes.items():
+        if blocks[name].shape != shape:
             raise CheckpointError(
                 f"tensor {name!r} has shape {blocks[name].shape}, but the "
-                f"config needs {tensor.shape}")
+                f"config needs {shape}")
         if not np.all(np.isfinite(blocks[name])):
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
+
+    rng = np.random.default_rng(0)
+    bundle = init_bundle(rng, feature_dim, config.p, config.hidden_dim,
+                         config.attn_dim, config.num_layers,
+                         nsaw_enabled=config.nsaw_enabled,
+                         identity_encoder=config.identity_encoder)
+    if target_cols is not None:
+        bundle.target_encoder = init_encoder(rng, bundle.layers[0].in_dim,
+                                             target_cols, "target")
+    for name, tensor in bundle.parameter_items():
         tensor.values[...] = blocks[name]
 
     centroids = None

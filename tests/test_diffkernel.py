@@ -96,9 +96,19 @@ def ref_pair_cosine(x, indptr, indices, g):
     return c[:, 0], gx
 
 
+def mirrored(pattern):
+    """``pattern`` with ``reverse`` set from a dense slot-index table."""
+    slot = np.full((pattern.num_rows, pattern.num_cols), -1)
+    slot[pattern.rows, pattern.indices] = np.arange(pattern.indices.size)
+    pattern.reverse = slot[pattern.indices, pattern.rows]
+    assert np.all(pattern.reverse >= 0)
+    return pattern
+
+
 def random_pattern(rng, n, symmetric, isolated=2, edge_prob=0.4):
-    """CSR pattern on n nodes without self-pairs; the first ``isolated``
-    nodes have no slot. Non-symmetric patterns get shuffled rows."""
+    """Pattern on n nodes without self-pairs; the first ``isolated`` nodes
+    have no slot. A symmetric pattern gets its ``reverse``; non-symmetric
+    patterns get shuffled rows."""
     mask = rng.random((n, n)) < edge_prob
     np.fill_diagonal(mask, False)
     if symmetric:
@@ -107,10 +117,11 @@ def random_pattern(rng, n, symmetric, isolated=2, edge_prob=0.4):
     mask[:, :isolated] = False
     indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
     indices = np.nonzero(mask)[1]
-    if not symmetric:
-        for r in range(n):
-            rng.shuffle(indices[indptr[r]:indptr[r + 1]])
-    return indptr, indices
+    if symmetric:
+        return mirrored(dk.Pattern(indptr, indices, n, n))
+    for r in range(n):
+        rng.shuffle(indices[indptr[r]:indptr[r + 1]])
+    return dk.Pattern(indptr, indices, n, n)
 
 
 def numeric_grad(f, point, step=1e-5):
@@ -180,8 +191,6 @@ def test_elementwise_ops_against_numpy():
     y = np.array([[2.0, -1.0, 0.5]])
     assert np.array_equal(
         dk.elementwise_mul(dk.Tensor(x), dk.Tensor(y)).values, x * y)
-    assert np.array_equal(
-        dk.minimum(dk.Tensor(x), dk.Tensor(y)).values, np.minimum(x, y))
 
 
 def test_reductions_and_layout_ops():
@@ -223,7 +232,7 @@ def test_masked_softmax_empty_row_is_zero():
 def test_cosine_rows_axis_cases():
     # pairs (0, 0), (0, 1), (2, 3): parallel, orthogonal, and a zero row
     x = dk.Tensor([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-    out = dk.pair_cosine(x, np.array([0, 2, 2, 3, 3]), np.array([0, 1, 3]))
+    out = dk.pair_cosine(x, dk.Pattern([0, 2, 2, 3, 3], [0, 1, 3], 4, 4))
     np.testing.assert_allclose(out.values[:, 0], [1.0, 0.0, 0.0], atol=0)
 
 
@@ -266,19 +275,24 @@ def test_masked_softmax_blocks_gradient_exactly():
 
 
 def test_minimum_splits_ties_evenly():
-    a = dk.Tensor([[3.0]], requires_grad=True)
-    b = dk.Tensor([[3.0]], requires_grad=True)
+    # path 0-1-2: slots 0->1, 1->0 tie at 3; of 1->2 and 2->1, slot 1->2 is smaller
+    pattern = mirrored(dk.Pattern([0, 1, 3, 4], [1, 0, 2, 1], 3, 3))
+    assert list(pattern.reverse) == [1, 0, 3, 2]
+    x = dk.Tensor([[3.0], [3.0], [1.0], [5.0]], requires_grad=True)
+    g = dk.Tensor([[1.0], [4.0], [2.0], [7.0]])
     with dk.Tape() as tape:
-        loss = dk.sum(dk.minimum(a, b))
+        out = dk.reverse_min(x, pattern)
+        loss = dk.sum(dk.elementwise_mul(out, g))
+    assert np.array_equal(out.values[:, 0], [3.0, 3.0, 1.0, 1.0])
     grads = tape.backward(loss)
-    assert grads[a][0, 0] == 0.5
-    assert grads[b][0, 0] == 0.5
+    tie = 0.5 * 1.0 + 0.5 * 4.0
+    assert np.array_equal(grads[x][:, 0], [tie, tie, 2.0 + 7.0, 0.0])
 
 
 def test_cosine_zero_row_gets_zero_gradient():
     x = dk.Tensor([[0.0, 0.0], [1.0, 2.0]], requires_grad=True)
     with dk.Tape() as tape:
-        loss = dk.sum(dk.pair_cosine(x, np.array([0, 1, 1]), np.array([1])))
+        loss = dk.sum(dk.pair_cosine(x, dk.Pattern([0, 1, 1], [1], 2, 2)))
     grads = tape.backward(loss)
     assert np.array_equal(grads[x], [[0.0, 0.0], [0.0, 0.0]])
 
@@ -308,14 +322,6 @@ def test_broadcast_bias_gradient_sums_rows():
         loss = dk.sum(dk.add(x, b))
     grads = tape.backward(loss)
     assert np.array_equal(grads[b], [[3.0, 3.0]])
-
-
-def test_gather_rows_accumulates_duplicates():
-    x = dk.Tensor([[1.0], [2.0]], requires_grad=True)
-    with dk.Tape() as tape:
-        loss = dk.sum(dk.gather_rows(x, np.array([0, 0, 1])))
-    grads = tape.backward(loss)
-    assert np.array_equal(grads[x], [[2.0], [1.0]])
 
 
 def test_tape_single_use():
@@ -375,8 +381,7 @@ def test_three_layer_composite_matches_finite_differences():
 
 def test_segment_softmax_values_and_empty_segment():
     x = dk.Tensor([[1.0], [0.0], [2.0]])
-    indptr = np.array([0, 2, 2, 3])
-    out = dk.segment_softmax(x, indptr)
+    out = dk.segment_softmax(x, dk.Pattern([0, 2, 2, 3], [0, 1, 2], 3, 3))
     np.testing.assert_allclose(out.values[:2, 0], ref_softmax([1.0, 0.0]),
                                rtol=1e-15)
     assert out.values[2, 0] == 1.0
@@ -384,24 +389,24 @@ def test_segment_softmax_values_and_empty_segment():
 
 def test_segment_sum_and_mean():
     x = dk.Tensor([[1.0], [2.0], [5.0]])
-    indptr = np.array([0, 2, 2, 3])
-    sums = dk.spmm(dk.Tensor(np.ones((3, 1))), x, indptr, np.arange(3))
+    pattern = dk.Pattern([0, 2, 2, 3], np.arange(3), 3, 3)
+    sums = dk.spmm(dk.Tensor(np.ones((3, 1))), x, pattern)
     np.testing.assert_allclose(sums.values[:, 0], [3.0, 0.0, 5.0])
-    means = dk.segment_mean(x, indptr)
+    means = dk.segment_mean(x, pattern)
     np.testing.assert_allclose(means.values[:, 0], [1.5, 0.0, 5.0])
 
 
 def test_segment_ops_gradients():
-    indptr = np.array([0, 2, 2, 3])
+    pattern = dk.Pattern([0, 2, 2, 3], [0, 1, 2], 3, 3)
     x = dk.Tensor([[1.0], [0.5], [2.0]], requires_grad=True)
 
     def f_softmax(t):
-        out = dk.segment_softmax(t, indptr)
+        out = dk.segment_softmax(t, pattern)
         w = dk.Tensor([[1.0], [3.0], [2.0]])
         return dk.sum(dk.elementwise_mul(out, w))
 
     def f_mean(t):
-        return dk.sum(dk.segment_mean(t, indptr))
+        return dk.sum(dk.segment_mean(t, pattern))
 
     assert dk.grad_check(f_softmax, x).passed
     assert dk.grad_check(f_mean, x).passed
@@ -424,28 +429,28 @@ def _taped(op, inputs, g):
 def test_pattern_ops_match_gather_scatter_oracle(symmetric):
     rng = np.random.default_rng(5)
     n, d = 9, 4
-    indptr, indices = random_pattern(rng, n, symmetric)
-    slots = indices.size
+    pattern = random_pattern(rng, n, symmetric)
+    indptr, indices, slots = pattern.indptr, pattern.indices, pattern.indices.size
     a = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
     b = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
     w = dk.Tensor(rng.standard_normal((slots, 1)), requires_grad=True)
 
     g = rng.standard_normal(slots)
-    out, (ga, gb) = _taped(lambda: dk.pair_dot(a, b, indptr, indices), [a, b], g)
+    out, (ga, gb) = _taped(lambda: dk.pair_dot(a, b, pattern), [a, b], g)
     want, want_a, want_b = ref_pair_dot(a.values, b.values, indptr, indices, g)
     np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(ga, want_a, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gb, want_b, rtol=1e-12, atol=1e-12)
 
     g = rng.standard_normal((n, d))
-    out, (gw, gx) = _taped(lambda: dk.spmm(w, a, indptr, indices), [w, a], g)
+    out, (gw, gx) = _taped(lambda: dk.spmm(w, a, pattern), [w, a], g)
     want, want_w, want_x = ref_spmm(w.values[:, 0], a.values, indptr, indices, g)
     np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gw[:, 0], want_w, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
 
     g = rng.standard_normal(slots)
-    out, (gx,) = _taped(lambda: dk.pair_cosine(a, indptr, indices), [a], g)
+    out, (gx,) = _taped(lambda: dk.pair_cosine(a, pattern), [a], g)
     want, want_x = ref_pair_cosine(a.values, indptr, indices, g)
     np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
@@ -455,8 +460,8 @@ def test_pattern_ops_match_gather_scatter_oracle(symmetric):
 def test_pattern_ops_gradients_match_finite_differences(symmetric):
     rng = np.random.default_rng(11)
     n, d = 7, 3
-    indptr, indices = random_pattern(rng, n, symmetric)
-    weights = dk.Tensor(rng.standard_normal((indices.size, 1)))
+    pattern = random_pattern(rng, n, symmetric)
+    weights = dk.Tensor(rng.standard_normal((pattern.indices.size, 1)))
     other = dk.Tensor(rng.standard_normal((n, d)))
     mix = dk.Tensor(rng.standard_normal((n, d)))
 
@@ -467,15 +472,20 @@ def test_pattern_ops_gradients_match_finite_differences(symmetric):
         return dk.sum(dk.elementwise_mul(out, mix))
 
     x = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
-    w = dk.Tensor(rng.standard_normal((indices.size, 1)), requires_grad=True)
+    w = dk.Tensor(rng.standard_normal((pattern.indices.size, 1)), requires_grad=True)
     checks = [
-        (lambda t: slot_loss(dk.pair_dot(t, other, indptr, indices)), x),
-        (lambda t: slot_loss(dk.pair_dot(other, t, indptr, indices)), x),
-        (lambda t: slot_loss(dk.pair_dot(t, t, indptr, indices)), x),
-        (lambda t: node_loss(dk.spmm(weights, t, indptr, indices)), x),
-        (lambda t: node_loss(dk.spmm(t, other, indptr, indices)), w),
-        (lambda t: slot_loss(dk.pair_cosine(t, indptr, indices)), x),
+        (lambda t: slot_loss(dk.pair_dot(t, other, pattern)), x),
+        (lambda t: slot_loss(dk.pair_dot(other, t, pattern)), x),
+        (lambda t: slot_loss(dk.pair_dot(t, t, pattern)), x),
+        (lambda t: node_loss(dk.spmm(weights, t, pattern)), x),
+        (lambda t: node_loss(dk.spmm(t, other, pattern)), w),
+        (lambda t: slot_loss(dk.pair_cosine(t, pattern)), x),
     ]
+    if symmetric:
+        # values 1 apart keep every pair off the min's tie, where it has a kink
+        v = dk.Tensor(rng.permutation(pattern.indices.size).reshape(-1, 1) + 0.5,
+                      requires_grad=True)
+        checks.append((lambda t: slot_loss(dk.reverse_min(t, pattern)), v))
     for f, point in checks:
         report = dk.grad_check(f, point)
         assert report.passed, report
@@ -485,7 +495,7 @@ def test_spmm_skips_gradient_of_frozen_side():
     x = dk.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     w = dk.Tensor([[0.5], [2.0]])
     with dk.Tape() as tape:
-        loss = dk.sum(dk.spmm(w, x, np.array([0, 1, 2]), np.array([1, 0])))
+        loss = dk.sum(dk.spmm(w, x, dk.Pattern([0, 1, 2], [1, 0], 2, 2)))
     grads = tape.backward(loss)
     assert np.array_equal(grads[x], [[2.0, 2.0], [0.5, 0.5]])
     assert w not in grads
@@ -496,10 +506,9 @@ def test_pair_cosine_zero_row_and_guarded_pair_get_exact_zero_gradient():
     # under the 1e-12 guard; nodes 1 and 4 form an ordinary pair.
     x = dk.Tensor([[0.0, 0.0], [1.0, 2.0], [1e-7, 0.0], [1e-7, 1e-7], [2.0, -1.0]],
                   requires_grad=True)
-    indptr = np.array([0, 2, 3, 4, 4, 5])
-    indices = np.array([1, 4, 0, 3, 1])
+    pattern = dk.Pattern([0, 2, 3, 4, 4, 5], [1, 4, 0, 3, 1], 5, 5)
     with dk.Tape() as tape:
-        out = dk.pair_cosine(x, indptr, indices)
+        out = dk.pair_cosine(x, pattern)
         loss = dk.sum(dk.elementwise_mul(out, dk.Tensor([[1.0], [2.0], [3.0], [4.0], [5.0]])))
     grads = tape.backward(loss)
     assert np.array_equal(grads[x][[0, 2, 3]], np.zeros((3, 2)))
@@ -511,12 +520,12 @@ def test_pair_cosine_zero_row_and_guarded_pair_get_exact_zero_gradient():
 
 def test_pattern_ops_on_empty_pattern_give_zeros():
     x = dk.Tensor(np.ones((3, 2)), requires_grad=True)
-    indptr, indices = np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    pattern = dk.Pattern(np.zeros(4), np.zeros(0), 3, 3)
     w = dk.Tensor(np.zeros((0, 1)), requires_grad=True)
     with dk.Tape() as tape:
-        dots = dk.pair_dot(x, x, indptr, indices)
-        cos = dk.pair_cosine(x, indptr, indices)
-        msg = dk.spmm(w, x, indptr, indices)
+        dots = dk.pair_dot(x, x, pattern)
+        cos = dk.pair_cosine(x, pattern)
+        msg = dk.spmm(w, x, pattern)
         loss = dk.add(dk.add(dk.sum(dots), dk.sum(cos)), dk.sum(msg))
     assert dots.shape == cos.shape == (0, 1)
     assert np.array_equal(msg.values, np.zeros((3, 2)))
@@ -526,15 +535,27 @@ def test_pattern_ops_on_empty_pattern_give_zeros():
 
 
 def test_pattern_ops_reject_bad_patterns():
+    # the constructor validates the CSR arrays once
+    with pytest.raises(ShapeError, match="out of range"):
+        dk.Pattern([0, 1, 2, 3], [0, 1, 3], 3, 3)
+    with pytest.raises(ShapeError, match="non-decreasing"):
+        dk.Pattern([0, 2, 1, 2], [0, 1], 3, 3)
+    with pytest.raises(ShapeError, match="indptr"):
+        dk.Pattern([0, 1, 2], [0, 1], 3, 3)
+    with pytest.raises(ShapeError, match="indptr"):
+        dk.Pattern([0, 1, 2, 2], [0, 1, 2], 3, 3)
+    # the ops check shapes against it
     x = dk.Tensor(np.ones((3, 2)))
     with pytest.raises(ShapeError):
-        dk.pair_cosine(x, np.array([0, 1, 2, 3]), np.array([0, 1, 3]))
+        dk.pair_dot(x, x, dk.Pattern([0, 1, 2], [0, 1], 2, 3))
     with pytest.raises(ShapeError):
-        dk.pair_dot(x, x, np.array([0, 1, 2]), np.array([0, 1]))
+        dk.pair_cosine(x, dk.Pattern([0, 1, 2], [0, 1], 2, 2))
     with pytest.raises(ShapeError):
-        dk.spmm(dk.Tensor(np.ones((2, 1))), x, np.array([0, 1, 2, 3]), np.array([0, 1, 2]))
+        dk.spmm(dk.Tensor(np.ones((2, 1))), x, dk.Pattern([0, 1, 2, 3], [0, 1, 2], 3, 3))
     with pytest.raises(ShapeError):
-        dk.spmm(dk.Tensor(np.ones((2, 1))), x, np.array([0, 2, 1, 2]), np.array([0, 1]))
+        dk.segment_mean(dk.Tensor(np.ones((2, 1))), dk.Pattern([0, 1, 2, 3], [0, 1, 2], 3, 3))
+    with pytest.raises(ShapeError, match="symmetric"):
+        dk.reverse_min(dk.Tensor(np.ones((2, 1))), dk.Pattern([0, 1, 2], [1, 0], 2, 2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -543,7 +564,8 @@ def test_pattern_ops_reject_bad_patterns():
 def test_segment_softmax_segments_sum_to_one(segments):
     flat = [v for seg in segments for v in seg]
     indptr = np.cumsum([0] + [len(seg) for seg in segments])
-    out = dk.segment_softmax(dk.Tensor(np.array(flat).reshape(-1, 1)), indptr)
+    pattern = dk.Pattern(indptr, np.zeros(len(flat)), len(segments), 1)
+    out = dk.segment_softmax(dk.Tensor(np.array(flat).reshape(-1, 1)), pattern)
     for i in range(len(segments)):
         total = out.values[indptr[i]:indptr[i + 1], 0].sum()
         assert abs(total - 1.0) < 1e-9

@@ -5,8 +5,6 @@ independent reference implementations; random instances are checked against
 them to 1e-12 and the worked examples were computed from them by hand.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,24 +269,3 @@ def test_homophily_report_requires_labels(path3):
     bundle = small_bundle(path3.feature_dim)
     with pytest.raises(DataError, match="labels required"):
         ev.homophily_report(bundle, path3.without_labels(), domain="source")
-
-
-def test_export_embeddings_round_trip(tmp_path, path3):
-    bundle = small_bundle(path3.feature_dim, seed=6)
-    out = tmp_path / "emb.bin"
-    ev.export_embeddings(bundle, path3, out, domain="source")
-    sidecar = json.loads((tmp_path / "emb.bin.json").read_text())
-    assert sidecar["num_nodes"] == 3
-    assert sidecar["labels"] == [0, 0, 1]
-    arr = np.frombuffer(out.read_bytes(), dtype="<f4")
-    arr = arr.reshape(sidecar["num_nodes"], sidecar["dim"])
-    from ttgad import gnn
-    h, _ = gnn.forward_embeddings(bundle, path3, "source")
-    np.testing.assert_array_equal(arr, h.values.astype(np.float32))
-
-
-def test_export_embeddings_rejects_empty_graph(tmp_path):
-    g = build_graph("empty", 0, [], np.zeros((0, 2)))
-    bundle = small_bundle(2)
-    with pytest.raises(DataError, match="empty graph"):
-        ev.export_embeddings(bundle, g, tmp_path / "e.bin", domain="source")

@@ -134,6 +134,20 @@ def test_init_bundle_shapes():
     assert bundle.embedding_dim == 5
 
 
+@pytest.mark.parametrize("identity", [False, True])
+@pytest.mark.parametrize("nsaw", [True, False])
+@pytest.mark.parametrize("target_cols", [None, 9])
+def test_parameter_shapes_match_init_bundle(identity, nsaw, target_cols):
+    rng = np.random.default_rng(0)
+    bundle = gnn.init_bundle(rng, feature_dim=7, p=4, hidden_dim=5, attn_dim=3,
+                             num_layers=3, nsaw_enabled=nsaw, identity_encoder=identity)
+    if target_cols is not None:
+        bundle.target_encoder = gnn.init_encoder(rng, bundle.layers[0].in_dim,
+                                                 target_cols, "target")
+    want = [(name, t.shape) for name, t in bundle.parameter_items()]
+    assert gnn.parameter_shapes(7, 4, 5, 3, 3, identity, target_cols) == want
+
+
 def test_trainable_parameter_lists():
     bundle = small_bundle(4, num_layers=2)
     names = [n for n, _ in bundle.parameter_items()]

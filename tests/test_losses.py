@@ -178,6 +178,18 @@ def test_sampler_warns_on_complete_graph():
 
 
 @pytest.mark.filterwarnings("ignore:.*no non-neighbor.*")
+def test_pattern_is_shared_not_copied(path3):
+    pattern = path3.pattern
+    assert pattern.rows is path3.slot_src
+    assert pattern.reverse is path3.reverse_slot
+    assert pattern.indptr is path3.indptr and pattern.indices is path3.indices
+    sample = losses.sample_nonneighbors(path3, 1, np.random.default_rng(0))
+    assert sample.src is sample.pattern.rows
+    assert sample.pattern.reverse is None
+    assert list(sample.src) == [0, 2]
+
+
+@pytest.mark.filterwarnings("ignore:.*no non-neighbor.*")
 def test_sampler_deterministic_per_seed(star5):
     a = losses.sample_nonneighbors(star5, 2, np.random.default_rng(7))
     b = losses.sample_nonneighbors(star5, 2, np.random.default_rng(7))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import edit_json, mutate_bytes
 from ttgad import diffkernel as dk
-from ttgad import losses
+from ttgad import losses, pipeline
 from ttgad.diffkernel import Tensor
 from ttgad.errors import CheckpointError, ConfigError, DataError
 from ttgad.gnn import forward_embeddings, init_bundle, init_encoder, predict
@@ -734,6 +734,22 @@ class TestCheckpoints:
         rewrite(path, header, bytes(data))
         with pytest.raises(CheckpointError,
                            match=r"tensor 'layers\.0\.W' holds non-finite values"):
+            load_checkpoint(path)
+
+    def test_oversized_header_refused_before_allocating(self, tmp_path, monkeypatch):
+        bundle, centroids, cfg = trained_pair(seed=25)
+        path = tmp_path / "m.bin"
+        save_checkpoint(bundle, centroids, cfg, path)
+        header, payload = checkpoint_parts(path)
+        header["config"]["hidden_dim"] = 3000
+        rewrite(path, header, payload)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("init_bundle called before the shapes were checked")
+
+        monkeypatch.setattr(pipeline, "init_bundle", refuse)
+        with pytest.raises(CheckpointError, match=r"tensor 'layers\.0\.W' has shape "
+                           r"\(6, 12\), but the config needs \(3000, 12\)"):
             load_checkpoint(path)
 
     def test_target_encoder_round_trips(self, tmp_path):

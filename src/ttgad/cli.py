@@ -105,24 +105,17 @@ def _say(args, message):
 def _cmd_gen(args):
     if args.out is None:
         raise ConfigError("gen requires --out")
-    if args.nodes < 1:
-        raise ConfigError("--nodes must be at least 1")
-    if args.dim < 1:
-        raise ConfigError("--dim must be at least 1")
-    if not 0.0 <= args.rate <= 1.0:
-        raise ConfigError("--rate must lie in [0, 1]")
-    if not 0.0 <= args.homophily <= 1.0:
-        raise ConfigError("--homophily must lie in [0, 1]")
     if args.mean_degree <= 0:
         raise ConfigError("--mean-degree must be positive")
-    if args.noise < 0:
-        raise ConfigError("--noise must be non-negative")
     spec = SyntheticSpec(num_nodes=args.nodes, feature_dim=args.dim,
                          anomaly_rate=args.rate, target_homophily=args.homophily,
                          mean_degree=args.mean_degree, noise_scale=args.noise,
                          seed=args.seed if args.seed is not None else 0,
                          name=args.name)
-    graph = generate_synthetic(spec)
+    try:
+        graph = generate_synthetic(spec)
+    except DataError as e:  # every spec value comes from a flag
+        raise ConfigError(f"gen: {e}") from e
     save_graph(graph, args.out)
     if not args.quiet:
         stats = compute_stats(graph).to_dict()

@@ -8,7 +8,7 @@ ranks averaged, AUPRC as average precision with tied-score blocks
 processed atomically.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError
 
 __all__ = [
     "AnomalyRanking", "MetricResult", "score_nodes",
-    "auroc", "auprc", "metric_result", "homophily_report",
+    "auroc", "auprc", "metric_result",
 ]
 
 SCORING_MODES = ("affinity", "predictor")
@@ -37,12 +37,6 @@ class AnomalyRanking:
     isolated: np.ndarray
 
 
-def _resolve_domain(bundle, domain):
-    if domain is not None:
-        return domain
-    return "target" if bundle.target_encoder is not None else "source"
-
-
 def score_nodes(bundle, graph, mode="affinity", domain=None):
     """Rank nodes by anomaly score using a deterministic eval-mode forward.
 
@@ -51,15 +45,14 @@ def score_nodes(bundle, graph, mode="affinity", domain=None):
     """
     if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}")
-    domain = _resolve_domain(bundle, domain)
+    if domain is None:
+        domain = "target" if bundle.target_encoder is not None else "source"
     h, _ = gnn.forward_embeddings(bundle, graph, domain)
     isolated = graph.degrees == 0
     if mode == "affinity":
         aff = losses.affinity_scores(h, graph)
         scores = -aff.values()
     else:
-        if bundle.predictor is None:
-            raise ConfigError("bundle has no predictor head")
         scores = gnn.predict(bundle, h).values[:, 0].copy()
     order = np.lexsort((np.arange(graph.num_nodes), -scores))
     return AnomalyRanking(scores=scores, order=order,
@@ -133,8 +126,7 @@ class MetricResult:
     negatives: int
 
     def to_dict(self):
-        return {"auroc": self.auroc, "auprc": self.auprc,
-                "positives": self.positives, "negatives": self.negatives}
+        return asdict(self)
 
 
 def metric_result(scores, labels):
@@ -143,29 +135,3 @@ def metric_result(scores, labels):
     num_pos = int((checked == 1).sum())
     return MetricResult(auroc=auroc(scores, labels), auprc=auprc(scores, labels),
                         positives=num_pos, negatives=int(checked.size - num_pos))
-
-
-# ---------------------------------------------------------------------------
-# Reports
-
-
-def homophily_report(bundle, graph, domain=None):
-    """Histogram of affinity scores per class over 20 fixed bins on [-1, 1].
-
-    Isolated nodes are excluded from the histograms and the class means;
-    a class with no contributing nodes reports a null mean.
-    """
-    if graph.labels is None:
-        raise DataError("labels required for a homophily report")
-    domain = _resolve_domain(bundle, domain)
-    h, _ = gnn.forward_embeddings(bundle, graph, domain)
-    aff = losses.affinity_scores(h, graph)
-    vals = np.clip(aff.values(), -1.0, 1.0)
-    edges = np.linspace(-1.0, 1.0, 21)
-    report = {"bins": edges.tolist()}
-    for key, label in (("normal", 0), ("anomaly", 1)):
-        member = aff.valid & (graph.labels == label)
-        counts, _ = np.histogram(vals[member], bins=edges)
-        report[key] = counts.tolist()
-        report[f"mean_{key}"] = float(vals[member].mean()) if member.any() else None
-    return report

@@ -3,6 +3,9 @@
 A model bundle holds one projection encoder per domain (source always,
 target once adaptation starts), a stack of shared message-passing layers,
 and a small MLP head that maps final embeddings to anomaly probabilities.
+:func:`parameter_shapes` is the one description of that layout: a fresh
+bundle draws each of its entries, and both a fresh and a loaded bundle are
+built from named arrays by :func:`assemble_bundle`.
 
 Message passing is sparse-matrix algebra over the graph's
 :class:`diffkernel.Pattern`. Attention scores are an SDDMM
@@ -29,7 +32,7 @@ __all__ = [
     "LayerAttention", "AttentionMatrices",
     "compute_attention", "symmetrize_attention",
     "nsaw_layer_forward", "forward_embeddings", "predict",
-    "init_encoder", "init_layer", "init_predictor", "init_bundle",
+    "init_encoder", "init_bundle", "assemble_bundle",
     "parameter_shapes", "capped_graph",
 ]
 
@@ -162,61 +165,64 @@ class ModelBundle:
 
 
 # ---------------------------------------------------------------------------
-# Initialization (uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)),
-# biases zero). Draw order is fixed so seeds reproduce bitwise.
+# Initialization (uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)), which
+# is rows + cols for every weight; biases zero). Draw order is fixed so seeds
+# reproduce bitwise.
 
 
-def _uniform(rng, rows, cols, fan_in, fan_out):
-    a = math.sqrt(6.0 / (fan_in + fan_out))
-    return dk.Tensor(rng.uniform(-a, a, size=(rows, cols)), requires_grad=True)
+_BIASES = ("b", "b_hidden", "b_out")
+
+
+def _uniform(rng, rows, cols):
+    a = math.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-a, a, size=(rows, cols))
 
 
 def init_encoder(rng, p, feature_dim, domain):
-    return ProjectionEncoder(_uniform(rng, p, feature_dim, feature_dim, p), domain)
-
-
-def init_layer(rng, in_dim, out_dim, attn_dim):
-    w = _uniform(rng, out_dim, 2 * in_dim, 2 * in_dim, out_dim)
-    u = _uniform(rng, in_dim, attn_dim, in_dim, attn_dim)
-    b = dk.Tensor(np.zeros((1, out_dim)), requires_grad=True)
-    return NsawLayer(W=w, b=b, U=u)
-
-
-def init_predictor(rng, emb_dim, hidden_dim):
-    w_h = _uniform(rng, hidden_dim, emb_dim, emb_dim, hidden_dim)
-    w_o = _uniform(rng, 1, hidden_dim, hidden_dim, 1)
-    return PredictorHead(
-        w_hidden=w_h,
-        b_hidden=dk.Tensor(np.zeros((1, hidden_dim)), requires_grad=True),
-        w_out=w_o,
-        b_out=dk.Tensor(np.zeros((1, 1)), requires_grad=True),
-    )
+    return ProjectionEncoder(dk.Tensor(_uniform(rng, p, feature_dim), requires_grad=True),
+                             domain)
 
 
 def init_bundle(rng, feature_dim, p, hidden_dim, attn_dim, num_layers,
                 nsaw_enabled=True, identity_encoder=False):
+    """A fresh bundle: each :func:`parameter_shapes` entry drawn in order."""
     if num_layers < 1:
         raise ConfigError("num_layers must be at least 1")
-    if identity_encoder:
-        encoder = ProjectionEncoder(None, "source")
-        width = feature_dim
-    else:
-        encoder = init_encoder(rng, p, feature_dim, "source")
-        width = p
+    arrays = {}
+    for name, (rows, cols) in parameter_shapes(feature_dim, p, hidden_dim, attn_dim,
+                                               num_layers, identity_encoder):
+        arrays[name] = (np.zeros((rows, cols)) if name.rpartition(".")[2] in _BIASES
+                        else _uniform(rng, rows, cols))
+    return assemble_bundle(arrays, nsaw_enabled)
+
+
+def assemble_bundle(arrays, nsaw_enabled):
+    """The bundle whose ``parameter_items()`` hold copies of ``arrays``.
+
+    The inverse of :meth:`ModelBundle.parameter_items`: ``arrays`` maps each
+    name to a 2-D array. Every tensor trains except ``U`` when attention is
+    off. Without a source encoder weight the source encoder is the identity;
+    without a target encoder weight there is no target encoder.
+    """
+    t = {name: dk.Tensor(values, requires_grad=True) for name, values in arrays.items()}
     layers = []
-    for _ in range(num_layers):
-        layers.append(init_layer(rng, width, hidden_dim, attn_dim))
+    while f"layers.{len(layers)}.W" in t:
+        i = len(layers)
+        layers.append(NsawLayer(**{k: t[f"layers.{i}.{k}"] for k in ("W", "b", "U")}))
         layers[-1].U.requires_grad = nsaw_enabled
-        width = hidden_dim
-    predictor = init_predictor(rng, width, hidden_dim)
-    return ModelBundle(source_encoder=encoder, target_encoder=None,
-                       layers=layers, predictor=predictor,
-                       nsaw_enabled=nsaw_enabled)
+    target = t.get("target_encoder.weight")
+    return ModelBundle(
+        source_encoder=ProjectionEncoder(t.get("source_encoder.weight"), "source"),
+        target_encoder=None if target is None else ProjectionEncoder(target, "target"),
+        layers=layers,
+        predictor=PredictorHead(**{k: t[f"predictor.{k}"]
+                                   for k in ("w_hidden", "b_hidden", "w_out", "b_out")}),
+        nsaw_enabled=nsaw_enabled)
 
 
 def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
                      identity_encoder, target_cols=None):
-    """``parameter_items()`` names and shapes of :func:`init_bundle`, drawing nothing.
+    """``parameter_items()`` names and shapes of a bundle, in order; the one layout.
 
     ``target_cols`` adds a target encoder for features of that width.
     """
@@ -253,25 +259,17 @@ def symmetrize_attention(attention, graph):
     return dk.reverse_min(attention, graph.pattern)
 
 
-def nsaw_layer_forward(layer, h, graph, mode="nsaw", sym_attention=None):
+def nsaw_layer_forward(layer, h, graph, weights):
     """One layer: aggregate neighbors, concat with the input row, linear, relu.
 
-    ``mode`` "nsaw" uses symmetrized attention weights (computed from ``h``
-    when not supplied); "plain" uses the unweighted neighbor mean. Isolated
-    nodes aggregate a zero message either way.
+    ``weights`` holds one weight per slot (symmetrized attention, or 1/degree
+    without attention). Isolated nodes have no slots, so they aggregate a zero
+    message.
     """
     if h.shape[0] != graph.num_nodes:
         raise ShapeError("layer input rows must match graph nodes")
     if layer.in_dim != h.shape[1]:
         raise ShapeError(f"layer expects width {layer.in_dim}, got {h.shape[1]}")
-    if mode == "nsaw":
-        if sym_attention is None:
-            sym_attention = symmetrize_attention(compute_attention(layer, h, graph), graph)
-        weights = sym_attention
-    elif mode == "plain":
-        weights = dk.Tensor((1.0 / graph.degrees[graph.slot_src]).reshape(-1, 1))
-    else:
-        raise ConfigError(f"unknown aggregation mode {mode!r}")
     message = dk.spmm(weights, h, graph.pattern)
     stacked = dk.concat_cols(message, h)
     return dk.relu(dk.add(dk.matmul(stacked, dk.transpose(layer.W)), layer.b))
@@ -313,15 +311,15 @@ def forward_embeddings(bundle, graph, domain, training=False, rng=None,
     encoder = bundle.encoder_for(domain)
     h = encoder.project(g.features)
     attentions = AttentionMatrices()
+    if not bundle.nsaw_enabled:
+        weights = dk.Tensor((1.0 / g.degrees[g.slot_src]).reshape(-1, 1))
     for layer in bundle.layers:
         x = dk.dropout(h, dropout_rate, rng, training)
         if bundle.nsaw_enabled:
             pre = compute_attention(layer, x, g)
-            sym = symmetrize_attention(pre, g)
-            attentions.layers.append(LayerAttention(pre_sym=pre, sym=sym, graph=g))
-            h = nsaw_layer_forward(layer, x, g, mode="nsaw", sym_attention=sym)
-        else:
-            h = nsaw_layer_forward(layer, x, g, mode="plain")
+            weights = symmetrize_attention(pre, g)
+            attentions.layers.append(LayerAttention(pre_sym=pre, sym=weights, graph=g))
+        h = nsaw_layer_forward(layer, x, g, weights)
     return h, attentions
 
 

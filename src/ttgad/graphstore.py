@@ -16,7 +16,7 @@ Disk layout of a graph bundle directory:
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -293,18 +293,7 @@ class GraphStats:
     edge_label_homophily: float | None = None
 
     def to_dict(self):
-        d = {
-            "num_nodes": self.num_nodes,
-            "num_edges": self.num_edges,
-            "degree_min": self.degree_min,
-            "degree_mean": self.degree_mean,
-            "degree_max": self.degree_max,
-        }
-        if self.anomaly_rate is not None:
-            d["anomaly_rate"] = self.anomaly_rate
-        if self.edge_label_homophily is not None:
-            d["edge_label_homophily"] = self.edge_label_homophily
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def compute_stats(graph):

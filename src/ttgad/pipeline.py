@@ -14,15 +14,16 @@ import math
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import diffkernel as dk
 from . import evaluation, losses
 from .errors import CheckpointError, ConfigError, DataError
-from .gnn import (ModelBundle, ProjectionEncoder, forward_embeddings,
-                  init_bundle, init_encoder, parameter_shapes, predict)
+from .gnn import (ModelBundle, ProjectionEncoder, assemble_bundle,
+                  forward_embeddings, init_bundle, init_encoder,
+                  parameter_shapes, predict)
 from .graphstore import SyntheticSpec, generate_synthetic
 from .losses import LossWeights
 
@@ -90,14 +91,9 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        out = {}
-        for f in fields(self):
-            if f.name == "weights":
-                continue
-            out[f.name] = getattr(self, f.name)
-        for f in fields(LossWeights):
-            out[f.name] = getattr(self.weights, f.name)
-        return out
+        d = asdict(self)
+        d.update(d.pop("weights"))
+        return d
 
     @classmethod
     def from_dict(cls, data):
@@ -224,17 +220,7 @@ class AdaptationTrace:
     homogeneous_dims: bool
 
     def to_dict(self):
-        return {
-            "epochs": self.epochs,
-            "initial_score": self.initial_score,
-            "initial_margin": self.initial_margin,
-            "chosen_epoch": self.chosen_epoch,
-            "best_score": self.best_score,
-            "stop_reason": self.stop_reason,
-            "lr": self.lr,
-            "ttt_init": self.ttt_init,
-            "homogeneous_dims": self.homogeneous_dims,
-        }
+        return asdict(self)
 
 
 def _eval_forward(bundle, graph, domain, config):
@@ -421,14 +407,7 @@ class MarginReport:
     monotone_claim_applicable: bool
 
     def to_dict(self):
-        return {
-            "fraction_increasing": self.fraction_increasing,
-            "initial_margin": self.initial_margin,
-            "final_margin": self.final_margin,
-            "num_steps": self.num_steps,
-            "preconditions": dict(self.preconditions),
-            "monotone_claim_applicable": self.monotone_claim_applicable,
-        }
+        return asdict(self)
 
 
 def margin_trace_check(trace):
@@ -515,10 +494,11 @@ class LoadedCheckpoint:
 def load_checkpoint(path, expect_nsaw=None):
     """Read a checkpoint back; inverse of :func:`save_checkpoint`.
 
-    The stored tensors fill a fresh bundle of the stored config by name.
-    An unexpected or missing tensor, one whose shape does not match the
-    config, or one holding NaN or inf raises :class:`CheckpointError` here,
-    before any of the bundle is allocated.
+    The stored tensors are checked by name against the stored config's
+    layout, then assembled into a bundle. An unexpected or missing tensor,
+    one whose shape does not match the config, or one holding NaN or inf
+    raises :class:`CheckpointError` here, before any of the bundle is
+    allocated.
     ``expect_nsaw`` asserts the stored attention mode: loading a checkpoint
     whose mode differs is an error, never a silent fallback.
     """
@@ -601,16 +581,7 @@ def load_checkpoint(path, expect_nsaw=None):
         if not np.all(np.isfinite(blocks[name])):
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
 
-    rng = np.random.default_rng(0)
-    bundle = init_bundle(rng, feature_dim, config.p, config.hidden_dim,
-                         config.attn_dim, config.num_layers,
-                         nsaw_enabled=config.nsaw_enabled,
-                         identity_encoder=config.identity_encoder)
-    if target_cols is not None:
-        bundle.target_encoder = init_encoder(rng, bundle.layers[0].in_dim,
-                                             target_cols, "target")
-    for name, tensor in bundle.parameter_items():
-        tensor.values[...] = blocks[name]
+    bundle = assemble_bundle(blocks, config.nsaw_enabled)
 
     centroids = None
     stored = header.get("centroids")

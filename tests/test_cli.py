@@ -77,6 +77,10 @@ class TestGen:
         ["--rate", "-0.1"],
         ["--nodes", "0"],
         ["--mean-degree", "0"],
+        ["--rate", "0.6"],
+        ["--rate", "0"],
+        ["--nodes", "1"],
+        ["--homophily", "1.0", "--rate", "0.45", "--nodes", "5"],
     ])
     def test_bad_values_exit_1(self, tmp_path, extra, capsys):
         args = ["gen", "--out", str(tmp_path / "x"), "--nodes", "20"]

@@ -14,7 +14,6 @@ from conftest import small_bundle
 from ttgad import diffkernel as dk
 from ttgad import evaluation as ev
 from ttgad.errors import ConfigError, DataError
-from ttgad.graphstore import build_graph
 
 
 # ---------------------------------------------------------------------------
@@ -236,36 +235,3 @@ def test_domain_defaults_to_target_when_present(path3):
     assert not np.array_equal(r_source.scores, r_target.scores)
     r_explicit = ev.score_nodes(bundle, path3, domain="source")
     assert np.array_equal(r_source.scores, r_explicit.scores)
-
-
-# ---------------------------------------------------------------------------
-# Reports and exports
-
-
-def test_homophily_report_schema(triangle_iso):
-    bundle = small_bundle(triangle_iso.feature_dim, seed=3)
-    report = ev.homophily_report(bundle, triangle_iso, domain="source")
-    assert set(report) == {"bins", "normal", "anomaly",
-                           "mean_normal", "mean_anomaly"}
-    assert len(report["bins"]) == 21
-    assert report["bins"][0] == -1.0 and report["bins"][-1] == 1.0
-    # Isolated node 3 is excluded: anomaly histogram counts only node 2.
-    assert sum(report["anomaly"]) == 1
-    assert sum(report["normal"]) == 2
-    assert -1.0 <= report["mean_normal"] <= 1.0
-
-
-def test_homophily_report_empty_class_mean_is_null():
-    features = np.eye(3)
-    g = build_graph("all_normal", 3, [(0, 1), (1, 2)], features,
-                    labels=[0, 0, 0])
-    bundle = small_bundle(3, seed=0)
-    report = ev.homophily_report(bundle, g, domain="source")
-    assert report["mean_anomaly"] is None
-    assert sum(report["anomaly"]) == 0
-
-
-def test_homophily_report_requires_labels(path3):
-    bundle = small_bundle(path3.feature_dim)
-    with pytest.raises(DataError, match="labels required"):
-        ev.homophily_report(bundle, path3.without_labels(), domain="source")

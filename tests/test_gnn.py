@@ -5,6 +5,8 @@ matrices (adjacency-masked softmax, elementwise min, explicit concatenation)
 and is the reference the sparse implementation is checked against.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,33 @@ def test_parameter_shapes_match_init_bundle(identity, nsaw, target_cols):
     want = [(name, t.shape) for name, t in bundle.parameter_items()]
     assert gnn.parameter_shapes(7, 4, 5, 3, 3, identity, target_cols) == want
 
+    # assemble_bundle inverts parameter_items(), copying every array.
+    rebuilt = gnn.assemble_bundle({n: t.values for n, t in bundle.parameter_items()}, nsaw)
+    assert rebuilt.nsaw_enabled == nsaw
+    pairs = list(zip(bundle.parameter_items(), rebuilt.parameter_items(), strict=True))
+    for (name, old), (new_name, new) in pairs:
+        assert new_name == name
+        assert np.array_equal(new.values, old.values)
+        assert new.requires_grad == old.requires_grad
+        assert not np.shares_memory(new.values, old.values)
+
+
+# sha256 of each parameter_items() name and its little-endian float64 bytes:
+# the draw sequence of a seed must not move, or saved runs stop reproducing.
+@pytest.mark.parametrize("identity, digest", [(False, "b5efe71e85b92894"),
+                                              (True, "dda8a4ccafce5969")])
+@pytest.mark.parametrize("nsaw", [True, False])
+def test_init_bundle_draws_are_pinned(identity, digest, nsaw):
+    bundle = gnn.init_bundle(np.random.default_rng(0), feature_dim=7, p=4,
+                             hidden_dim=5, attn_dim=3, num_layers=2,
+                             nsaw_enabled=nsaw, identity_encoder=identity)
+    sha = hashlib.sha256()
+    for name, t in bundle.parameter_items():
+        sha.update(name.encode())
+        sha.update(np.ascontiguousarray(t.values, dtype="<f8").tobytes())
+        assert t.requires_grad == (nsaw or not name.endswith(".U"))
+    assert sha.hexdigest()[:16] == digest
+
 
 def test_trainable_parameter_lists():
     bundle = small_bundle(4, num_layers=2)
@@ -245,40 +274,39 @@ def test_masked_attention_entries_get_zero_gradient():
 # Layer behavior
 
 
+def neighbor_mean_bundle(nsaw_enabled, u_value):
+    """One layer on the raw 2-wide features, W = [I | 0] and b = 0, so it
+    computes relu(weighted neighbor sum)."""
+    bundle = small_bundle(2, width=2, num_layers=1, nsaw_enabled=nsaw_enabled,
+                          identity_encoder=True)
+    layer = bundle.layers[0]
+    layer.W.values[...] = np.hstack([np.eye(2), np.zeros((2, 2))])
+    layer.b.values[...] = 0.0
+    layer.U.values[...] = u_value
+    return bundle
+
+
 def test_plain_mode_is_neighbor_mean(path3):
-    # W = [I | 0], b = 0 turns the layer into relu(neighbor mean).
-    w = np.hstack([np.eye(2), np.zeros((2, 2))])
-    layer = gnn.NsawLayer(W=dk.Tensor(w), b=dk.Tensor(np.zeros((1, 2))),
-                          U=dk.Tensor(np.zeros((2, 2))))
-    h = dk.Tensor(path3.features)
-    out = gnn.nsaw_layer_forward(layer, h, path3, mode="plain")
+    bundle = neighbor_mean_bundle(nsaw_enabled=False, u_value=0.0)
+    out, _ = gnn.forward_embeddings(bundle, path3, "source")
     means = np.array([[1.0, 1.0], [0.5, 0.5], [1.0, 1.0]])
     np.testing.assert_allclose(out.values, means, atol=1e-15)
 
 
 def test_isolated_node_aggregates_zero_message(triangle_iso):
-    w = np.hstack([np.eye(2), np.zeros((2, 2))])
-    layer = gnn.NsawLayer(W=dk.Tensor(w), b=dk.Tensor(np.zeros((1, 2))),
-                          U=dk.Tensor(np.ones((2, 2))))
-    h = dk.Tensor(triangle_iso.features)
-    for mode in ("plain", "nsaw"):
-        out = gnn.nsaw_layer_forward(layer, h, triangle_iso, mode=mode)
+    for nsaw in (False, True):
+        bundle = neighbor_mean_bundle(nsaw_enabled=nsaw, u_value=1.0)
+        out, _ = gnn.forward_embeddings(bundle, triangle_iso, "source")
         np.testing.assert_array_equal(out.values[3], [0.0, 0.0])
 
 
 def test_layer_rejects_mismatched_width(path3):
-    layer = gnn.init_layer(np.random.default_rng(0), in_dim=5, out_dim=3,
-                           attn_dim=2)
+    bundle = gnn.init_bundle(np.random.default_rng(0), feature_dim=5, p=5,
+                             hidden_dim=3, attn_dim=2, num_layers=1)
+    weights = dk.Tensor(np.ones((path3.num_slots, 1)))
     with pytest.raises(ShapeError, match="width"):
-        gnn.nsaw_layer_forward(layer, dk.Tensor(path3.features), path3)
-
-
-def test_layer_rejects_unknown_mode(path3):
-    layer = gnn.init_layer(np.random.default_rng(0), in_dim=2, out_dim=2,
-                           attn_dim=2)
-    with pytest.raises(ConfigError, match="aggregation mode"):
-        gnn.nsaw_layer_forward(layer, dk.Tensor(path3.features), path3,
-                               mode="max")
+        gnn.nsaw_layer_forward(bundle.layers[0], dk.Tensor(path3.features), path3,
+                               weights)
 
 
 # ---------------------------------------------------------------------------

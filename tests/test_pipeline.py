@@ -745,9 +745,9 @@ class TestCheckpoints:
         rewrite(path, header, payload)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("init_bundle called before the shapes were checked")
+            raise AssertionError("assemble_bundle called before the shapes were checked")
 
-        monkeypatch.setattr(pipeline, "init_bundle", refuse)
+        monkeypatch.setattr(pipeline, "assemble_bundle", refuse)
         with pytest.raises(CheckpointError, match=r"tensor 'layers\.0\.W' has shape "
                            r"\(6, 12\), but the config needs \(3000, 12\)"):
             load_checkpoint(path)

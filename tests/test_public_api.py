@@ -34,11 +34,6 @@ def test_exported_names_resolve():
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Exported names that only unit tests use yet; each is an open item to
-# delete or give a caller. The guard fails once one gains a user, so the
-# list can only shrink.
-TEST_ONLY = {"evaluation.homophily_report"}
-
 
 def _names_used(paths):
     """Names read, attributes looked up and names imported by ``paths``."""
@@ -65,4 +60,4 @@ def test_exported_names_have_a_user_outside_the_unit_tests():
         module = importlib.import_module(f"ttgad.{info.name}")
         unused.update(f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                       if name not in used)
-    assert unused == TEST_ONLY
+    assert not unused, sorted(unused)

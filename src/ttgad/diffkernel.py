@@ -21,6 +21,14 @@ backward passes of the first three are SpMMs with
 per-slot scalars and per-node rows alive on the tape; per-slot rows exist
 only in bounded chunks inside one call.
 
+When the pattern carries ``reverse`` (it is symmetric), the ops use it:
+``pair_dot(t, t)`` and :func:`pair_cosine` compute only the slots with
+``row <= col`` and copy each value to its mirror, and ``M.T`` is
+``csr(data[reverse])`` on the same pattern, so every backward runs CSR
+SpMMs only, one per symmetric SDDMM. Without ``reverse`` the transposed
+products run on the CSC view. Backward computes no gradient for an operand
+with ``requires_grad=False``.
+
 Design constraints honored throughout:
 
 - all math in float64; every op validates that its output is finite;
@@ -186,7 +194,8 @@ def matmul(a, b):
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     out = _make("matmul", a.values @ b.values, a, b)
     av, bv = a.values, b.values
-    _emit(out, lambda g: ((a, g @ bv.T), (b, av.T @ g)))
+    _emit(out, lambda g: ((a, g @ bv.T if a.requires_grad else None),
+                          (b, av.T @ g if b.requires_grad else None)))
     return out
 
 
@@ -197,7 +206,8 @@ def add(a, b):
     except ValueError as e:
         raise ShapeError(f"add: {a.shape} + {b.shape}") from e
     out = _make("add", vals, a, b)
-    _emit(out, lambda g: ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))))
+    _emit(out, lambda g: ((a, _unbroadcast(g, a.shape) if a.requires_grad else None),
+                          (b, _unbroadcast(g, b.shape) if b.requires_grad else None)))
     return out
 
 
@@ -209,8 +219,8 @@ def elementwise_mul(a, b):
         raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}") from e
     out = _make("elementwise_mul", vals, a, b)
     av, bv = a.values, b.values
-    _emit(out, lambda g: ((a, _unbroadcast(g * bv, a.shape)),
-                          (b, _unbroadcast(g * av, b.shape))))
+    _emit(out, lambda g: ((a, _unbroadcast(g * bv, a.shape) if a.requires_grad else None),
+                          (b, _unbroadcast(g * av, b.shape) if b.requires_grad else None)))
     return out
 
 
@@ -320,7 +330,8 @@ class Pattern:
     as given, not copied, and must not be mutated.
     """
 
-    __slots__ = ("indptr", "indices", "rows", "num_rows", "num_cols", "reverse")
+    __slots__ = ("indptr", "indices", "rows", "num_rows", "num_cols", "reverse",
+                 "_upper")
 
     def __init__(self, indptr, indices, num_rows, num_cols):
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -340,10 +351,19 @@ class Pattern:
         self.num_rows = int(num_rows)
         self.num_cols = int(num_cols)
         self.reverse = None
+        self._upper = None
 
     @property
     def shape(self):
         return self.num_rows, self.num_cols
+
+    @property
+    def upper(self):
+        """Slots with ``row <= col``, computed once; on a symmetric pattern
+        they and their mirrors cover every slot."""
+        if self._upper is None:
+            self._upper = np.flatnonzero(self.rows <= self.indices)
+        return self._upper
 
 
 def _segment_sums(values, indptr):
@@ -431,32 +451,67 @@ def _csr(data, pattern):
                                    shape=pattern.shape)
 
 
+def _transposed_product(data, x, pattern):
+    """``M.T @ x`` for ``M = csr(data)``; on a symmetric pattern ``M.T`` is
+    ``csr(data[reverse])`` over the same pattern, so no CSC product runs."""
+    if pattern.reverse is None:
+        return _csr(data, pattern).T @ x
+    return _csr(data[pattern.reverse], pattern) @ x
+
+
 def _sampled_dot(a, b, rows, cols):
     """``a[rows[s]] · b[cols[s]]`` per slot, gathering one chunk at a time."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     out = np.empty(rows.size)
     chunk = max(1, _CHUNK_BYTES // (8 * max(a.shape[1], 1)))
     for start in range(0, rows.size, chunk):
         stop = start + chunk
-        out[start:stop] = np.einsum("ij,ij->i", a[rows[start:stop]], b[cols[start:stop]])
+        out[start:stop] = np.einsum("ij,ij->i", np.take(a, rows[start:stop], axis=0),
+                                    np.take(b, cols[start:stop], axis=0))
     return out
+
+
+def _mirror(values, pattern):
+    """Per-slot array from values on ``pattern.upper``, copied to each mirror."""
+    upper = pattern.upper
+    out = np.empty(pattern.indices.size)
+    out[upper] = values
+    out[pattern.reverse[upper]] = values
+    return out
+
+
+def _self_dot(x, pattern):
+    """``x[row(s)] · x[indices[s]]`` per slot; a symmetric pattern computes
+    only its ``row <= col`` slots (``a·b`` equals ``b·a`` bitwise)."""
+    if pattern.reverse is None:
+        return _sampled_dot(x, x, pattern.rows, pattern.indices)
+    upper = pattern.upper
+    return _mirror(_sampled_dot(x, x, pattern.rows[upper], pattern.indices[upper]),
+                   pattern)
 
 
 def pair_dot(a, b, pattern):
     """SDDMM: ``out[s] = a[row(s)] · b[indices[s]]``, shape (slots, 1).
 
     ``a`` has one row per pattern row, ``b`` one row per pattern column.
+    ``pair_dot(t, t)`` on a symmetric pattern takes the symmetric path.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[1] != b.shape[1] or (a.shape[0], b.shape[0]) != pattern.shape:
         raise ShapeError(f"pair_dot: {a.shape} vs {b.shape} over {pattern.shape}")
     av, bv = a.values, b.values
-    out = _make("pair_dot", _sampled_dot(av, bv, pattern.rows, pattern.indices)
-                .reshape(-1, 1), a, b)
+    symmetric = a is b and pattern.reverse is not None
+    vals = (_self_dot(av, pattern) if symmetric
+            else _sampled_dot(av, bv, pattern.rows, pattern.indices))
+    out = _make("pair_dot", vals.reshape(-1, 1), a, b)
 
     def bwd(g):
-        m = _csr(g[:, 0], pattern)
-        return ((a, m @ bv if a.requires_grad else None),
-                (b, m.T @ av if b.requires_grad else None))
+        gs = g[:, 0]
+        if symmetric:
+            # M_g @ t + M_g.T @ t is one SpMM of g + g[reverse]
+            return ((a, _csr(gs + gs[pattern.reverse], pattern) @ av),)
+        return ((a, _csr(gs, pattern) @ bv if a.requires_grad else None),
+                (b, _transposed_product(gs, av, pattern) if b.requires_grad else None))
 
     _emit(out, bwd)
     return out
@@ -472,14 +527,15 @@ def spmm(w, x, pattern):
     _check_slots("spmm", w, pattern, width=1)
     if x.shape[0] != pattern.num_cols:
         raise ShapeError(f"spmm: input {x.shape} over {pattern.shape}")
-    xv = x.values
-    m = _csr(w.values[:, 0], pattern)
-    out = _make("spmm", m @ xv, w, x)
+    xv, wv = x.values, w.values[:, 0]
+    out = _make("spmm", _csr(wv, pattern) @ xv, w, x)
 
     def bwd(g):
+        g = np.ascontiguousarray(g)
         gw = (_sampled_dot(g, xv, pattern.rows, pattern.indices).reshape(-1, 1)
               if w.requires_grad else None)
-        return ((w, gw), (x, m.T @ g if x.requires_grad else None))
+        gx = _transposed_product(wv, g, pattern) if x.requires_grad else None
+        return ((w, gw), (x, gx))
 
     _emit(out, bwd)
     return out
@@ -497,26 +553,35 @@ def pair_cosine(x, pattern):
     n = x.shape[0]
     if pattern.shape != (n, n):
         raise ShapeError(f"pair_cosine: {x.shape} over {pattern.shape}")
-    rows, indices = pattern.rows, pattern.indices
+    rows, indices, rev = pattern.rows, pattern.indices, pattern.reverse
     xv = x.values
     sq = (xv * xv).sum(axis=1)
     norms = np.sqrt(sq)
-    prod = norms[rows] * norms[indices]
+    if rev is None:
+        prod = norms[rows] * norms[indices]
+    else:
+        upper = pattern.upper
+        prod = _mirror(norms[rows[upper]] * norms[indices[upper]], pattern)
     live = prod >= COSINE_EPS
     denom = np.maximum(prod, COSINE_EPS)
-    c = _sampled_dot(xv, xv, rows, indices) / denom
+    c = _self_dot(xv, pattern) / denom
     out = _make("pair_cosine", c.reshape(-1, 1), x)
 
     def bwd(g):
         # d c_s / d x_r = x_c / denom_s - c_s x_r / |x_r|^2, and symmetrically
-        # for x_c: two SpMMs carry the first terms, bincounts the second.
+        # for x_c: SpMMs carry the first terms, bincounts the second.
         q = np.where(live, g[:, 0] / denom, 0.0)
         t = np.where(live, g[:, 0] * c, 0.0)
-        m = _csr(q, pattern)
+        if rev is None:
+            m = _csr(q, pattern)
+            pulled = m @ xv + m.T @ xv
+            self_w = (np.bincount(rows, weights=t, minlength=n)
+                      + np.bincount(indices, weights=t, minlength=n))
+        else:
+            pulled = _csr(q + q[rev], pattern) @ xv
+            self_w = np.bincount(rows, weights=t + t[rev], minlength=n)
         inv_sq = np.divide(1.0, sq, out=np.zeros(n), where=sq > 0)
-        self_term = (np.bincount(rows, weights=t, minlength=n)
-                     + np.bincount(indices, weights=t, minlength=n)) * inv_sq
-        return ((x, m @ xv + m.T @ xv - xv * self_term[:, None]),)
+        return ((x, pulled - xv * (self_w * inv_sq)[:, None]),)
 
     _emit(out, bwd)
     return out

@@ -21,6 +21,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 
 from . import diffkernel as dk
 from .errors import DataError, GraphFormatError, ShapeError
@@ -88,13 +89,15 @@ class AttributedGraph:
                 raise DataError("row columns must be sorted ascending without duplicates")
         if np.any(self.indices == self.slot_src):
             raise DataError("self-loops are not allowed")
-        # Symmetry: every slot (u -> v) needs its mirror (v -> u).
-        keys = self.slot_keys
-        rev = self.indices * np.int64(n) + self.slot_src
-        pos = np.searchsorted(keys, rev)
-        if np.any((pos >= keys.size) | (keys[np.minimum(pos, keys.size - 1)] != rev)):
+        # Symmetry: the transpose has the same pattern, and the slot ids it
+        # carries name each slot's mirror (v -> u) of slot (u -> v).
+        slot_ids = np.arange(self.indices.size, dtype=np.int64)
+        flipped = scipy.sparse.csr_matrix((slot_ids, self.indices, self.indptr),
+                                          shape=(n, n)).tocsc()
+        if not (np.array_equal(flipped.indptr, self.indptr)
+                and np.array_equal(flipped.indices, self.indices)):
             raise DataError("adjacency is not symmetric")
-        self.reverse_slot = self.pattern.reverse = pos.astype(np.int64, copy=False)
+        self.reverse_slot = self.pattern.reverse = flipped.data.astype(np.int64, copy=False)
 
     @property
     def feature_dim(self):
@@ -159,8 +162,8 @@ def build_graph(name, num_nodes, edges, features, labels=None):
             edges = edges[~loops]
     if edges.size:
         both = np.concatenate([edges, edges[:, ::-1]])
-        keys = both[:, 0] * np.int64(n) + both[:, 1]
-        keys = np.unique(keys)
+        keys = np.sort(both[:, 0] * np.int64(n) + both[:, 1])
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         src = keys // n
         dst = keys % n
     else:

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,12 +106,13 @@ def mirrored(pattern):
     return pattern
 
 
-def random_pattern(rng, n, symmetric, isolated=2, edge_prob=0.4):
-    """Pattern on n nodes without self-pairs; the first ``isolated`` nodes
-    have no slot. A symmetric pattern gets its ``reverse``; non-symmetric
-    patterns get shuffled rows."""
+def random_pattern(rng, n, symmetric, isolated=2, edge_prob=0.4, self_pairs=False):
+    """Pattern on n nodes, with self-pairs only if asked; the first
+    ``isolated`` nodes have no slot. A symmetric pattern gets its
+    ``reverse``; non-symmetric patterns get shuffled rows."""
     mask = rng.random((n, n)) < edge_prob
-    np.fill_diagonal(mask, False)
+    if not self_pairs:
+        np.fill_diagonal(mask, False)
     if symmetric:
         mask |= mask.T
     mask[:isolated, :] = False
@@ -429,31 +431,120 @@ def _taped(op, inputs, g):
 def test_pattern_ops_match_gather_scatter_oracle(symmetric):
     rng = np.random.default_rng(5)
     n, d = 9, 4
-    pattern = random_pattern(rng, n, symmetric)
-    indptr, indices, slots = pattern.indptr, pattern.indices, pattern.indices.size
-    a = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
-    b = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
-    w = dk.Tensor(rng.standard_normal((slots, 1)), requires_grad=True)
+    # a symmetric pattern is also checked with self-pairs, whose mirror is
+    # the slot itself
+    for self_pairs in (False, True) if symmetric else (False,):
+        pattern = random_pattern(rng, n, symmetric, self_pairs=self_pairs)
+        indptr, indices, slots = pattern.indptr, pattern.indices, pattern.indices.size
+        a = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        b = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        w = dk.Tensor(rng.standard_normal((slots, 1)), requires_grad=True)
 
-    g = rng.standard_normal(slots)
-    out, (ga, gb) = _taped(lambda: dk.pair_dot(a, b, pattern), [a, b], g)
-    want, want_a, want_b = ref_pair_dot(a.values, b.values, indptr, indices, g)
-    np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(ga, want_a, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(gb, want_b, rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal(slots)
+        out, (ga, gb) = _taped(lambda: dk.pair_dot(a, b, pattern), [a, b], g)
+        want, want_a, want_b = ref_pair_dot(a.values, b.values, indptr, indices, g)
+        np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ga, want_a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gb, want_b, rtol=1e-12, atol=1e-12)
 
-    g = rng.standard_normal((n, d))
-    out, (gw, gx) = _taped(lambda: dk.spmm(w, a, pattern), [w, a], g)
-    want, want_w, want_x = ref_spmm(w.values[:, 0], a.values, indptr, indices, g)
-    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(gw[:, 0], want_w, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal(slots)
+        out, (ga,) = _taped(lambda: dk.pair_dot(a, a, pattern), [a], g)
+        want, want_a, want_b = ref_pair_dot(a.values, a.values, indptr, indices, g)
+        np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ga, want_a + want_b, rtol=1e-12, atol=1e-12)
 
-    g = rng.standard_normal(slots)
-    out, (gx,) = _taped(lambda: dk.pair_cosine(a, pattern), [a], g)
-    want, want_x = ref_pair_cosine(a.values, indptr, indices, g)
-    np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal((n, d))
+        out, (gw, gx) = _taped(lambda: dk.spmm(w, a, pattern), [w, a], g)
+        want, want_w, want_x = ref_spmm(w.values[:, 0], a.values, indptr, indices, g)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gw[:, 0], want_w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
+
+        g = rng.standard_normal(slots)
+        out, (gx,) = _taped(lambda: dk.pair_cosine(a, pattern), [a], g)
+        want, want_x = ref_pair_cosine(a.values, indptr, indices, g)
+        np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    """Max abs difference within ``rtol`` of the larger array's max magnitude."""
+    assert got.shape == want.shape
+    scale = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0))
+    assert np.abs(got - want).max(initial=0.0) <= rtol * scale
+
+
+def _symmetric_pattern_ops(pattern, x, w, g_slot, g_node):
+    """Values and gradients of pair_dot(x, x), pair_cosine(x) and spmm(w, x)."""
+    xt = dk.Tensor(x, requires_grad=True)
+    wt = dk.Tensor(w, requires_grad=True)
+    return [_taped(lambda: dk.pair_dot(xt, xt, pattern), [xt], g_slot),
+            _taped(lambda: dk.pair_cosine(xt, pattern), [xt], g_slot),
+            _taped(lambda: dk.spmm(wt, xt, pattern), [wt, xt], g_node)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
+       isolated=st.integers(0, 3), edge_prob=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       self_pairs=st.booleans())
+def test_symmetric_fast_path_matches_general_path(seed, n, isolated, edge_prob,
+                                                  self_pairs):
+    # one random symmetric pattern, once with ``reverse`` (fast path) and once
+    # without (general path); edge_prob 0 or isolated >= n gives the empty one
+    rng = np.random.default_rng(seed)
+    fast = random_pattern(rng, n, True, isolated=isolated, edge_prob=edge_prob,
+                          self_pairs=self_pairs)
+    general = dk.Pattern(fast.indptr, fast.indices, n, n)
+    slots, d = fast.indices.size, 3
+    x = rng.standard_normal((n, d))
+    x[rng.random(n) < 0.2] = 0.0  # zero rows sit under the cosine guard
+    w = rng.standard_normal((slots, 1))
+    g_slot, g_node = rng.standard_normal(slots), rng.standard_normal((n, d))
+    for (out_f, grads_f), (out_g, grads_g) in zip(
+            _symmetric_pattern_ops(fast, x, w, g_slot, g_node),
+            _symmetric_pattern_ops(general, x, w, g_slot, g_node)):
+        assert np.array_equal(out_f, out_g)
+        for got, want in zip(grads_f, grads_g):
+            _assert_rel_close(got, want)
+
+
+def test_symmetric_pattern_halves_sddmms_and_runs_no_csc_product(monkeypatch):
+    rng = np.random.default_rng(3)
+    pattern = random_pattern(rng, 8, True, self_pairs=True)
+    upper = pattern.rows <= pattern.indices
+    assert 0 < upper.sum() < pattern.indices.size
+    seen = []
+    real_sampled_dot = dk._sampled_dot
+
+    def recording(a, b, rows, cols):
+        seen.append((rows.copy(), cols.copy()))
+        return real_sampled_dot(a, b, rows, cols)
+
+    def no_transpose(*args, **kwargs):
+        raise AssertionError("CSC product on a symmetric pattern")
+
+    monkeypatch.setattr(dk, "_sampled_dot", recording)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "transpose", no_transpose)
+    x = dk.Tensor(rng.standard_normal((8, 3)), requires_grad=True)
+    with dk.Tape() as tape:
+        dots = dk.pair_dot(x, x, pattern)
+        cos = dk.pair_cosine(x, pattern)
+        loss = dk.add(dk.sum(dots), dk.sum(cos))
+    assert len(seen) == 2
+    for rows, cols in seen:
+        assert np.array_equal(rows, pattern.rows[upper])
+        assert np.array_equal(cols, pattern.indices[upper])
+    tape.backward(loss)
+    w = dk.Tensor(rng.standard_normal((pattern.indices.size, 1)), requires_grad=True)
+    with dk.Tape() as tape:
+        loss = dk.sum(dk.spmm(w, x, pattern))
+    tape.backward(loss)
+    # the general path takes the transpose, so the guard is live
+    general = dk.Pattern(pattern.indptr, pattern.indices, 8, 8)
+    with pytest.raises(AssertionError, match="CSC"):
+        with dk.Tape() as tape:
+            loss = dk.sum(dk.spmm(w, x, general))
+        tape.backward(loss)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -499,6 +590,19 @@ def test_spmm_skips_gradient_of_frozen_side():
     grads = tape.backward(loss)
     assert np.array_equal(grads[x], [[2.0, 2.0], [0.5, 0.5]])
     assert w not in grads
+
+
+@pytest.mark.parametrize("op", [dk.matmul, dk.add, dk.elementwise_mul])
+def test_dense_ops_skip_gradient_of_frozen_side(op):
+    frozen = dk.Tensor([[1.0, 2.0], [3.0, 4.0]])
+    live = dk.Tensor([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)
+    for a, b in ((frozen, live), (live, frozen)):
+        with dk.Tape() as tape:
+            op(a, b)
+        (_, bwd), = tape._entries
+        grads = {id(t): grad for t, grad in bwd(np.ones((2, 2)))}
+        assert grads[id(frozen)] is None
+        assert grads[id(live)].shape == (2, 2)
 
 
 def test_pair_cosine_zero_row_and_guarded_pair_get_exact_zero_gradient():

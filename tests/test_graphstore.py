@@ -1,6 +1,7 @@
 """Graph container, disk format, generator and rewiring tests."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,9 @@ def test_constructor_validates_csr():
         AttributedGraph("g", 2, [0, 1], [1, 0], feats)
     with pytest.raises(DataError, match="symmetric"):
         AttributedGraph("g", 2, [0, 1, 1], [1], feats)
+    # a directed 3-cycle: the transpose has the same row widths, other columns
+    with pytest.raises(DataError, match="symmetric"):
+        AttributedGraph("g", 3, [0, 1, 2, 3], [1, 2, 0], np.zeros((3, 1)))
     with pytest.raises(DataError, match="self-loops"):
         AttributedGraph("g", 2, [0, 1, 1], [0], feats)
     with pytest.raises(DataError, match="sorted"):
@@ -61,6 +65,35 @@ def test_constructor_validates_csr():
         build_graph("g", 2, [(0, 1)], np.array([[np.nan], [0.0]]))
     with pytest.raises(DataError, match="0 or 1"):
         build_graph("g", 2, [(0, 1)], feats, labels=[0, 2])
+
+
+def ref_csr_arrays(n, edges):
+    """indptr, indices and mirror slots of the simple graph on ``edges``,
+    from ``np.unique`` of the slot keys and a ``searchsorted`` over them."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    both = np.concatenate([edges, edges[:, ::-1]])
+    keys = np.unique(both[:, 0] * n + both[:, 1])
+    src, dst = keys // n, keys % n
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return indptr, dst, np.searchsorted(keys, dst * n + src)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=40))))
+def test_build_graph_matches_unique_searchsorted_reference(case):
+    # small node counts make duplicates, both orientations, self-loops and
+    # isolated nodes common
+    n, edges = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = build_graph("g", n, edges, np.zeros((n, 1)))
+    for got, want in zip((g.indptr, g.indices, g.reverse_slot), ref_csr_arrays(n, edges)):
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.astype(np.int64).tobytes()
+    assert g.pattern.reverse is g.reverse_slot
 
 
 def test_trailing_isolated_node_is_valid():

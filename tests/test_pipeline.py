@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import edit_json, mutate_bytes
 from ttgad import diffkernel as dk
-from ttgad import losses, pipeline
+from ttgad import evaluation, losses, pipeline
 from ttgad.diffkernel import Tensor
 from ttgad.errors import CheckpointError, ConfigError, DataError
 from ttgad.gnn import forward_embeddings, init_bundle, init_encoder, predict
@@ -296,6 +296,19 @@ class TestTrainSource:
                            source_epochs=60, lr=0.02)
         _, _, log = train_source(graph, cfg)
         assert log[-1]["auroc"] == 1.0
+
+    def test_scoring_reproduces_logged_auroc_under_neighbor_cap(self):
+        # the log evaluates on the capped graph; scoring must see the same one
+        spec = SyntheticSpec(num_nodes=80, feature_dim=4, anomaly_rate=0.2,
+                             target_homophily=0.8, mean_degree=10.0,
+                             seed=6, name="capped")
+        graph = generate_synthetic(spec)
+        cfg = quick_config(neighbor_cap=3, source_epochs=5)
+        bundle, _, log = train_source(graph, cfg)
+        capped = evaluation.score_nodes(bundle, graph, neighbor_cap=cfg.neighbor_cap)
+        assert evaluation.auroc(capped.scores, graph.labels) == log[-1]["auroc_affinity"]
+        uncapped = evaluation.score_nodes(bundle, graph)
+        assert not np.array_equal(uncapped.scores, capped.scores)
 
     def test_loss_drops_on_real_graph(self):
         graph = generate_synthetic(small_spec(4, n=30))

@@ -557,11 +557,7 @@ def pair_cosine(x, pattern):
     xv = x.values
     sq = (xv * xv).sum(axis=1)
     norms = np.sqrt(sq)
-    if rev is None:
-        prod = norms[rows] * norms[indices]
-    else:
-        upper = pattern.upper
-        prod = _mirror(norms[rows[upper]] * norms[indices[upper]], pattern)
+    prod = norms[rows] * norms[indices]
     live = prod >= COSINE_EPS
     denom = np.maximum(prod, COSINE_EPS)
     c = _self_dot(xv, pattern) / denom

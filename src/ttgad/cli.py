@@ -186,8 +186,7 @@ def _cmd_eval(args):
     if graph.labels is None:
         raise DataError("labels required for eval")
     mode = args.mode or loaded.config.scoring_mode
-    ranking = evaluation.score_nodes(loaded.bundle, graph, mode=mode,
-                                     neighbor_cap=loaded.config.neighbor_cap)
+    ranking = evaluation.score_nodes(loaded.bundle, graph, mode=mode)
     metrics = evaluation.metric_result(ranking.scores, graph.labels)
     report = metrics.to_dict()
     report["scoring_mode"] = mode

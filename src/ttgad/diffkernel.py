@@ -49,7 +49,7 @@ from .errors import NumericalError, ShapeError
 __all__ = [
     "Tensor", "Tape", "Gradients",
     "matmul", "add", "concat_cols", "relu", "sigmoid", "elementwise_mul",
-    "negate", "scalar_mul", "sum", "transpose", "masked_row_softmax",
+    "scalar_mul", "sum", "transpose", "masked_row_softmax",
     "Pattern", "segment_softmax", "segment_mean", "reverse_min",
     "pair_dot", "spmm", "pair_cosine",
     "binary_cross_entropy", "dropout",
@@ -221,13 +221,6 @@ def elementwise_mul(a, b):
     av, bv = a.values, b.values
     _emit(out, lambda g: ((a, _unbroadcast(g * bv, a.shape) if a.requires_grad else None),
                           (b, _unbroadcast(g * av, b.shape) if b.requires_grad else None)))
-    return out
-
-
-def negate(x):
-    x = _as_tensor(x)
-    out = _make("negate", -x.values, x)
-    _emit(out, lambda g: ((x, -g),))
     return out
 
 

@@ -37,19 +37,17 @@ class AnomalyRanking:
     isolated: np.ndarray
 
 
-def score_nodes(bundle, graph, mode="affinity", domain=None, neighbor_cap=None):
+def score_nodes(bundle, graph, mode="affinity", domain=None):
     """Rank nodes by anomaly score using a deterministic eval-mode forward.
 
     ``domain`` picks the encoder; by default the target encoder is used
-    when the bundle has one, the source encoder otherwise. ``neighbor_cap``
-    caps the forward's neighborhoods as in training and adaptation, so a
-    capped model is scored on the graph it was selected on.
+    when the bundle has one, the source encoder otherwise.
     """
     if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}")
     if domain is None:
         domain = "target" if bundle.target_encoder is not None else "source"
-    h, _ = gnn.forward_embeddings(bundle, graph, domain, neighbor_cap=neighbor_cap)
+    h, _ = gnn.forward_embeddings(bundle, graph, domain)
     isolated = graph.degrees == 0
     if mode == "affinity":
         aff = losses.affinity_scores(h, graph)

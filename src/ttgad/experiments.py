@@ -123,8 +123,7 @@ def homophily_sweep(levels=DEFAULT_LEVELS, seeds=5, num_nodes=400,
             graph_l = rewire_to_homophily(base, level, seed=5000 + 131 * s + idx,
                                           max_swaps_factor=400)
             adapted, _ = adapt_target(bundle_s, centroids_s, graph_l, config)
-            ranking = evaluation.score_nodes(adapted, graph_l, mode="affinity",
-                                             neighbor_cap=config.neighbor_cap)
+            ranking = evaluation.score_nodes(adapted, graph_l, mode="affinity")
             metrics = evaluation.metric_result(ranking.scores, graph_l.labels)
             stats = compute_stats(graph_l)
             results[level]["auroc"].append(metrics.auroc)
@@ -200,11 +199,10 @@ def adaptation_benefit(seeds=10, num_nodes=400, feature_dim=12, target_dim=18,
         frozen, _ = adapt_target(bundle, centroids, graph_t,
                                  replace(adapt_cfg, ttt_max_epochs=0))
         adapted, trace = adapt_target(bundle, centroids, graph_t, adapt_cfg)
-        cap = adapt_cfg.neighbor_cap
         before = evaluation.auroc(
-            evaluation.score_nodes(frozen, graph_t, neighbor_cap=cap).scores, graph_t.labels)
+            evaluation.score_nodes(frozen, graph_t).scores, graph_t.labels)
         after = evaluation.auroc(
-            evaluation.score_nodes(adapted, graph_t, neighbor_cap=cap).scores, graph_t.labels)
+            evaluation.score_nodes(adapted, graph_t).scores, graph_t.labels)
         wins += after >= before
         strict += after > before
         per_seed.append({"seed": s, "auroc_before": before,

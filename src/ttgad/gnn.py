@@ -33,7 +33,7 @@ __all__ = [
     "compute_attention", "symmetrize_attention",
     "nsaw_layer_forward", "forward_embeddings", "predict",
     "init_encoder", "init_bundle", "assemble_bundle",
-    "parameter_shapes", "capped_graph",
+    "parameter_shapes",
 ]
 
 
@@ -275,30 +275,8 @@ def nsaw_layer_forward(layer, h, graph, weights):
     return dk.relu(dk.add(dk.matmul(stacked, dk.transpose(layer.W)), layer.b))
 
 
-def capped_graph(graph, cap):
-    """Subgraph keeping at most ``cap`` lowest-id neighbors per node.
-
-    A slot survives only if both endpoints keep each other, so the result
-    stays symmetric. Deterministic (no sampling).
-    """
-    if cap is None or graph.num_slots == 0:
-        return graph
-    if cap < 1:
-        raise ConfigError("neighbor cap must be at least 1")
-    pos_in_row = np.arange(graph.num_slots) - graph.indptr[graph.slot_src]
-    keep = pos_in_row < cap
-    keep &= keep[graph.reverse_slot]
-    if keep.all():
-        return graph
-    counts = np.zeros(graph.num_nodes, dtype=np.int64)
-    np.add.at(counts, graph.slot_src[keep], 1)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return AttributedGraph(graph.name, graph.num_nodes, indptr,
-                           graph.indices[keep], graph.features, graph.labels)
-
-
 def forward_embeddings(bundle, graph, domain, training=False, rng=None,
-                       dropout_rate=0.0, neighbor_cap=None):
+                       dropout_rate=0.0):
     """Full forward pass; returns (final embeddings, per-layer attention).
 
     In training mode, dropout is applied to each layer's input (including the
@@ -307,19 +285,18 @@ def forward_embeddings(bundle, graph, domain, training=False, rng=None,
     """
     if training and dropout_rate > 0.0 and rng is None:
         raise ConfigError("training-mode forward needs an rng for dropout")
-    g = capped_graph(graph, neighbor_cap)
     encoder = bundle.encoder_for(domain)
-    h = encoder.project(g.features)
+    h = encoder.project(graph.features)
     attentions = AttentionMatrices()
     if not bundle.nsaw_enabled:
-        weights = dk.Tensor((1.0 / g.degrees[g.slot_src]).reshape(-1, 1))
+        weights = dk.Tensor((1.0 / graph.degrees[graph.slot_src]).reshape(-1, 1))
     for layer in bundle.layers:
         x = dk.dropout(h, dropout_rate, rng, training)
         if bundle.nsaw_enabled:
-            pre = compute_attention(layer, x, g)
-            weights = symmetrize_attention(pre, g)
-            attentions.layers.append(LayerAttention(pre_sym=pre, sym=weights, graph=g))
-        h = nsaw_layer_forward(layer, x, g, weights)
+            pre = compute_attention(layer, x, graph)
+            weights = symmetrize_attention(pre, graph)
+            attentions.layers.append(LayerAttention(pre_sym=pre, sym=weights, graph=graph))
+        h = nsaw_layer_forward(layer, x, graph, weights)
     return h, attentions
 
 

@@ -190,7 +190,7 @@ def save_graph(graph, path):
         "has_labels": graph.labels is not None,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    lines = [f"{u}\t{v}\n" for u, v in graph.undirected_edges]
+    lines = [f"{u}\t{v}\n" for u, v in graph.undirected_edges.tolist()]
     (out / "edges.tsv").write_text("".join(lines))
     (out / "features.bin").write_bytes(
         np.ascontiguousarray(graph.features, dtype="<f4").tobytes()
@@ -476,9 +476,10 @@ def generate_synthetic(spec):
 # ---------------------------------------------------------------------------
 # Rewiring
 
+REWIRE_TOLERANCE = 0.03
 
-def rewire_to_homophily(graph, target_homophily, seed=0, tolerance=0.03,
-                        max_swaps_factor=50):
+
+def rewire_to_homophily(graph, target_homophily, seed=0, max_swaps_factor=50):
     """Degree-preserving double-edge swaps toward a target edge-label homophily.
 
     Each accepted swap replaces edges (a,b),(c,d) with (a,d),(c,b) or
@@ -486,7 +487,9 @@ def rewire_to_homophily(graph, target_homophily, seed=0, tolerance=0.03,
     they move the same-label edge count strictly toward the target. If the
     target is unreachable within ``max_swaps_factor * num_edges`` attempts
     (degree preservation bounds how low homophily can go), the best-effort
-    result is returned with a warning.
+    result is returned with a warning. A target below the degree-sum floor
+    stops as soon as the floor is reached, since no later swap could be
+    accepted.
     """
     if graph.labels is None:
         raise DataError("rewiring requires labels")
@@ -507,11 +510,15 @@ def rewire_to_homophily(graph, target_homophily, seed=0, tolerance=0.03,
     n = graph.num_nodes
     rng = np.random.default_rng(seed)
     budget = max_swaps_factor * m
+    # A cross-label edge adds 1 to each class's degree sum, and swaps keep
+    # every degree, so the same-label count never falls below this floor.
+    floor = m - int(min(graph.degrees[labels == 0].sum(), graph.degrees[labels == 1].sum()))
+    goal = max(target_count, floor)
     # Every swap moves the same-label count by 0 or 2, so its parity is
     # fixed; an off-parity target can only be approached to distance 1.
-    stop_distance = abs(cur - target_count) % 2
+    stop_distance = abs(cur - goal) % 2
     for _ in range(budget):
-        if abs(cur - target_count) <= stop_distance:
+        if abs(cur - goal) <= stop_distance:
             break
         i = int(rng.integers(m))
         j = int(rng.integers(m))
@@ -546,7 +553,7 @@ def rewire_to_homophily(graph, target_homophily, seed=0, tolerance=0.03,
         cur = cand
 
     realized = cur / m
-    if abs(realized - target_homophily) > tolerance:
+    if abs(realized - target_homophily) > REWIRE_TOLERANCE:
         warnings.warn(
             f"rewire: reached homophily {realized:.3f}, target {target_homophily:.3f} "
             "not attainable within budget (degree preservation bounds the range)",

@@ -202,7 +202,7 @@ def _self_supervised(h, graph, weights, rng, class_weights=None):
     weighted one reads 0 without ``class_weights``.
     """
     aff = affinity_scores(h, graph)
-    loss = dk.negate(dk.sum(aff.scores))
+    loss = dk.scalar_mul(dk.sum(aff.scores), -1.0)
     if weights.nonneighbor_weight == 0.0 and class_weights is None:
         return loss, aff, None, None
     sample = sample_nonneighbors(graph, weights.neg_samples_k, rng)

@@ -62,7 +62,6 @@ class RunConfig:
     scoring_mode: str = "affinity"
     nsaw_enabled: bool = True
     identity_encoder: bool = False
-    neighbor_cap: int | None = None
     weights: LossWeights = field(default_factory=LossWeights)
 
     def validate(self):
@@ -85,8 +84,6 @@ class RunConfig:
             raise ConfigError(f"ttt_init must be one of {TTT_INITS}")
         if self.scoring_mode not in evaluation.SCORING_MODES:
             raise ConfigError(f"scoring_mode must be one of {evaluation.SCORING_MODES}")
-        if self.neighbor_cap is not None and self.neighbor_cap < 1:
-            raise ConfigError("neighbor_cap must be at least 1")
         self.weights.validate()
         return self
 
@@ -117,7 +114,7 @@ def _check_field_types(obj):
     """Raise ConfigError unless each dataclass field holds its annotated type.
 
     Int fields take any integer and float fields any real number, but
-    neither takes a bool; ``X | None`` fields also take None.
+    neither takes a bool; a union field takes any of its members.
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -223,12 +220,6 @@ class AdaptationTrace:
         return asdict(self)
 
 
-def _eval_forward(bundle, graph, domain, config):
-    h, _ = forward_embeddings(bundle, graph, domain,
-                              neighbor_cap=config.neighbor_cap)
-    return h
-
-
 def train_source(graph, config, rng=None):
     """Fit the model on a labeled source graph.
 
@@ -255,15 +246,14 @@ def train_source(graph, config, rng=None):
     for epoch in range(1, config.source_epochs + 1):
         with dk.Tape() as tape:
             h, _ = forward_embeddings(bundle, graph, "source", training=True,
-                                      rng=rng, dropout_rate=config.dropout_rate,
-                                      neighbor_cap=config.neighbor_cap)
+                                      rng=rng, dropout_rate=config.dropout_rate)
             probs = predict(bundle, h)
             total, parts = losses.train_loss_parts(probs, h, graph,
                                                    config.weights, rng)
         grads = tape.backward(total)
         dk.adam_step(params, grads, state)
 
-        h_eval = _eval_forward(bundle, graph, "source", config)
+        h_eval, _ = forward_embeddings(bundle, graph, "source")
         probs_eval = predict(bundle, h_eval)
         aff = losses.affinity_scores(h_eval, graph)
         entry = {"epoch": epoch}
@@ -272,7 +262,7 @@ def train_source(graph, config, rng=None):
         entry["auroc_affinity"] = evaluation.auroc(-aff.values(), labels)
         log.append(entry)
 
-    h_final = _eval_forward(bundle, graph, "source", config)
+    h_final, _ = forward_embeddings(bundle, graph, "source")
     centroids = ClassCentroids.from_embeddings(h_final.values, labels)
     return bundle, centroids, log
 
@@ -347,7 +337,7 @@ def adapt_target(bundle, centroids, graph, config, rng=None):
                             and (valid & (graph.labels == 1)).any())
 
     def eval_pass():
-        h = _eval_forward(work, graph, "target", config)
+        h, _ = forward_embeddings(work, graph, "target")
         score = early_stop_score(h.values, centroids)
         margin = None
         if track_margin:
@@ -365,8 +355,7 @@ def adapt_target(bundle, centroids, graph, config, rng=None):
     for epoch in range(1, config.ttt_max_epochs + 1):
         with dk.Tape() as tape:
             h, _ = forward_embeddings(work, graph, "target", training=True,
-                                      rng=rng, dropout_rate=config.dropout_rate,
-                                      neighbor_cap=config.neighbor_cap)
+                                      rng=rng, dropout_rate=config.dropout_rate)
             loss = losses.ttt_loss(h, graph, config.weights, rng)
         grads = tape.backward(loss)
         dk.adam_step(params, grads, state)

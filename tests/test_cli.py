@@ -134,6 +134,13 @@ class TestTrain:
                      str(tmp_path / "o")]) == 1
         assert "p must be of type int" in capsys.readouterr().err
 
+    def test_removed_neighbor_cap_key_exits_1(self, workspace, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **SMALL, neighbor_cap=3,
+                           source_graph=str(workspace["source"]))
+        assert main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "unknown config key 'neighbor_cap'" in capsys.readouterr().err
+
     def test_invalid_json_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -268,6 +275,17 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad),
                      "--graph", str(workspace["target"])]) == 2
         assert "needs a 'config' object" in capsys.readouterr().err
+
+    def test_checkpoint_with_neighbor_cap_exits_2(self, workspace, tmp_path, capsys):
+        raw = workspace["checkpoint"].read_bytes()
+        cut = raw.index(b"\n")
+        header = json.loads(raw[:cut])
+        header["config"]["neighbor_cap"] = None
+        bad = tmp_path / "old.bin"
+        bad.write_bytes(json.dumps(header).encode() + raw[cut:])
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--graph", str(workspace["target"])]) == 2
+        assert "unknown config key 'neighbor_cap'" in capsys.readouterr().err
 
     def test_nonfinite_checkpoint_tensor_exits_2(self, workspace, tmp_path, capsys):
         raw = workspace["checkpoint"].read_bytes()

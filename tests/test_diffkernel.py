@@ -188,7 +188,6 @@ def test_elementwise_ops_against_numpy():
     assert np.array_equal(dk.relu(dk.Tensor(x)).values, np.maximum(x, 0))
     np.testing.assert_allclose(dk.sigmoid(dk.Tensor(x)).values,
                                1 / (1 + np.exp(-x)))
-    assert np.array_equal(dk.negate(dk.Tensor(x)).values, -x)
     assert np.array_equal(dk.scalar_mul(dk.Tensor(x), 2.5).values, 2.5 * x)
     y = np.array([[2.0, -1.0, 0.5]])
     assert np.array_equal(

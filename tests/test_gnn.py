@@ -375,37 +375,6 @@ def test_attention_dense_views(path3):
 
 
 # ---------------------------------------------------------------------------
-# Neighbor capping
-
-
-def test_capped_graph_noop_when_cap_exceeds_degree(star5):
-    assert gnn.capped_graph(star5, 10) is star5
-    assert gnn.capped_graph(star5, None) is star5
-
-
-def test_capped_graph_stays_symmetric(star5):
-    capped = gnn.capped_graph(star5, 1)
-    # Center keeps only leaf 1; other leaves drop their center slot too.
-    assert capped.num_edges == 1
-    assert capped.has_edge(0, 1) and capped.has_edge(1, 0)
-    capped.reverse_slot  # validates symmetry internally
-
-
-def test_capped_graph_rejects_bad_cap(star5):
-    with pytest.raises(ConfigError, match="cap"):
-        gnn.capped_graph(star5, 0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 14), st.integers(1, 5))
-def test_capped_graph_degrees_bounded(seed, n, cap):
-    g = random_graph(np.random.default_rng(seed), n)
-    capped = gnn.capped_graph(g, cap)
-    assert capped.degrees.max(initial=0) <= cap
-    assert capped.num_nodes == g.num_nodes
-
-
-# ---------------------------------------------------------------------------
 # Random attention contract sweep
 
 

@@ -406,3 +406,100 @@ def test_rewire_warns_when_target_unreachable():
     with pytest.warns(UserWarning, match="not attainable"):
         out = rewire_to_homophily(g, 0.0, seed=3)
     assert np.array_equal(out.degrees, g.degrees)
+
+
+def reference_rewire(graph, target_homophily, seed=0, max_swaps_factor=50):
+    """The swap loop as it ran before the degree-sum floor: every target
+    spends the whole budget unless it is met."""
+    m = graph.num_edges
+    edges = graph.undirected_edges.copy()
+    labels = graph.labels
+    same = labels[edges[:, 0]] == labels[edges[:, 1]]
+    cur = int(same.sum())
+    target_count = int(round(target_homophily * m))
+    keys = set((int(u) * graph.num_nodes + int(v)) for u, v in edges)
+    n = graph.num_nodes
+    rng = np.random.default_rng(seed)
+    stop_distance = abs(cur - target_count) % 2
+    for _ in range(max_swaps_factor * m):
+        if abs(cur - target_count) <= stop_distance:
+            break
+        i = int(rng.integers(m))
+        j = int(rng.integers(m))
+        flip = rng.random() < 0.5
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if len({int(a), int(b), int(c), int(d)}) != 4:
+            continue
+        p1, p2 = ((a, d), (c, b)) if flip else ((a, c), (b, d))
+        k1 = min(p1) * n + max(p1)
+        k2 = min(p2) * n + max(p2)
+        if k1 in keys or k2 in keys:
+            continue
+        new_same = int(labels[p1[0]] == labels[p1[1]]) + int(labels[p2[0]] == labels[p2[1]])
+        cand = cur + new_same - int(same[i]) - int(same[j])
+        if abs(cand - target_count) >= abs(cur - target_count):
+            continue
+        keys -= {min(a, b) * n + max(a, b), min(c, d) * n + max(c, d)}
+        keys |= {k1, k2}
+        edges[i] = (min(p1), max(p1))
+        edges[j] = (min(p2), max(p2))
+        same[i] = labels[p1[0]] == labels[p1[1]]
+        same[j] = labels[p2[0]] == labels[p2[1]]
+        cur = cand
+    return build_graph(graph.name, n, edges, graph.features, labels), cur / m
+
+
+@pytest.fixture(scope="module")
+def floored_graph():
+    # Anomalies are few and low-degree, so the degree-sum floor sits at 0.811:
+    # cross-label edges cannot outnumber the anomalies' degree sum.
+    spec = SyntheticSpec(num_nodes=150, feature_dim=3, anomaly_rate=0.2,
+                         target_homophily=0.9, mean_degree=6.0, seed=2)
+    return generate_synthetic(spec)
+
+
+@pytest.mark.parametrize("target", [0.3, 0.86, 1.0],
+                         ids=["below_floor", "in_range", "above_range"])
+def test_rewire_matches_reference_loop(floored_graph, target):
+    expected, realized = reference_rewire(floored_graph, target, seed=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = rewire_to_homophily(floored_graph, target, seed=4)
+    assert graphs_equal(out, expected)
+    assert (len(caught) == 1) == (abs(realized - target) > 0.03)
+
+
+class CountingRng:
+    """Counts swap attempts: each one draws exactly one ``random()``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.attempts = 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def random(self):
+        self.attempts += 1
+        return self.rng.random()
+
+
+def test_rewire_stops_at_degree_sum_floor(floored_graph, monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        made.append(CountingRng(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    with pytest.warns(UserWarning, match="not attainable"):
+        out = rewire_to_homophily(floored_graph, 0.0, seed=4, max_swaps_factor=400)
+    budget = 400 * floored_graph.num_edges
+    assert made[0].attempts < budget // 20
+    labels = out.labels
+    cross = int((labels[out.undirected_edges[:, 0]] != labels[out.undirected_edges[:, 1]]).sum())
+    assert cross == out.degrees[labels == 1].sum()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import edit_json, mutate_bytes
 from ttgad import diffkernel as dk
-from ttgad import evaluation, losses, pipeline
+from ttgad import losses, pipeline
 from ttgad.diffkernel import Tensor
 from ttgad.errors import CheckpointError, ConfigError, DataError
 from ttgad.gnn import forward_embeddings, init_bundle, init_encoder, predict
@@ -89,13 +89,11 @@ class TestRunConfig:
         ("num_layers", 0, "num_layers must be at least 1"),
         ("ttt_init", "warm", "ttt_init must be one of"),
         ("scoring_mode", "votes", "scoring_mode must be one of"),
-        ("neighbor_cap", 0, "neighbor_cap must be at least 1"),
         ("p", "eight", "p must be of type int"),
         ("p", True, "p must be of type int"),
         ("p", 8.0, "p must be of type int"),
         ("lr", "fast", "lr must be of type float"),
         ("lr", True, "lr must be of type float"),
-        ("neighbor_cap", 2.5, "neighbor_cap must be of type int"),
         ("nsaw_enabled", 1, "nsaw_enabled must be of type bool"),
         ("neg_samples_k", "5", "neg_samples_k must be of type int"),
         ("anomaly_weight", None, "anomaly_weight must be of type float"),
@@ -112,7 +110,7 @@ class TestRunConfig:
 
     def test_dict_round_trip_is_flat_and_json_safe(self):
         cfg = RunConfig(seed=7, lr=0.05, ttt_init="source",
-                        neighbor_cap=3,
+                        nsaw_enabled=False,
                         weights=LossWeights(anomaly_weight="auto",
                                             neg_samples_k=4))
         data = cfg.to_dict()
@@ -126,7 +124,7 @@ class TestRunConfig:
             RunConfig.from_dict({"momentum": 0.9})
 
     def test_type_check_accepts_compatible_values(self):
-        RunConfig.from_dict({"lr": 1, "dropout_rate": 0, "neighbor_cap": None,
+        RunConfig.from_dict({"lr": 1, "dropout_rate": 0, "anomaly_weight": 5,
                              "seed": np.int64(3)}).validate()
 
 
@@ -297,19 +295,6 @@ class TestTrainSource:
         _, _, log = train_source(graph, cfg)
         assert log[-1]["auroc"] == 1.0
 
-    def test_scoring_reproduces_logged_auroc_under_neighbor_cap(self):
-        # the log evaluates on the capped graph; scoring must see the same one
-        spec = SyntheticSpec(num_nodes=80, feature_dim=4, anomaly_rate=0.2,
-                             target_homophily=0.8, mean_degree=10.0,
-                             seed=6, name="capped")
-        graph = generate_synthetic(spec)
-        cfg = quick_config(neighbor_cap=3, source_epochs=5)
-        bundle, _, log = train_source(graph, cfg)
-        capped = evaluation.score_nodes(bundle, graph, neighbor_cap=cfg.neighbor_cap)
-        assert evaluation.auroc(capped.scores, graph.labels) == log[-1]["auroc_affinity"]
-        uncapped = evaluation.score_nodes(bundle, graph)
-        assert not np.array_equal(uncapped.scores, capped.scores)
-
     def test_loss_drops_on_real_graph(self):
         graph = generate_synthetic(small_spec(4, n=30))
         _, _, log = train_source(graph, quick_config(source_epochs=25))
@@ -421,8 +406,7 @@ class TestAdaptTarget:
         graph = generate_synthetic(small_spec(13, feature_dim=5))
         cfg.ttt_max_epochs = 8
         adapted, trace = adapt_target(bundle, centroids, graph, cfg)
-        h, _ = forward_embeddings(adapted, graph, "target",
-                                  neighbor_cap=cfg.neighbor_cap)
+        h, _ = forward_embeddings(adapted, graph, "target")
         assert early_stop_score(h.values, centroids) == trace.best_score
         recorded = [trace.initial_score] + [e["score"] for e in trace.epochs]
         assert trace.best_score == max(recorded)
@@ -709,8 +693,11 @@ class TestCheckpoints:
          "malformed tensor descriptor"),
         (lambda h: h["config"].__setitem__("attn_dim", 10 ** 12),
          "config sizes do not fit in memory"),
+        # every header written while RunConfig had neighbor_cap stores it as null
+        (lambda h: h["config"].__setitem__("neighbor_cap", None),
+         "unknown config key 'neighbor_cap'"),
     ], ids=["config_not_object", "tensors_not_list", "name_not_string",
-            "config_too_large"])
+            "config_too_large", "removed_config_key"])
     def test_bad_header_rejected(self, tmp_path, edit, msg):
         bundle, centroids, cfg = trained_pair(seed=22)
         path = tmp_path / "m.bin"

@@ -50,7 +50,14 @@ class ProjectionEncoder:
 
     def project(self, features):
         """Map raw node features into the shared embedding space."""
-        x = dk.Tensor(features)
+        if np.ndim(features) == 2:
+            # A read-only view: a forward reads the features and never
+            # needs its own copy of them.
+            values = np.ascontiguousarray(features, dtype=np.float64).view()
+            values.flags.writeable = False
+            x = dk.Tensor._wrap(values, False)
+        else:
+            x = dk.Tensor(features)
         if self.weight is None:
             return x
         if self.weight.shape[1] != x.shape[1]:

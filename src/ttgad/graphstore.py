@@ -13,6 +13,7 @@ Disk layout of a graph bundle directory:
     labels.tsv     one integer per line (0 normal, 1 anomaly), if labeled
 """
 
+import copy
 import json
 import math
 import warnings
@@ -136,8 +137,11 @@ class AttributedGraph:
         """The same graph with its labels dropped (self if already unlabeled)."""
         if self.labels is None:
             return self
-        return AttributedGraph(self.name, self.num_nodes, self.indptr,
-                               self.indices, self.features)
+        # Nothing validated depends on the labels, so the copy shares the
+        # arrays and the pattern instead of proving them again.
+        bare = copy.copy(self)
+        bare.labels = None
+        return bare
 
     def __repr__(self):
         lab = "labeled" if self.labels is not None else "unlabeled"
@@ -207,8 +211,54 @@ def _read_text(path):
         raise GraphFormatError(f"{path.name} is not valid UTF-8: {e}") from e
 
 
+# Any run of up to 18 decimal digits fits in int64 (whose max has 19).
+_MAX_ID_DIGITS = 18
+
+
+def _canonical_edges(raw, num_nodes):
+    """The (m, 2) id array of ``edges.tsv`` bytes in exactly the layout
+    :func:`save_graph` writes, with every id below ``num_nodes``.
+
+    Returns None for any other bytes, so the caller's line loop can accept
+    the looser layouts it allows and name the line of a bad one.
+    """
+    if not raw:
+        return np.zeros((0, 2), dtype=np.int64)
+    if raw.translate(None, b"0123456789\t\n") or not raw.endswith(b"\n"):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero(b < ord("0"))
+    if seps.size % 2 or not ((b[seps[0::2]] == ord("\t")).all()
+                             and (b[seps[1::2]] == ord("\n")).all()):
+        return None
+    widths = np.diff(seps, prepend=-1) - 1
+    if widths.min() < 1 or widths.max() > _MAX_ID_DIGITS:
+        return None
+    ids = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if ids.size != seps.size or int(ids.max()) >= num_nodes:
+        return None
+    return ids.reshape(-1, 2)
+
+
+def _canonical_labels(raw, num_nodes):
+    """Labels from ``labels.tsv`` bytes that are exactly ``num_nodes`` lines
+    of ``0\\n`` or ``1\\n``; None for any other bytes."""
+    if len(raw) != 2 * num_nodes:
+        return None
+    digits = raw[0::2]
+    if digits.translate(None, b"01") or raw[1::2].translate(None, b"\n"):
+        return None
+    return np.frombuffer(digits, dtype=np.uint8).astype(np.int64) - ord("0")
+
+
 def load_graph(path):
-    """Read a graph bundle directory written by :func:`save_graph`."""
+    """Read a graph bundle directory written by :func:`save_graph`.
+
+    ``edges.tsv`` and ``labels.tsv`` in exactly the layout ``save_graph``
+    writes are parsed as whole arrays. Any other file, such as one with
+    CRLF line ends, blank lines or spaces around ids, goes through a line
+    reader, which also names the first bad line.
+    """
     root = Path(path)
     meta_path = root / "meta.json"
     if not meta_path.is_file():
@@ -232,20 +282,23 @@ def load_graph(path):
     edges_path = root / "edges.tsv"
     if not edges_path.is_file():
         raise GraphFormatError(f"missing edges.tsv under {root}")
-    edges = []
-    for lineno, line in enumerate(_read_text(edges_path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise GraphFormatError(f"edges.tsv line {lineno}: expected 'u\\tv'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise GraphFormatError(f"edges.tsv line {lineno}: non-integer id") from e
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edges.tsv line {lineno}: node id out of range")
-        edges.append((u, v))
+    edges = _canonical_edges(edges_path.read_bytes(), n)
+    if edges is None:
+        edges = []
+        for lineno, line in enumerate(_read_text(edges_path).splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise GraphFormatError(f"edges.tsv line {lineno}: expected 'u\\tv'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as e:
+                raise GraphFormatError(f"edges.tsv line {lineno}: non-integer id") from e
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"edges.tsv line {lineno}: node id out of range")
+            edges.append((u, v))
+        edges = np.array(edges, dtype=np.int64)
 
     feat_path = root / "features.bin"
     if not feat_path.is_file():
@@ -263,20 +316,24 @@ def load_graph(path):
         lab_path = root / "labels.tsv"
         if not lab_path.is_file():
             raise GraphFormatError(f"missing labels.tsv under {root}")
-        entries = [ln for ln in _read_text(lab_path).splitlines() if ln.strip()]
-        if len(entries) != n:
-            raise GraphFormatError(
-                f"labels.tsv has {len(entries)} entries, expected {n}"
-            )
-        try:
-            labels = np.array([int(x) for x in entries], dtype=np.int64)
-        except ValueError as e:
-            raise GraphFormatError("labels.tsv: non-integer label") from e
-        if labels.size and not np.isin(labels, (0, 1)).all():
-            raise GraphFormatError("labels.tsv: labels must be 0 or 1")
+        labels = _canonical_labels(lab_path.read_bytes(), n)
+        if labels is None:
+            entries = [ln for ln in _read_text(lab_path).splitlines() if ln.strip()]
+            if len(entries) != n:
+                raise GraphFormatError(
+                    f"labels.tsv has {len(entries)} entries, expected {n}"
+                )
+            try:
+                labels = np.array([int(x) for x in entries], dtype=np.int64)
+            except ValueError as e:
+                raise GraphFormatError("labels.tsv: non-integer label") from e
+            except OverflowError as e:
+                raise GraphFormatError("labels.tsv: labels must be 0 or 1") from e
+            if labels.size and not np.isin(labels, (0, 1)).all():
+                raise GraphFormatError("labels.tsv: labels must be 0 or 1")
 
     try:
-        return build_graph(meta["name"], n, np.array(edges, dtype=np.int64), features, labels)
+        return build_graph(meta["name"], n, edges, features, labels)
     except DataError as e:
         raise GraphFormatError(str(e)) from e
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edit_json, mutate_bytes
+from ttgad import graphstore
 from ttgad.errors import DataError, GraphFormatError
 from ttgad.graphstore import (AttributedGraph, SyntheticSpec, build_graph,
                               compute_stats, generate_synthetic, graphs_equal,
@@ -117,6 +118,15 @@ def test_without_labels(path3):
     assert bare is not path3
     assert bare.without_labels() is bare
     assert np.array_equal(bare.indices, path3.indices)
+
+
+def test_without_labels_shares_the_validated_pattern(triangle_iso):
+    bare = triangle_iso.without_labels()
+    rebuilt = build_graph(triangle_iso.name, triangle_iso.num_nodes,
+                          triangle_iso.undirected_edges, triangle_iso.features)
+    assert graphs_equal(bare, rebuilt)
+    assert bare.pattern is triangle_iso.pattern
+    assert triangle_iso.labels is not None
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +260,13 @@ def test_load_rejects_bad_labels(tmp_path, path3):
         load_graph(root)
 
 
+def test_load_refuses_label_beyond_int64(tmp_path, path3):
+    root = save_graph(path3, tmp_path / "g")
+    (root / "labels.tsv").write_text("0\n1\n" + "1" * 20 + "\n")
+    with pytest.raises(GraphFormatError, match="labels must be 0 or 1"):
+        load_graph(root)
+
+
 @pytest.fixture(scope="module")
 def saved_graph(tmp_path_factory):
     spec = SyntheticSpec(num_nodes=12, feature_dim=2, anomaly_rate=0.25,
@@ -277,6 +294,115 @@ def test_fuzzed_graph_loads_or_raises_data_error(saved_graph, data):
         load_graph(root)
     except DataError:
         pass
+
+
+def ref_load_graph(root):
+    """``load_graph`` with the line loops it ran for every ``edges.tsv`` and
+    ``labels.tsv`` before the vectorised parse (a label beyond int64 is
+    refused as not 0 or 1 rather than escaping as ``OverflowError``); the
+    other files are taken as valid."""
+    meta = json.loads((root / "meta.json").read_text())
+    n, d = meta["num_nodes"], meta["feature_dim"]
+    edges = []
+    for lineno, line in enumerate(graphstore._read_text(root / "edges.tsv").splitlines(),
+                                  start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphFormatError(f"edges.tsv line {lineno}: expected 'u\\tv'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as e:
+            raise GraphFormatError(f"edges.tsv line {lineno}: non-integer id") from e
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edges.tsv line {lineno}: node id out of range")
+        edges.append((u, v))
+    raw = (root / "features.bin").read_bytes()
+    features = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
+    labels = None
+    if meta["has_labels"]:
+        text = graphstore._read_text(root / "labels.tsv")
+        entries = [ln for ln in text.splitlines() if ln.strip()]
+        if len(entries) != n:
+            raise GraphFormatError(f"labels.tsv has {len(entries)} entries, expected {n}")
+        try:
+            labels = np.array([int(x) for x in entries], dtype=np.int64)
+        except ValueError as e:
+            raise GraphFormatError("labels.tsv: non-integer label") from e
+        except OverflowError as e:
+            raise GraphFormatError("labels.tsv: labels must be 0 or 1") from e
+        if labels.size and not np.isin(labels, (0, 1)).all():
+            raise GraphFormatError("labels.tsv: labels must be 0 or 1")
+    try:
+        return build_graph(meta["name"], n, np.array(edges, dtype=np.int64),
+                           features, labels)
+    except DataError as e:
+        raise GraphFormatError(str(e)) from e
+
+
+def outcome(load, root):
+    """The loaded graph, or the type and message of the error raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return load(root)
+    except DataError as e:
+        return type(e), str(e)
+
+
+# Pieces that sit on either side of the canonical layout: ids that are
+# still in range or not, every separator the line reader treats apart,
+# signs, a byte that is not UTF-8 and an id too long for int64.
+TSV_PIECES = [b"0", b"1", b"3", b"9", b"00", b"\t", b"\n", b"\r", b"\r\n", b" ",
+              b"+", b"-", b"\xff", b"1" * 20]
+
+
+def mutate_tsv(data, raw):
+    """Up to three insertions of ``TSV_PIECES`` or deletions of a short run."""
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        pos = data.draw(st.integers(0, len(raw)), label="position")
+        if raw and data.draw(st.booleans(), label="delete"):
+            width = data.draw(st.integers(1, 4), label="width")
+            raw = raw[:pos] + raw[pos + width:]
+        else:
+            raw = raw[:pos] + data.draw(st.sampled_from(TSV_PIECES), label="piece") + raw[pos:]
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_matches_line_loop_reference(saved_graph, data):
+    files = {p.name: p.read_bytes() for p in saved_graph.iterdir()}
+    name = data.draw(st.sampled_from(["edges.tsv", "labels.tsv"]), label="file")
+    files[name] = mutate_tsv(data, files[name])
+    root = saved_graph.with_name("mutated")
+    root.mkdir(exist_ok=True)
+    for fname, raw in files.items():
+        (root / fname).write_bytes(raw)
+    got, want = outcome(load_graph, root), outcome(ref_load_graph, root)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert graphs_equal(got, want)
+
+
+def test_saved_graph_loads_without_the_line_loop(tmp_path, monkeypatch, edgeless3):
+    # save_graph's own layout never reaches the line reader
+    read_text = graphstore._read_text
+
+    def refuse_tsv(path):
+        if path.suffix == ".tsv":
+            raise AssertionError(f"{path.name} went through the line loop")
+        return read_text(path)
+
+    monkeypatch.setattr(graphstore, "_read_text", refuse_tsv)
+    spec = SyntheticSpec(num_nodes=300, feature_dim=3, anomaly_rate=0.1,
+                         target_homophily=0.8, mean_degree=6.0, seed=4)
+    for i, graph in enumerate([generate_synthetic(spec), edgeless3]):
+        for g in (graph, graph.without_labels()):
+            root = save_graph(g, tmp_path / f"g{i}{g.labels is None}")
+            assert graphs_equal(load_graph(root), g)
 
 
 @settings(max_examples=30, deadline=None)

@@ -327,6 +327,20 @@ def trained_pair(seed=0, feature_dim=4, **overrides):
     return bundle, centroids, cfg
 
 
+def test_graph_features_untouched_by_training_and_adaptation():
+    # the encoders read the features through a read-only view, not a copy
+    source = generate_synthetic(small_spec(2))
+    target = generate_synthetic(small_spec(3)).without_labels()
+    kept = source.features.tobytes(), target.features.tobytes()
+    for identity in (False, True):
+        cfg = quick_config(dropout_rate=0.3, identity_encoder=identity)
+        bundle, centroids, _ = train_source(source, cfg)
+        if not identity:
+            adapt_target(bundle, centroids, target, cfg)
+    assert (source.features.tobytes(), target.features.tobytes()) == kept
+    assert source.features.flags.writeable and target.features.flags.writeable
+
+
 class TestAdaptTarget:
     def test_requires_centroids(self):
         bundle, _, cfg = trained_pair()

@@ -4,7 +4,7 @@ Subcommands: gen, train, adapt, eval, exp-margin, exp-homophily, gradcheck.
 Runs are driven by a JSON config file (flat run settings plus the paths
 source_graph / target_graph / output_dir); command-line flags override the
 file. Exit codes: 0 success, 1 usage, config or other package error,
-2 data error (including mismatched shapes), 3 numerical failure.
+2 data error (including mismatched shapes) or OS error, 3 numerical failure.
 """
 
 import argparse

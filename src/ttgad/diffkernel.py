@@ -33,6 +33,8 @@ Design constraints honored throughout:
 
 - all math in float64; every op validates that its output is finite;
 - relu has zero derivative at exactly 0;
+- a dense layer is one :func:`linear` record, whose bias is the only
+  broadcast; :func:`add` and :func:`elementwise_mul` take equal shapes;
 - guarded denominators: cosine uses eps = 1e-12, softmax subtracts the
   per-row/per-segment max before exponentiation;
 - pattern ops give empty rows an all-zero output and route exactly zero
@@ -48,8 +50,8 @@ from .errors import NumericalError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "Gradients",
-    "matmul", "add", "concat_cols", "relu", "sigmoid", "elementwise_mul",
-    "scalar_mul", "sum", "transpose", "masked_row_softmax",
+    "matmul", "linear", "add", "relu", "sigmoid", "elementwise_mul",
+    "scalar_mul", "sum", "masked_row_softmax",
     "Pattern", "segment_softmax", "segment_mean", "reverse_min",
     "pair_dot", "spmm", "pair_cosine",
     "binary_cross_entropy", "dropout",
@@ -176,14 +178,6 @@ def _emit(out, bwd):
         _ACTIVE_TAPES[-1]._entries.append((out, bwd))
 
 
-def _unbroadcast(g, shape):
-    if shape[0] == 1 and g.shape[0] > 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] > 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Dense ops
 
@@ -199,28 +193,60 @@ def matmul(a, b):
     return out
 
 
+def linear(inputs, W, b=None, relu=False):
+    """``sum_i inputs[i] @ W[:, block_i].T + b``, then relu if asked; one tape record.
+
+    ``W``'s column blocks meet ``inputs`` in order, so ``linear([m, h], W)``
+    is ``[m | h] @ W.T`` without the copy; ``b`` is (1, out). The relu mask
+    is ``out > 0``, so the derivative at exactly 0 is 0.
+    """
+    xs, W = [_as_tensor(x) for x in inputs], _as_tensor(W)
+    bias = [] if b is None else [_as_tensor(b)]
+    edges = np.cumsum([0] + [x.shape[1] for x in xs])
+    if (len({x.shape[0] for x in xs}) != 1 or edges[-1] != W.shape[1]
+            or any(t.shape != (1, W.shape[0]) for t in bias)):
+        raise ShapeError(f"linear: {[x.shape for x in xs]} through {W.shape}"
+                         f" + {[t.shape for t in bias]}")
+    blocks = [W.values[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    vals = xs[0].values @ blocks[0].T
+    for x, block in zip(xs[1:], blocks[1:]):
+        vals += x.values @ block.T
+    for t in bias:
+        vals += t.values
+    if relu:
+        np.maximum(vals, 0.0, out=vals)
+    out = _make("linear", vals, *xs, W, *bias)
+
+    def bwd(g):
+        if relu:
+            g = g * (vals > 0)
+        grads = [(x, g @ block if x.requires_grad else None) for x, block in zip(xs, blocks)]
+        grads.append((W, np.hstack([g.T @ x.values for x in xs]) if W.requires_grad else None))
+        return grads + [(t, g.sum(axis=0, keepdims=True) if t.requires_grad else None)
+                        for t in bias]
+
+    _emit(out, bwd)
+    return out
+
+
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        vals = a.values + b.values
-    except ValueError as e:
-        raise ShapeError(f"add: {a.shape} + {b.shape}") from e
-    out = _make("add", vals, a, b)
-    _emit(out, lambda g: ((a, _unbroadcast(g, a.shape) if a.requires_grad else None),
-                          (b, _unbroadcast(g, b.shape) if b.requires_grad else None)))
+    if a.shape != b.shape:
+        raise ShapeError(f"add: {a.shape} + {b.shape}")
+    out = _make("add", a.values + b.values, a, b)
+    _emit(out, lambda g: ((a, g if a.requires_grad else None),
+                          (b, g if b.requires_grad else None)))
     return out
 
 
 def elementwise_mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        vals = a.values * b.values
-    except ValueError as e:
-        raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}") from e
-    out = _make("elementwise_mul", vals, a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}")
     av, bv = a.values, b.values
-    _emit(out, lambda g: ((a, _unbroadcast(g * bv, a.shape) if a.requires_grad else None),
-                          (b, _unbroadcast(g * av, b.shape) if b.requires_grad else None)))
+    out = _make("elementwise_mul", av * bv, a, b)
+    _emit(out, lambda g: ((a, g * bv if a.requires_grad else None),
+                          (b, g * av if b.requires_grad else None)))
     return out
 
 
@@ -229,16 +255,6 @@ def scalar_mul(x, c):
     c = float(c)
     out = _make("scalar_mul", x.values * c, x)
     _emit(out, lambda g: ((x, g * c),))
-    return out
-
-
-def concat_cols(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: {a.shape} | {b.shape}")
-    out = _make("concat_cols", np.hstack([a.values, b.values]), a, b)
-    wa = a.shape[1]
-    _emit(out, lambda g: ((a, g[:, :wa]), (b, g[:, wa:])))
     return out
 
 
@@ -269,13 +285,6 @@ def sum(x):
     out = _make("sum", np.array([[x.values.sum()]]), x)
     shape = x.shape
     _emit(out, lambda g: ((x, np.full(shape, g[0, 0])),))
-    return out
-
-
-def transpose(x):
-    x = _as_tensor(x)
-    out = _make("transpose", np.ascontiguousarray(x.values.T), x)
-    _emit(out, lambda g: ((x, np.ascontiguousarray(g.T)),))
     return out
 
 

@@ -65,7 +65,7 @@ class ProjectionEncoder:
                 f"{self.domain} encoder expects feature_dim {self.weight.shape[1]}, "
                 f"got {x.shape[1]}"
             )
-        return dk.matmul(x, dk.transpose(self.weight))
+        return dk.linear([x], self.weight)
 
 
 @dataclass
@@ -267,19 +267,19 @@ def symmetrize_attention(attention, graph):
 
 
 def nsaw_layer_forward(layer, h, graph, weights):
-    """One layer: aggregate neighbors, concat with the input row, linear, relu.
+    """One layer: ``relu([message | h] @ W.T + b)`` as one :func:`diffkernel.linear`.
 
-    ``weights`` holds one weight per slot (symmetrized attention, or 1/degree
-    without attention). Isolated nodes have no slots, so they aggregate a zero
-    message.
+    ``W``'s left column block meets the aggregated message and its right
+    block ``h``, so ``[message | h]`` is never built. ``weights`` holds one
+    weight per slot (symmetrized attention, or 1/degree without attention).
+    Isolated nodes have no slots, so they aggregate a zero message.
     """
     if h.shape[0] != graph.num_nodes:
         raise ShapeError("layer input rows must match graph nodes")
     if layer.in_dim != h.shape[1]:
         raise ShapeError(f"layer expects width {layer.in_dim}, got {h.shape[1]}")
     message = dk.spmm(weights, h, graph.pattern)
-    stacked = dk.concat_cols(message, h)
-    return dk.relu(dk.add(dk.matmul(stacked, dk.transpose(layer.W)), layer.b))
+    return dk.linear([message, h], layer.W, layer.b, relu=True)
 
 
 def forward_embeddings(bundle, graph, domain, training=False, rng=None,
@@ -310,6 +310,5 @@ def forward_embeddings(bundle, graph, domain, training=False, rng=None,
 def predict(bundle, embeddings):
     """Anomaly probabilities from final embeddings, shape (n, 1)."""
     p = bundle.predictor
-    hidden = dk.relu(dk.add(dk.matmul(embeddings, dk.transpose(p.w_hidden)), p.b_hidden))
-    logits = dk.add(dk.matmul(hidden, dk.transpose(p.w_out)), p.b_out)
-    return dk.sigmoid(logits)
+    hidden = dk.linear([embeddings], p.w_hidden, p.b_hidden, relu=True)
+    return dk.sigmoid(dk.linear([hidden], p.w_out, p.b_out))

@@ -303,13 +303,15 @@ def load_graph(path):
     feat_path = root / "features.bin"
     if not feat_path.is_file():
         raise GraphFormatError(f"missing features.bin under {root}")
-    raw = feat_path.read_bytes()
+    size = feat_path.stat().st_size
     expected = n * d * 4
-    if len(raw) != expected:
+    if size != expected:
         raise GraphFormatError(
-            f"features.bin: malformed binary length {len(raw)}, expected {expected}"
+            f"features.bin: malformed binary length {size}, expected {expected}"
         )
-    features = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
+    # Mapped, not read: no copy of the file's bytes. numpy cannot map an empty file.
+    features = np.zeros((n, d)) if not size else np.array(
+        np.memmap(feat_path, dtype="<f4", mode="r", shape=(n, d)), dtype=np.float64)
 
     labels = None
     if meta["has_labels"]:

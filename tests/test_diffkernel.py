@@ -178,9 +178,23 @@ def test_matmul_add_against_numpy():
     b = rng.standard_normal((4, 2))
     out = dk.matmul(dk.Tensor(a), dk.Tensor(b))
     np.testing.assert_allclose(out.values, a @ b, rtol=0, atol=0)
-    bias = rng.standard_normal((1, 2))
-    out2 = dk.add(out, dk.Tensor(bias))
-    np.testing.assert_allclose(out2.values, a @ b + bias)
+    c = rng.standard_normal((3, 2))
+    assert np.array_equal(dk.add(out, dk.Tensor(c)).values, a @ b + c)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
+def test_linear_against_numpy(blocks, bias, relu):
+    rng = np.random.default_rng(blocks)
+    xs = [rng.standard_normal((5, width)) for width in (3, 2)[:blocks]]
+    w = rng.standard_normal((4, sum(x.shape[1] for x in xs)))
+    b = rng.standard_normal((1, 4)) if bias else None
+    out = dk.linear([dk.Tensor(x) for x in xs], dk.Tensor(w),
+                    None if b is None else dk.Tensor(b), relu=relu)
+    expected = np.hstack(xs) @ w.T + (0.0 if b is None else b)
+    np.testing.assert_allclose(out.values, np.maximum(expected, 0.0) if relu else expected,
+                               rtol=1e-14, atol=1e-14)
 
 
 def test_elementwise_ops_against_numpy():
@@ -194,13 +208,9 @@ def test_elementwise_ops_against_numpy():
         dk.elementwise_mul(dk.Tensor(x), dk.Tensor(y)).values, x * y)
 
 
-def test_reductions_and_layout_ops():
+def test_sum_adds_every_entry():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert dk.sum(dk.Tensor(x)).item() == 10.0
-    assert np.array_equal(dk.transpose(dk.Tensor(x)).values, x.T)
-    y = np.array([[5.0], [6.0]])
-    assert np.array_equal(dk.concat_cols(dk.Tensor(x), dk.Tensor(y)).values,
-                          np.hstack([x, y]))
 
 
 def test_masked_softmax_symmetric_row():
@@ -320,9 +330,59 @@ def test_broadcast_bias_gradient_sums_rows():
     b = dk.Tensor([[1.0, -1.0]], requires_grad=True)
     x = dk.Tensor(np.ones((3, 2)))
     with dk.Tape() as tape:
-        loss = dk.sum(dk.add(x, b))
+        loss = dk.sum(dk.linear([x], dk.Tensor(np.eye(2)), b))
     grads = tape.backward(loss)
     assert np.array_equal(grads[b], [[3.0, 3.0]])
+
+
+def test_linear_relu_zero_preactivation_gets_zero_gradient():
+    # pre-activations [0, 1]: the unit sitting exactly at 0 passes nothing back
+    x = dk.Tensor([[1.0, -1.0]], requires_grad=True)
+    w = dk.Tensor([[1.0, 1.0], [1.0, 0.0]], requires_grad=True)
+    with dk.Tape() as tape:
+        out = dk.linear([x], w, relu=True)
+        loss = dk.sum(out)
+    assert np.array_equal(out.values, [[0.0, 1.0]])
+    grads = tape.backward(loss)
+    assert np.array_equal(grads[x], [[1.0, 0.0]])
+    assert np.array_equal(grads[w], [[0.0, 0.0], [1.0, -1.0]])
+
+
+@pytest.mark.parametrize("operand", ["message", "h", "W", "b"])
+def test_linear_grad_check_each_operand(operand):
+    rng = np.random.default_rng(11)
+    ops = {"message": rng.standard_normal((4, 3)), "h": rng.standard_normal((4, 2)),
+           "W": rng.standard_normal((3, 5)), "b": rng.standard_normal((1, 3))}
+    weights = dk.Tensor(rng.standard_normal((4, 3)))
+    point = dk.Tensor(ops[operand], requires_grad=True)
+    tensors = {name: dk.Tensor(v) for name, v in ops.items()}
+
+    def f(t):
+        tensors[operand] = t
+        out = dk.linear([tensors["message"], tensors["h"]], tensors["W"], tensors["b"],
+                        relu=True)
+        return dk.sum(dk.elementwise_mul(out, weights))
+
+    report = dk.grad_check(f, point)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("inputs, w, b", [
+    ([(4, 3), (4, 2)], (3, 6), None),       # block widths sum to 5, not 6
+    ([(4, 3), (5, 2)], (3, 5), None),       # row counts differ
+    ([(4, 3)], (3, 3), (3, 1)),             # bias is not (1, out)
+    ([], (3, 0), None),                     # no input block
+])
+def test_linear_rejects_bad_shapes(inputs, w, b):
+    with pytest.raises(ShapeError):
+        dk.linear([dk.Tensor(np.ones(shape)) for shape in inputs], dk.Tensor(np.ones(w)),
+                  None if b is None else dk.Tensor(np.ones(b)))
+
+
+@pytest.mark.parametrize("op", [dk.add, dk.elementwise_mul])
+def test_elementwise_ops_refuse_mismatched_shapes(op):
+    with pytest.raises(ShapeError):
+        op(dk.Tensor(np.ones((3, 2))), dk.Tensor(np.ones((1, 2))))
 
 
 def test_tape_single_use():
@@ -591,7 +651,11 @@ def test_spmm_skips_gradient_of_frozen_side():
     assert w not in grads
 
 
-@pytest.mark.parametrize("op", [dk.matmul, dk.add, dk.elementwise_mul])
+@pytest.mark.parametrize("op", [
+    dk.matmul, dk.add, dk.elementwise_mul,
+    # a frozen W, as in adaptation, gets no gradient
+    pytest.param(lambda x, w: dk.linear([x], w), id="linear"),
+])
 def test_dense_ops_skip_gradient_of_frozen_side(op):
     frozen = dk.Tensor([[1.0, 2.0], [3.0, 4.0]])
     live = dk.Tensor([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)

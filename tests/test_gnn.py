@@ -69,13 +69,13 @@ def dense_predict(bundle, h):
     return 1.0 / (1.0 + np.exp(-logits))
 
 
-def random_graph(rng, n, dim=3, edge_prob=0.35):
+def random_graph(rng, n, dim=3, edge_prob=0.35, labels=None):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = rng.random(len(pairs)) < edge_prob
     edges = [p for p, k in zip(pairs, keep) if k]
     feats = rng.standard_normal((n, dim))
     return build_graph("rand", n, edges or np.zeros((0, 2), dtype=np.int64),
-                       feats)
+                       feats, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +423,35 @@ def test_tape_keeps_no_per_slot_rows():
             kept = cell.cell_contents
             if isinstance(kept, np.ndarray):
                 assert per_node_or_scalar(kept), (bwd.__qualname__, kept.shape)
+
+
+def test_training_step_tape_holds_at_most_14_node_rows_per_node():
+    # One 2-layer nsaw training step at the default dropout: forward,
+    # predict and the source loss. Each distinct array with num_nodes rows
+    # that the tape keeps counts its bytes in rows of width w per node. Per
+    # layer: the dropout output and mask, h @ U, its relu and mask, the
+    # message and the layer output; then the features, the head's hidden
+    # rows and per-node scalars: 13.65. One record per dense layer keeps no
+    # concatenated [message | h], no pre-bias product and no pre-relu sum.
+    rng = np.random.default_rng(5)
+    n, w = 60, 40
+    g = random_graph(rng, n, dim=w, labels=(np.arange(n) % 6 == 0).astype(int))
+    bundle = small_bundle(w, width=w, num_layers=2)
+    with dk.Tape() as tape:
+        h, _ = gnn.forward_embeddings(bundle, g, "source", training=True,
+                                      rng=rng, dropout_rate=0.7)
+        probs = gnn.predict(bundle, h)
+        losses.train_loss_parts(probs, h, g, losses.LossWeights(), rng)
+        entries = list(tape._entries)
+
+    bases = {}
+    for out, bwd in entries:
+        kept = [out] + [cell.cell_contents for cell in bwd.__closure__ or ()]
+        for item in (k for c in kept for k in (c if isinstance(c, (list, tuple)) else [c])):
+            arr = item.values if isinstance(item, dk.Tensor) else item
+            while isinstance(arr, np.ndarray) and isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            if isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.shape[0] == n:
+                bases[id(arr)] = arr
+    rows = sum(arr.nbytes for arr in bases.values()) / (8 * n * w)
+    assert 10 < rows <= 14, rows

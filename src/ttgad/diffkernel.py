@@ -12,22 +12,22 @@ plain numpy and scipy computations (eval mode).
 Message passing runs on ops over a :class:`Pattern`: a CSR pattern whose
 slot ``s`` of row ``r`` (``indptr[r] <= s < indptr[r + 1]``) pairs row ``r``
 with column ``indices[s]``. Its owner validates it once; the ops check only
-shapes against it. :func:`pair_dot` is an SDDMM, :func:`spmm` an SpMM,
-:func:`pair_cosine` the per-slot cosine, :func:`segment_softmax` and
-:func:`segment_mean` reduce over each row's slots, and :func:`reverse_min`
-takes the min of each slot and its mirror on a symmetric pattern. The
-backward passes of the first three are SpMMs with
+shapes against it. :func:`pair_dot` is an SDDMM of a tensor with itself,
+:func:`spmm` an SpMM, :func:`pair_cosine` the per-slot cosine,
+:func:`segment_softmax` and :func:`segment_mean` reduce over each row's
+slots, and :func:`reverse_min` takes the min of each slot and its mirror.
+The backward passes of the first three are SpMMs with
 ``scipy.sparse.csr_matrix`` plus per-row scalars, so a pattern op keeps only
 per-slot scalars and per-node rows alive on the tape; per-slot rows exist
 only in bounded chunks inside one call.
 
-When the pattern carries ``reverse`` (it is symmetric), the ops use it:
-``pair_dot(t, t)`` and :func:`pair_cosine` compute only the slots with
-``row <= col`` and copy each value to its mirror, and ``M.T`` is
-``csr(data[reverse])`` on the same pattern, so every backward runs CSR
-SpMMs only, one per symmetric SDDMM. Without ``reverse`` the transposed
-products run on the CSC view. Backward computes no gradient for an operand
-with ``requires_grad=False``.
+:func:`pair_dot`, :func:`spmm` and :func:`reverse_min` need a symmetric
+pattern, one whose owner set ``reverse``, and refuse any other; only
+:func:`pair_cosine` also runs on a non-symmetric one, on the CSC view. On a
+symmetric pattern the SDDMMs compute only the slots with ``row <= col`` and
+copy each value to its mirror, and ``M.T`` is ``csr(data[reverse])`` on the
+same pattern, so every backward runs CSR SpMMs only, one per SDDMM.
+Backward computes no gradient for an operand with ``requires_grad=False``.
 
 Design constraints honored throughout:
 
@@ -379,6 +379,12 @@ def _segment_sums(values, indptr):
     return out
 
 
+def _reverse(op, pattern):
+    if pattern.reverse is None:
+        raise ShapeError(f"{op} needs a symmetric pattern")
+    return pattern.reverse
+
+
 def _check_slots(op, x, pattern, width=None):
     if x.shape[0] != pattern.indices.size or width not in (None, x.shape[1]):
         raise ShapeError(f"{op}: {x.shape} for {pattern.indices.size} slots")
@@ -427,10 +433,8 @@ def reverse_min(x, pattern):
     0.5 each on a tie, so the result is exactly symmetric.
     """
     x = _as_tensor(x)
-    if pattern.reverse is None:
-        raise ShapeError("reverse_min needs a symmetric pattern")
+    rev = _reverse("reverse_min", pattern)
     _check_slots("reverse_min", x, pattern)
-    rev = pattern.reverse
     xv = x.values
     mirrored = xv[rev]
     out = _make("reverse_min", np.minimum(xv, mirrored), x)
@@ -451,14 +455,6 @@ _CHUNK_BYTES = 1 << 18
 def _csr(data, pattern):
     return scipy.sparse.csr_matrix((data, pattern.indices, pattern.indptr),
                                    shape=pattern.shape)
-
-
-def _transposed_product(data, x, pattern):
-    """``M.T @ x`` for ``M = csr(data)``; on a symmetric pattern ``M.T`` is
-    ``csr(data[reverse])`` over the same pattern, so no CSC product runs."""
-    if pattern.reverse is None:
-        return _csr(data, pattern).T @ x
-    return _csr(data[pattern.reverse], pattern) @ x
 
 
 def _sampled_dot(a, b, rows, cols):
@@ -492,40 +488,29 @@ def _self_dot(x, pattern):
                    pattern)
 
 
-def pair_dot(a, b, pattern):
-    """SDDMM: ``out[s] = a[row(s)] · b[indices[s]]``, shape (slots, 1).
-
-    ``a`` has one row per pattern row, ``b`` one row per pattern column.
-    ``pair_dot(t, t)`` on a symmetric pattern takes the symmetric path.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[1] != b.shape[1] or (a.shape[0], b.shape[0]) != pattern.shape:
-        raise ShapeError(f"pair_dot: {a.shape} vs {b.shape} over {pattern.shape}")
-    av, bv = a.values, b.values
-    symmetric = a is b and pattern.reverse is not None
-    vals = (_self_dot(av, pattern) if symmetric
-            else _sampled_dot(av, bv, pattern.rows, pattern.indices))
-    out = _make("pair_dot", vals.reshape(-1, 1), a, b)
-
-    def bwd(g):
-        gs = g[:, 0]
-        if symmetric:
-            # M_g @ t + M_g.T @ t is one SpMM of g + g[reverse]
-            return ((a, _csr(gs + gs[pattern.reverse], pattern) @ av),)
-        return ((a, _csr(gs, pattern) @ bv if a.requires_grad else None),
-                (b, _transposed_product(gs, av, pattern) if b.requires_grad else None))
-
-    _emit(out, bwd)
+def pair_dot(x, pattern):
+    """SDDMM: ``out[s] = x[row(s)] · x[indices[s]]`` on a symmetric pattern,
+    shape (slots, 1); only the ``row <= col`` slots are computed."""
+    x = _as_tensor(x)
+    rev = _reverse("pair_dot", pattern)
+    n = x.shape[0]
+    if pattern.shape != (n, n):
+        raise ShapeError(f"pair_dot: {x.shape} over {pattern.shape}")
+    xv = x.values
+    out = _make("pair_dot", _self_dot(xv, pattern).reshape(-1, 1), x)
+    # M_g @ x + M_g.T @ x is one SpMM of g + g[reverse]
+    _emit(out, lambda g: ((x, _csr(g[:, 0] + g[rev, 0], pattern) @ xv),))
     return out
 
 
 def spmm(w, x, pattern):
     """SpMM: ``out = M_w @ x``, where ``M_w[row(s), indices[s]] = w[s]``.
 
-    ``w`` is (slots, 1) and ``x`` has one row per pattern column; the output
-    has one row per pattern row, and a row without slots is zero.
+    ``w`` is (slots, 1) and ``x`` has one row per node of the symmetric
+    pattern; a row without slots is zero.
     """
     w, x = _as_tensor(w), _as_tensor(x)
+    rev = _reverse("spmm", pattern)
     _check_slots("spmm", w, pattern, width=1)
     if x.shape[0] != pattern.num_cols:
         raise ShapeError(f"spmm: input {x.shape} over {pattern.shape}")
@@ -536,7 +521,7 @@ def spmm(w, x, pattern):
         g = np.ascontiguousarray(g)
         gw = (_sampled_dot(g, xv, pattern.rows, pattern.indices).reshape(-1, 1)
               if w.requires_grad else None)
-        gx = _transposed_product(wv, g, pattern) if x.requires_grad else None
+        gx = _csr(wv[rev], pattern) @ g if x.requires_grad else None
         return ((w, gw), (x, gx))
 
     _emit(out, bwd)

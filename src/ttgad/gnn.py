@@ -19,6 +19,7 @@ exactly zero gradient.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,19 +232,36 @@ def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
                      identity_encoder, target_cols=None):
     """``parameter_items()`` names and shapes of a bundle, in order; the one layout.
 
-    ``target_cols`` adds a target encoder for features of that width.
+    ``target_cols`` adds a target encoder for features of that width. The
+    walk raises ConfigError at the first entry that takes the float64 bytes
+    of the parameters past physical memory, so nothing is allocated for a
+    bundle that cannot exist.
     """
-    width = feature_dim if identity_encoder else p
-    shapes = [] if identity_encoder else [("source_encoder.weight", (p, feature_dim))]
-    if target_cols is not None:
-        shapes.append(("target_encoder.weight", (width, target_cols)))
-    for i in range(num_layers):
-        shapes += [(f"layers.{i}.W", (hidden_dim, 2 * width)),
-                   (f"layers.{i}.b", (1, hidden_dim)), (f"layers.{i}.U", (width, attn_dim))]
-        width = hidden_dim
-    return shapes + [("predictor.w_hidden", (hidden_dim, width)),
-                     ("predictor.b_hidden", (1, hidden_dim)),
-                     ("predictor.w_out", (1, hidden_dim)), ("predictor.b_out", (1, 1))]
+    def entries():
+        width = feature_dim if identity_encoder else p
+        if not identity_encoder:
+            yield "source_encoder.weight", (p, feature_dim)
+        if target_cols is not None:
+            yield "target_encoder.weight", (width, target_cols)
+        for i in range(num_layers):
+            yield from [(f"layers.{i}.W", (hidden_dim, 2 * width)),
+                        (f"layers.{i}.b", (1, hidden_dim)),
+                        (f"layers.{i}.U", (width, attn_dim))]
+            width = hidden_dim
+        yield from [("predictor.w_hidden", (hidden_dim, width)),
+                    ("predictor.b_hidden", (1, hidden_dim)),
+                    ("predictor.w_out", (1, hidden_dim)), ("predictor.b_out", (1, 1))]
+
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    shapes, needed = [], 0
+    for name, (rows, cols) in entries():
+        needed += 8 * rows * cols
+        if needed > limit:
+            raise ConfigError(f"config sizes do not fit in memory: {name!r} brings "
+                              f"the parameters to {needed} bytes, past the {limit} "
+                              "bytes of physical memory")
+        shapes.append((name, (rows, cols)))
+    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +275,7 @@ def compute_attention(layer, h, graph):
     each node's neighborhood. Rows of isolated nodes simply have no slots.
     """
     z = dk.relu(dk.matmul(h, layer.U))
-    scores = dk.pair_dot(z, z, graph.pattern)
+    scores = dk.pair_dot(z, graph.pattern)
     return dk.segment_softmax(scores, graph.pattern)
 
 

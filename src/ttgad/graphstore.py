@@ -118,9 +118,18 @@ class AttributedGraph:
         return np.diff(self.indptr)
 
     @cached_property
-    def slot_keys(self):
-        """src * n + dst per slot; globally sorted ascending by CSR layout."""
-        return self.slot_src * np.int64(self.num_nodes) + self.indices
+    def nonneighbor_keys(self):
+        """``row * n + c - q`` per slot; ascending over the CSR layout.
+
+        Slot q of a row, at column ``c + (c >= row)``, has ``c - q``
+        non-neighbors of that row before it, so ``searchsorted(keys, row * n
+        + r, "right") - indptr[row]`` counts the neighbors that precede the
+        row's non-neighbor of rank r. Cached: the sampler reads it every
+        epoch.
+        """
+        src, dst = self.slot_src, self.indices
+        q = np.arange(dst.size) - self.indptr[src]
+        return src * np.int64(self.num_nodes) + (dst - (dst > src) - q)
 
     @cached_property
     def undirected_edges(self):

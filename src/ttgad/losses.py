@@ -12,8 +12,11 @@ cosines, which separates anomalies harder.
 Both cosine terms are one :func:`diffkernel.pair_cosine` and one
 :func:`diffkernel.segment_mean` over a :class:`diffkernel.Pattern`: the
 graph's for affinity, and for separation the non-symmetric one that each
-non-neighbor draw builds. Cosine gradients return to the nodes as SpMMs,
-with no per-pair embedding copies kept for backward.
+non-neighbor draw builds. A draw is exact uniform sampling without
+replacement, one vectorised round per sampled slot: each node draws a rank
+among the non-neighbors it has not drawn yet, and the graph's sorted CSR
+rows turn ranks into node ids. Cosine gradients return to the nodes as
+SpMMs, with no per-pair embedding copies kept for backward.
 """
 
 import warnings
@@ -125,63 +128,40 @@ class NonneighborSample:
         return self.pattern.indptr
 
 
-def _edge_member(graph, src_ids, cand):
-    keys = src_ids * np.int64(graph.num_nodes) + cand
-    table = graph.slot_keys
-    pos = np.searchsorted(table, keys)
-    inside = pos < table.size
-    hit = np.zeros(keys.size, dtype=bool)
-    if inside.any():
-        hit[inside] = table[pos[inside]] == keys[inside]
-    return hit
-
-
 def sample_nonneighbors(graph, k, rng):
     """Draw up to k distinct uniform non-neighbors for every node.
 
     Nodes adjacent to everything else have no non-neighbor and are skipped
-    (with a warning). Nodes with fewer than k non-neighbors use all of them.
-    Processing iid uniform candidates in draw order and keeping the first k
-    distinct valid ones is exactly uniform sampling without replacement.
+    (with a warning); a node with ``avail = n - 1 - degree`` non-neighbors
+    takes ``min(k, avail)`` of them. Round j draws each remaining node's rank
+    uniformly from the ``avail - j`` non-neighbors not yet taken and shifts
+    it past the earlier ranks in ascending order, which is exact sampling
+    without replacement; row i of the result lists node i's draws in order.
+    A rank becomes a node id by counting the neighbors before it.
     """
     n = graph.num_nodes
     if k < 1:
         raise ConfigError("neg_samples_k must be at least 1")
     avail = n - 1 - graph.degrees
-    skipped = avail <= 0
+    skipped = avail == 0
     if skipped.any():
         warnings.warn(f"{int(skipped.sum())} node(s) have no non-neighbor; skipped",
                       stacklevel=2)
-    take = np.minimum(k, np.maximum(avail, 0)).astype(np.int64)
-    taken = np.full((n, k), -1, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
+    take = np.minimum(avail, min(k, n))
+    ranks = np.zeros((n, int(take.max(initial=0))), dtype=np.int64)
+    for j in range(ranks.shape[1]):
+        active = np.flatnonzero(take > j)
+        r = rng.integers(0, avail[active] - j)
+        for earlier in np.sort(ranks[active, :j], axis=1).T:
+            r += r >= earlier
+        ranks[active, j] = r
 
-    for _ in range(64):
-        active = np.flatnonzero(count < take)
-        if active.size == 0:
-            break
-        cand = rng.integers(0, n, size=(active.size, k))
-        for j in range(k):
-            c = cand[:, j]
-            ok = (c != active) & (count[active] < take[active])
-            ok &= ~_edge_member(graph, active, c)
-            for t in range(k):
-                ok &= taken[active, t] != c
-            rows = active[ok]
-            taken[rows, count[rows]] = c[ok]
-            count[rows] += 1
-
-    leftovers = np.flatnonzero(count < take)
-    for i in leftovers:
-        row = graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
-        banned = np.concatenate([row, [i], taken[i, :count[i]]])
-        pool = np.setdiff1d(np.arange(n), banned)
-        extra = rng.choice(pool, size=take[i] - count[i], replace=False)
-        taken[i, count[i]:take[i]] = extra
-        count[i] = take[i]
-
+    rows = np.repeat(np.arange(n, dtype=np.int64), take)
+    r = ranks[np.arange(ranks.shape[1]) < take[:, None]]
+    r += (np.searchsorted(graph.nonneighbor_keys, rows * n + r, side="right")
+          - graph.indptr[rows])
     indptr = np.concatenate([[0], np.cumsum(take)])
-    return NonneighborSample(pattern=dk.Pattern(indptr, taken[taken >= 0], n, n),
+    return NonneighborSample(pattern=dk.Pattern(indptr, r + (r >= rows), n, n),
                              num_sampled_nodes=int((take > 0).sum()),
                              skipped=skipped)
 

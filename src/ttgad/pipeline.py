@@ -549,13 +549,12 @@ def load_checkpoint(path, expect_nsaw=None):
                    else stored_cols("source_encoder.weight"))
     target_cols = (stored_cols("target_encoder.weight")
                    if "target_encoder.weight" in blocks else None)
-    shapes = dict(parameter_shapes(feature_dim, config.p, config.hidden_dim,
-                                   config.attn_dim, config.num_layers,
-                                   config.identity_encoder, target_cols))
-    needed = 8 * sum(rows * cols for rows, cols in shapes.values())
-    if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise CheckpointError(f"checkpoint config sizes do not fit in memory: "
-                              f"{needed} bytes of parameters")
+    try:
+        shapes = dict(parameter_shapes(feature_dim, config.p, config.hidden_dim,
+                                       config.attn_dim, config.num_layers,
+                                       config.identity_encoder, target_cols))
+    except ConfigError as e:
+        raise CheckpointError(f"checkpoint {e}") from e
     for name in blocks:
         if name not in shapes:
             raise CheckpointError(f"unexpected tensor {name!r}")

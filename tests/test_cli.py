@@ -141,6 +141,20 @@ class TestTrain:
                      str(tmp_path / "o")]) == 1
         assert "unknown config key 'neighbor_cap'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", [
+        {"p": 10 ** 12}, {"attn_dim": 10 ** 14},
+        {"hidden_dim": 1000, "num_layers": 10 ** 8},
+    ], ids=["p", "attn_dim", "num_layers"])
+    def test_parameters_larger_than_memory_exit_1(self, workspace, tmp_path, capsys,
+                                                  sizes):
+        cfg = write_config(tmp_path / "c.json", **{**SMALL, **sizes},
+                           source_graph=str(workspace["source"]))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "config sizes do not fit in memory" in err
+        assert "Traceback" not in err
+
     def test_invalid_json_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

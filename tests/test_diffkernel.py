@@ -450,9 +450,11 @@ def test_segment_softmax_values_and_empty_segment():
 
 def test_segment_sum_and_mean():
     x = dk.Tensor([[1.0], [2.0], [5.0]])
+    # spmm runs on a symmetric pattern: slots (0,0) (0,1) (1,0) (2,2)
+    symmetric = mirrored(dk.Pattern([0, 2, 3, 4], [0, 1, 0, 2], 3, 3))
+    sums = dk.spmm(dk.Tensor(np.ones((4, 1))), x, symmetric)
+    np.testing.assert_allclose(sums.values[:, 0], [3.0, 1.0, 5.0])
     pattern = dk.Pattern([0, 2, 2, 3], np.arange(3), 3, 3)
-    sums = dk.spmm(dk.Tensor(np.ones((3, 1))), x, pattern)
-    np.testing.assert_allclose(sums.values[:, 0], [3.0, 0.0, 5.0])
     means = dk.segment_mean(x, pattern)
     np.testing.assert_allclose(means.values[:, 0], [1.5, 0.0, 5.0])
 
@@ -496,28 +498,21 @@ def test_pattern_ops_match_gather_scatter_oracle(symmetric):
         pattern = random_pattern(rng, n, symmetric, self_pairs=self_pairs)
         indptr, indices, slots = pattern.indptr, pattern.indices, pattern.indices.size
         a = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
-        b = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
         w = dk.Tensor(rng.standard_normal((slots, 1)), requires_grad=True)
 
-        g = rng.standard_normal(slots)
-        out, (ga, gb) = _taped(lambda: dk.pair_dot(a, b, pattern), [a, b], g)
-        want, want_a, want_b = ref_pair_dot(a.values, b.values, indptr, indices, g)
-        np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(ga, want_a, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(gb, want_b, rtol=1e-12, atol=1e-12)
+        if symmetric:  # pair_dot and spmm refuse any other pattern
+            g = rng.standard_normal(slots)
+            out, (ga,) = _taped(lambda: dk.pair_dot(a, pattern), [a], g)
+            want, want_a, want_b = ref_pair_dot(a.values, a.values, indptr, indices, g)
+            np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(ga, want_a + want_b, rtol=1e-12, atol=1e-12)
 
-        g = rng.standard_normal(slots)
-        out, (ga,) = _taped(lambda: dk.pair_dot(a, a, pattern), [a], g)
-        want, want_a, want_b = ref_pair_dot(a.values, a.values, indptr, indices, g)
-        np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(ga, want_a + want_b, rtol=1e-12, atol=1e-12)
-
-        g = rng.standard_normal((n, d))
-        out, (gw, gx) = _taped(lambda: dk.spmm(w, a, pattern), [w, a], g)
-        want, want_w, want_x = ref_spmm(w.values[:, 0], a.values, indptr, indices, g)
-        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(gw[:, 0], want_w, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
+            g = rng.standard_normal((n, d))
+            out, (gw, gx) = _taped(lambda: dk.spmm(w, a, pattern), [w, a], g)
+            want, want_w, want_x = ref_spmm(w.values[:, 0], a.values, indptr, indices, g)
+            np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gw[:, 0], want_w, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
 
         g = rng.standard_normal(slots)
         out, (gx,) = _taped(lambda: dk.pair_cosine(a, pattern), [a], g)
@@ -533,15 +528,6 @@ def _assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max(initial=0.0) <= rtol * scale
 
 
-def _symmetric_pattern_ops(pattern, x, w, g_slot, g_node):
-    """Values and gradients of pair_dot(x, x), pair_cosine(x) and spmm(w, x)."""
-    xt = dk.Tensor(x, requires_grad=True)
-    wt = dk.Tensor(w, requires_grad=True)
-    return [_taped(lambda: dk.pair_dot(xt, xt, pattern), [xt], g_slot),
-            _taped(lambda: dk.pair_cosine(xt, pattern), [xt], g_slot),
-            _taped(lambda: dk.spmm(wt, xt, pattern), [wt, xt], g_node)]
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
        isolated=st.integers(0, 3), edge_prob=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
@@ -549,22 +535,30 @@ def _symmetric_pattern_ops(pattern, x, w, g_slot, g_node):
 def test_symmetric_fast_path_matches_general_path(seed, n, isolated, edge_prob,
                                                   self_pairs):
     # one random symmetric pattern, once with ``reverse`` (fast path) and once
-    # without (general path); edge_prob 0 or isolated >= n gives the empty one
+    # without (general path); edge_prob 0 or isolated >= n gives the empty one.
+    # pair_cosine takes both paths; pair_dot and spmm have only the fast one,
+    # so they are held to the gather-scatter oracle.
     rng = np.random.default_rng(seed)
     fast = random_pattern(rng, n, True, isolated=isolated, edge_prob=edge_prob,
                           self_pairs=self_pairs)
     general = dk.Pattern(fast.indptr, fast.indices, n, n)
-    slots, d = fast.indices.size, 3
-    x = rng.standard_normal((n, d))
-    x[rng.random(n) < 0.2] = 0.0  # zero rows sit under the cosine guard
-    w = rng.standard_normal((slots, 1))
+    indptr, indices, slots, d = fast.indptr, fast.indices, fast.indices.size, 3
+    x = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    x.values[rng.random(n) < 0.2] = 0.0  # zero rows sit under the cosine guard
+    w = dk.Tensor(rng.standard_normal((slots, 1)), requires_grad=True)
     g_slot, g_node = rng.standard_normal(slots), rng.standard_normal((n, d))
-    for (out_f, grads_f), (out_g, grads_g) in zip(
-            _symmetric_pattern_ops(fast, x, w, g_slot, g_node),
-            _symmetric_pattern_ops(general, x, w, g_slot, g_node)):
-        assert np.array_equal(out_f, out_g)
-        for got, want in zip(grads_f, grads_g):
-            _assert_rel_close(got, want)
+    out_f, (gx_f,) = _taped(lambda: dk.pair_cosine(x, fast), [x], g_slot)
+    out_g, (gx_g,) = _taped(lambda: dk.pair_cosine(x, general), [x], g_slot)
+    assert np.array_equal(out_f, out_g)
+    _assert_rel_close(gx_f, gx_g)
+    out, (gx,) = _taped(lambda: dk.pair_dot(x, fast), [x], g_slot)
+    want, want_a, want_b = ref_pair_dot(x.values, x.values, indptr, indices, g_slot)
+    _assert_rel_close(out[:, 0], want)
+    _assert_rel_close(gx, want_a + want_b)
+    out, (gw, gx) = _taped(lambda: dk.spmm(w, x, fast), [w, x], g_node)
+    want, want_w, want_x = ref_spmm(w.values[:, 0], x.values, indptr, indices, g_node)
+    for got, ref in ((out, want), (gw[:, 0], want_w), (gx, want_x)):
+        _assert_rel_close(got, ref)
 
 
 def test_symmetric_pattern_halves_sddmms_and_runs_no_csc_product(monkeypatch):
@@ -586,7 +580,7 @@ def test_symmetric_pattern_halves_sddmms_and_runs_no_csc_product(monkeypatch):
     monkeypatch.setattr(scipy.sparse.csr_matrix, "transpose", no_transpose)
     x = dk.Tensor(rng.standard_normal((8, 3)), requires_grad=True)
     with dk.Tape() as tape:
-        dots = dk.pair_dot(x, x, pattern)
+        dots = dk.pair_dot(x, pattern)
         cos = dk.pair_cosine(x, pattern)
         loss = dk.add(dk.sum(dots), dk.sum(cos))
     assert len(seen) == 2
@@ -598,11 +592,11 @@ def test_symmetric_pattern_halves_sddmms_and_runs_no_csc_product(monkeypatch):
     with dk.Tape() as tape:
         loss = dk.sum(dk.spmm(w, x, pattern))
     tape.backward(loss)
-    # the general path takes the transpose, so the guard is live
+    # pair_cosine's general path takes the transpose, so the guard is live
     general = dk.Pattern(pattern.indptr, pattern.indices, 8, 8)
     with pytest.raises(AssertionError, match="CSC"):
         with dk.Tape() as tape:
-            loss = dk.sum(dk.spmm(w, x, general))
+            loss = dk.sum(dk.pair_cosine(x, general))
         tape.backward(loss)
 
 
@@ -623,15 +617,13 @@ def test_pattern_ops_gradients_match_finite_differences(symmetric):
 
     x = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
     w = dk.Tensor(rng.standard_normal((pattern.indices.size, 1)), requires_grad=True)
-    checks = [
-        (lambda t: slot_loss(dk.pair_dot(t, other, pattern)), x),
-        (lambda t: slot_loss(dk.pair_dot(other, t, pattern)), x),
-        (lambda t: slot_loss(dk.pair_dot(t, t, pattern)), x),
-        (lambda t: node_loss(dk.spmm(weights, t, pattern)), x),
-        (lambda t: node_loss(dk.spmm(t, other, pattern)), w),
-        (lambda t: slot_loss(dk.pair_cosine(t, pattern)), x),
-    ]
-    if symmetric:
+    checks = [(lambda t: slot_loss(dk.pair_cosine(t, pattern)), x)]
+    if symmetric:  # pair_dot, spmm and reverse_min refuse any other pattern
+        checks += [
+            (lambda t: slot_loss(dk.pair_dot(t, pattern)), x),
+            (lambda t: node_loss(dk.spmm(weights, t, pattern)), x),
+            (lambda t: node_loss(dk.spmm(t, other, pattern)), w),
+        ]
         # values 1 apart keep every pair off the min's tie, where it has a kink
         v = dk.Tensor(rng.permutation(pattern.indices.size).reshape(-1, 1) + 0.5,
                       requires_grad=True)
@@ -645,7 +637,7 @@ def test_spmm_skips_gradient_of_frozen_side():
     x = dk.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     w = dk.Tensor([[0.5], [2.0]])
     with dk.Tape() as tape:
-        loss = dk.sum(dk.spmm(w, x, dk.Pattern([0, 1, 2], [1, 0], 2, 2)))
+        loss = dk.sum(dk.spmm(w, x, mirrored(dk.Pattern([0, 1, 2], [1, 0], 2, 2))))
     grads = tape.backward(loss)
     assert np.array_equal(grads[x], [[2.0, 2.0], [0.5, 0.5]])
     assert w not in grads
@@ -687,10 +679,10 @@ def test_pair_cosine_zero_row_and_guarded_pair_get_exact_zero_gradient():
 
 def test_pattern_ops_on_empty_pattern_give_zeros():
     x = dk.Tensor(np.ones((3, 2)), requires_grad=True)
-    pattern = dk.Pattern(np.zeros(4), np.zeros(0), 3, 3)
+    pattern = mirrored(dk.Pattern(np.zeros(4), np.zeros(0), 3, 3))
     w = dk.Tensor(np.zeros((0, 1)), requires_grad=True)
     with dk.Tape() as tape:
-        dots = dk.pair_dot(x, x, pattern)
+        dots = dk.pair_dot(x, pattern)
         cos = dk.pair_cosine(x, pattern)
         msg = dk.spmm(w, x, pattern)
         loss = dk.add(dk.add(dk.sum(dots), dk.sum(cos)), dk.sum(msg))
@@ -713,14 +705,24 @@ def test_pattern_ops_reject_bad_patterns():
         dk.Pattern([0, 1, 2, 2], [0, 1, 2], 3, 3)
     # the ops check shapes against it
     x = dk.Tensor(np.ones((3, 2)))
-    with pytest.raises(ShapeError):
-        dk.pair_dot(x, x, dk.Pattern([0, 1, 2], [0, 1], 2, 3))
+    diagonal = mirrored(dk.Pattern([0, 1, 2, 3], [0, 1, 2], 3, 3))
+    with pytest.raises(ShapeError, match="pair_dot"):
+        dk.pair_dot(x, mirrored(dk.Pattern([0, 1, 2], [1, 0], 2, 2)))
     with pytest.raises(ShapeError):
         dk.pair_cosine(x, dk.Pattern([0, 1, 2], [0, 1], 2, 2))
-    with pytest.raises(ShapeError):
-        dk.spmm(dk.Tensor(np.ones((2, 1))), x, dk.Pattern([0, 1, 2, 3], [0, 1, 2], 3, 3))
+    with pytest.raises(ShapeError, match="spmm"):
+        dk.spmm(dk.Tensor(np.ones((2, 1))), x, diagonal)
+    with pytest.raises(ShapeError, match="spmm"):
+        dk.spmm(dk.Tensor(np.ones((3, 1))), dk.Tensor(np.ones((2, 2))), diagonal)
     with pytest.raises(ShapeError):
         dk.segment_mean(dk.Tensor(np.ones((2, 1))), dk.Pattern([0, 1, 2, 3], [0, 1, 2], 3, 3))
+    # pair_dot, spmm and reverse_min refuse a pattern without ``reverse``
+    one_way = dk.Pattern([0, 1, 1], [1], 2, 2)
+    two = dk.Tensor(np.ones((2, 2)))
+    with pytest.raises(ShapeError, match="pair_dot needs a symmetric"):
+        dk.pair_dot(two, one_way)
+    with pytest.raises(ShapeError, match="spmm needs a symmetric"):
+        dk.spmm(dk.Tensor(np.ones((1, 1))), two, one_way)
     with pytest.raises(ShapeError, match="symmetric"):
         dk.reverse_min(dk.Tensor(np.ones((2, 1))), dk.Pattern([0, 1, 2], [1, 0], 2, 2))
 

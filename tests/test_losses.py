@@ -4,6 +4,8 @@ Worked-example values (the 22/3 weighted regularizer, affinity means) were
 computed by hand from the definitions and are asserted as exact fractions.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,37 @@ def test_sampler_takes_all_when_pool_is_small():
     assert sample.indptr[3] - sample.indptr[2] == 2
 
 
+def test_sampler_with_huge_k_takes_every_nonneighbor():
+    # the draw is sized by the largest row it fills, not by k
+    g = build_graph("p6", 6, [(0, 1), (0, 3), (2, 4)], np.zeros((6, 1)))
+    sample = losses.sample_nonneighbors(g, 10 ** 11, np.random.default_rng(0))
+    for i in range(6):
+        drawn = sample.dst[sample.indptr[i]:sample.indptr[i + 1]]
+        others = set(range(6)) - {i} - set(g.indices[g.indptr[i]:g.indptr[i + 1]].tolist())
+        assert sorted(drawn.tolist()) == sorted(others)
+
+
+@pytest.mark.filterwarnings("ignore:.*no non-neighbor.*")
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       edge_prob=st.floats(0.0, 1.0), k=st.integers(1, 7))
+def test_sampler_rows_hold_distinct_nonneighbors(seed, n, edge_prob, k):
+    # edge probabilities near 1 give near-complete rows, with fewer than k
+    # non-neighbors or none at all
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < edge_prob, 1)
+    adjacent = upper | upper.T
+    g = build_graph("h", n, np.argwhere(upper), np.zeros((n, 1)))
+    sample = losses.sample_nonneighbors(g, k, rng)
+    avail = n - 1 - adjacent.sum(axis=1)
+    assert np.array_equal(sample.skipped, avail == 0)
+    for i in range(n):
+        drawn = sample.dst[sample.indptr[i]:sample.indptr[i + 1]]
+        assert drawn.size == min(k, avail[i])
+        assert np.unique(drawn).size == drawn.size
+        assert not adjacent[i, drawn].any() and not (drawn == i).any()
+
+
 def test_sampler_warns_on_complete_graph():
     g = build_graph("k3", 3, [(0, 1), (0, 2), (1, 2)], np.zeros((3, 1)))
     with pytest.warns(UserWarning, match="no non-neighbor"):
@@ -213,6 +246,17 @@ def test_sampler_draws_look_uniform():
         counts[s.dst[0]] += 1
     assert counts[0] == 0
     np.testing.assert_allclose(counts[1:] / 2000, 0.25, atol=0.035)
+
+    # k=2 on a graph with edges: node 0 has non-neighbors 2, 4 and 5, and
+    # each of their 6 ordered pairs should come first-and-second ~1/6 of the time
+    g = build_graph("p6", 6, [(0, 1), (0, 3), (2, 4)], np.zeros((6, 1)))
+    pairs = {}
+    for _ in range(3000):
+        s = losses.sample_nonneighbors(g, 2, rng)
+        key = tuple(s.dst[s.indptr[0]:s.indptr[1]].tolist())
+        pairs[key] = pairs.get(key, 0) + 1
+    assert set(pairs) == set(itertools.permutations([2, 4, 5], 2))
+    np.testing.assert_allclose(np.array(list(pairs.values())) / 3000, 1 / 6, atol=0.03)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,17 @@ class TestTrainSource:
         with pytest.raises(ConfigError, match="source_epochs ≥ 1"):
             train_source(path3, quick_config(source_epochs=0))
 
+    # Each size crosses physical memory at a different parameter_shapes
+    # entry; the walk stops there, so nothing of that size is allocated.
+    @pytest.mark.parametrize("sizes", [
+        dict(p=10 ** 12), dict(attn_dim=10 ** 14),
+        dict(hidden_dim=1000, num_layers=10 ** 8),
+    ], ids=["p", "attn_dim", "num_layers"])
+    def test_refuses_parameters_larger_than_memory(self, sizes):
+        graph = generate_synthetic(small_spec(1))
+        with pytest.raises(ConfigError, match="config sizes do not fit in memory"):
+            train_source(graph, quick_config(**sizes))
+
     def test_log_structure(self):
         graph = generate_synthetic(small_spec(1))
         cfg = quick_config(source_epochs=3)

@@ -9,6 +9,9 @@ and each intermediate gradient once it has been passed on; the returned
 :class:`Gradients` holds leaf tensors only. With no active tape, ops are
 plain numpy and scipy computations (eval mode).
 
+Every dense layer, its weight stored (out, in), is one :func:`linear`
+record: matrix products, bias and optional relu together.
+
 Message passing runs on ops over a :class:`Pattern`: a CSR pattern whose
 slot ``s`` of row ``r`` (``indptr[r] <= s < indptr[r + 1]``) pairs row ``r``
 with column ``indices[s]``. Its owner validates it once; the ops check only
@@ -32,9 +35,9 @@ Backward computes no gradient for an operand with ``requires_grad=False``.
 Design constraints honored throughout:
 
 - all math in float64; every op validates that its output is finite;
-- relu has zero derivative at exactly 0;
-- a dense layer is one :func:`linear` record, whose bias is the only
-  broadcast; :func:`add` and :func:`elementwise_mul` take equal shapes;
+- :func:`linear`'s relu has zero derivative at exactly 0;
+- :func:`linear`'s bias is the only broadcast; :func:`add` and
+  :func:`elementwise_mul` take equal shapes;
 - guarded denominators: cosine uses eps = 1e-12, softmax subtracts the
   per-row/per-segment max before exponentiation;
 - pattern ops give empty rows an all-zero output and route exactly zero
@@ -50,7 +53,7 @@ from .errors import NumericalError, ShapeError
 
 __all__ = [
     "Tensor", "Tape", "Gradients",
-    "matmul", "linear", "add", "relu", "sigmoid", "elementwise_mul",
+    "linear", "add", "sigmoid", "elementwise_mul",
     "scalar_mul", "sum", "masked_row_softmax",
     "Pattern", "segment_softmax", "segment_mean", "reverse_min",
     "pair_dot", "spmm", "pair_cosine",
@@ -182,17 +185,6 @@ def _emit(out, bwd):
 # Dense ops
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    out = _make("matmul", a.values @ b.values, a, b)
-    av, bv = a.values, b.values
-    _emit(out, lambda g: ((a, g @ bv.T if a.requires_grad else None),
-                          (b, av.T @ g if b.requires_grad else None)))
-    return out
-
-
 def linear(inputs, W, b=None, relu=False):
     """``sum_i inputs[i] @ W[:, block_i].T + b``, then relu if asked; one tape record.
 
@@ -255,14 +247,6 @@ def scalar_mul(x, c):
     c = float(c)
     out = _make("scalar_mul", x.values * c, x)
     _emit(out, lambda g: ((x, g * c),))
-    return out
-
-
-def relu(x):
-    x = _as_tensor(x)
-    out = _make("relu", np.maximum(x.values, 0.0), x)
-    mask = x.values > 0  # derivative at exactly 0 is 0
-    _emit(out, lambda g: ((x, g * mask),))
     return out
 
 
@@ -618,14 +602,16 @@ def dropout(x, rate, rng, training):
 # Adam
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second-moment buffers for a fixed, ordered parameter list."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in params]
         self.v = [np.zeros_like(p.values) for p in params]
@@ -641,17 +627,17 @@ def adam_step(params, grads, state):
         raise ShapeError("adam_step: state does not match the parameter list")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for i, p in enumerate(params):
         g = grads[p] if isinstance(grads, Gradients) else grads[i]
         if g.shape != p.values.shape:
             raise ShapeError("adam_step: gradient shape mismatch")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if not np.all(np.isfinite(p.values)):
             raise NumericalError("adam_step produced non-finite parameters")
     return params, state

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import evaluation
+from .errors import ConfigError
 from .graphstore import (AttributedGraph, SyntheticSpec, compute_stats,
                          generate_synthetic, rewire_to_homophily)
 from .pipeline import RunConfig, adapt_target, margin_trace_check, train_source
@@ -45,6 +46,8 @@ def margin_experiment(seeds=10, lr=0.001, homophily=0.9, num_nodes=300,
     which is the regime where adaptation has something to recover. Patience
     is disabled so every run traces exactly ``steps`` epochs.
     """
+    if seeds < 1 or steps < 1:  # no seeds has no median, no steps no margins
+        raise ConfigError(f"seeds and steps must be at least 1, got {seeds} and {steps}")
     per_seed = []
     fractions = []
     for s in range(seeds):
@@ -95,6 +98,8 @@ def homophily_sweep(levels=DEFAULT_LEVELS, seeds=5, num_nodes=400,
     graph low keeps every requested level reachable. Each row records the
     homophily actually realized.
     """
+    if seeds < 1:  # no seeds has no median
+        raise ConfigError(f"seeds must be at least 1, got {seeds}")
     levels = [float(lv) for lv in levels]
     shared = bundle is not None
     if shared and centroids is None:

@@ -74,7 +74,7 @@ class NsawLayer:
     """One message-passing layer.
 
     W is (out_dim, 2 * in_dim) applied to [message | input] rows, b is
-    (1, out_dim), U is (in_dim, attn_dim) for the attention projection.
+    (1, out_dim), U is (attn_dim, in_dim) for the attention projection.
     """
 
     W: dk.Tensor
@@ -199,8 +199,12 @@ def init_bundle(rng, feature_dim, p, hidden_dim, attn_dim, num_layers,
     arrays = {}
     for name, (rows, cols) in parameter_shapes(feature_dim, p, hidden_dim, attn_dim,
                                                num_layers, identity_encoder):
-        arrays[name] = (np.zeros((rows, cols)) if name.rpartition(".")[2] in _BIASES
-                        else _uniform(rng, rows, cols))
+        if name.rpartition(".")[2] in _BIASES:
+            arrays[name] = np.zeros((rows, cols))
+        elif name.endswith(".U"):  # drawn (in, attn) as once stored: seeds keep their models
+            arrays[name] = _uniform(rng, cols, rows).T.copy()
+        else:
+            arrays[name] = _uniform(rng, rows, cols)
     return assemble_bundle(arrays, nsaw_enabled)
 
 
@@ -246,7 +250,7 @@ def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
         for i in range(num_layers):
             yield from [(f"layers.{i}.W", (hidden_dim, 2 * width)),
                         (f"layers.{i}.b", (1, hidden_dim)),
-                        (f"layers.{i}.U", (width, attn_dim))]
+                        (f"layers.{i}.U", (attn_dim, width))]
             width = hidden_dim
         yield from [("predictor.w_hidden", (hidden_dim, width)),
                     ("predictor.b_hidden", (1, hidden_dim)),
@@ -271,10 +275,11 @@ def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
 def compute_attention(layer, h, graph):
     """Row-softmax attention per directed slot, shape (num_slots, 1).
 
-    Scores are dot products of relu(h @ U) endpoint rows, normalized over
+    Scores are dot products of ``relu(h @ U.T)`` endpoint rows, the
+    projection being one :func:`diffkernel.linear` record, normalized over
     each node's neighborhood. Rows of isolated nodes simply have no slots.
     """
-    z = dk.relu(dk.matmul(h, layer.U))
+    z = dk.linear([h], layer.U, relu=True)
     scores = dk.pair_dot(z, graph.pattern)
     return dk.segment_softmax(scores, graph.pattern)
 

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 TTT_INITS = ("fresh", "source", "keep")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass

@@ -301,6 +301,21 @@ class TestEval:
                      "--graph", str(workspace["target"])]) == 2
         assert "unknown config key 'neighbor_cap'" in capsys.readouterr().err
 
+    def test_version_1_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        # Version 1 stored each U as (in, attn); with p = attn_dim a square U
+        # would otherwise load as its own transpose without an error.
+        raw = workspace["checkpoint"].read_bytes()
+        cut = raw.index(b"\n")
+        header = json.loads(raw[:cut])
+        (desc,) = [d for d in header["tensors"] if d["name"] == "layers.0.U"]
+        assert desc["rows"] == desc["cols"]
+        header["version"] = 1
+        old = tmp_path / "v1.bin"
+        old.write_bytes(json.dumps(header).encode() + raw[cut:])
+        assert main(["eval", "--checkpoint", str(old),
+                     "--graph", str(workspace["target"])]) == 2
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
     def test_nonfinite_checkpoint_tensor_exits_2(self, workspace, tmp_path, capsys):
         raw = workspace["checkpoint"].read_bytes()
         cut = raw.index(b"\n")
@@ -331,6 +346,25 @@ class TestExperimentCommands:
         assert report["seeds"] == 1 and report["steps"] == 2
         assert len(report["per_seed"]) == 1
         assert 0.0 <= report["median_fraction_increasing"] <= 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["exp-margin", "--seeds", "0"],
+        ["exp-margin", "--seeds", "1", "--steps", "0"],
+        ["exp-homophily", "--auto-train", "--seeds", "0"],
+    ], ids=["margin-seeds", "margin-steps", "homophily-seeds"])
+    def test_impossible_runs_refused_before_training(self, argv, monkeypatch, capsys):
+        from ttgad import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        for name in ("generate_synthetic", "train_source", "adapt_target"):
+            monkeypatch.setattr(experiments, name, never)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "must be at least 1" in err
+        assert "NaN" not in out
 
     def test_homophily_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["exp-homophily", "--out", str(tmp_path / "h")]) == 1

@@ -389,10 +389,10 @@ def test_train_loss_gradient_matches_finite_differences(triangle_iso):
     w = losses.LossWeights(neg_samples_k=2)
     point = dk.Tensor(np.random.default_rng(10).standard_normal((4, 3)),
                       requires_grad=True)
-    logits = dk.Tensor(np.random.default_rng(12).standard_normal((3, 1)))
+    w_out = dk.Tensor(np.random.default_rng(12).standard_normal((1, 3)))
 
     def f(h):
-        probs = dk.sigmoid(dk.matmul(h, logits))
+        probs = dk.sigmoid(dk.linear([h], w_out))
         return losses.train_loss_parts(probs, h, triangle_iso, w,
                                        np.random.default_rng(42))[0]
 

@@ -632,12 +632,14 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="trailing byte"):
             load_checkpoint(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    # version 1 stored each U as (in, attn): a square one would load transposed
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         bundle, centroids, cfg = trained_pair(seed=16)
         path = tmp_path / "m.bin"
         save_checkpoint(bundle, centroids, cfg, path)
         header, payload = checkpoint_parts(path)
-        header["version"] = 99
+        header["version"] = version
         rewrite(path, header, payload)
         with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
             load_checkpoint(path)

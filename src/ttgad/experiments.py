@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import evaluation
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .graphstore import (AttributedGraph, SyntheticSpec, compute_stats,
                          generate_synthetic, rewire_to_homophily)
 from .pipeline import RunConfig, adapt_target, margin_trace_check, train_source
@@ -44,20 +44,27 @@ def margin_experiment(seeds=10, lr=0.001, homophily=0.9, num_nodes=300,
     rotated basis. The rotation is the dimension-preserving domain shift:
     it leaves the class geometry intact but misaligns the copied encoder,
     which is the regime where adaptation has something to recover. Patience
-    is disabled so every run traces exactly ``steps`` epochs.
+    is disabled so every run traces exactly ``steps`` epochs. Every graph is
+    generated before the first fit, and one the generator refuses (say
+    ``num_nodes=1``) raises :class:`ConfigError`, since the arguments are
+    the spec.
     """
     if seeds < 1 or steps < 1:  # no seeds has no median, no steps no margins
         raise ConfigError(f"seeds and steps must be at least 1, got {seeds} and {steps}")
-    per_seed = []
-    fractions = []
+    pairs = []
     for s in range(seeds):
         src = SyntheticSpec(num_nodes=num_nodes, feature_dim=feature_dim,
                             anomaly_rate=anomaly_rate, target_homophily=homophily,
                             mean_degree=mean_degree, seed=1000 + s,
                             name=f"margin-source-{s}")
         tgt = replace(src, seed=2000 + s, name=f"margin-target-{s}")
-        graph_s = generate_synthetic(src)
-        latent = generate_synthetic(tgt)
+        try:
+            pairs.append((generate_synthetic(src), generate_synthetic(tgt)))
+        except DataError as e:  # every spec value is an argument
+            raise ConfigError(f"margin experiment: {e}") from e
+    per_seed = []
+    fractions = []
+    for s, (graph_s, latent) in enumerate(pairs):
         basis = np.linalg.qr(np.random.default_rng(9000 + s).normal(
             size=(feature_dim, feature_dim)))[0]
         graph_t = AttributedGraph(latent.name, latent.num_nodes, latent.indptr,
@@ -101,6 +108,8 @@ def homophily_sweep(levels=DEFAULT_LEVELS, seeds=5, num_nodes=400,
     if seeds < 1:  # no seeds has no median
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
     levels = [float(lv) for lv in levels]
+    if len(set(levels)) != len(levels):  # results are keyed by level
+        raise ConfigError(f"levels must not repeat, got {levels}")
     shared = bundle is not None
     if shared and centroids is None:
         raise ValueError("a shared bundle needs its centroids")

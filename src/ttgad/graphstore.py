@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse
 
 from . import diffkernel as dk
-from .errors import DataError, GraphFormatError, ShapeError
+from .errors import DataError, GraphFormatError, ShapeError, TtgadError
 
 __all__ = [
     "AttributedGraph",
@@ -192,6 +192,23 @@ def build_graph(name, num_nodes, edges, features, labels=None):
 # Disk format
 
 
+def _id_text(ids, seps):
+    """``"".join(f"{i}{sep}")`` over the non-negative ``ids``, each followed by
+    the byte of ``seps`` for its column, as bytes. Digits are cut one decimal
+    place at a time over the whole array, not formatted one id at a time."""
+    width = len(str(int(ids.max(initial=0))))
+    table = np.empty(ids.shape + (width + 1,), dtype=np.uint8)
+    table[..., width] = np.frombuffer(seps, dtype=np.uint8)
+    keep = np.ones(table.shape, dtype=bool)
+    rest = ids
+    for place in range(width - 1, -1, -1):  # right-aligned; leading zeros dropped
+        rest, digit = np.divmod(rest, 10)
+        table[..., place] = digit + ord("0")
+        if place:
+            keep[..., place - 1] = rest > 0
+    return table[keep].tobytes()
+
+
 def save_graph(graph, path):
     """Write a graph bundle directory; returns the directory path."""
     out = Path(path)
@@ -203,13 +220,12 @@ def save_graph(graph, path):
         "has_labels": graph.labels is not None,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    lines = [f"{u}\t{v}\n" for u, v in graph.undirected_edges.tolist()]
-    (out / "edges.tsv").write_text("".join(lines))
+    (out / "edges.tsv").write_bytes(_id_text(graph.undirected_edges, b"\t\n"))
     (out / "features.bin").write_bytes(
         np.ascontiguousarray(graph.features, dtype="<f4").tobytes()
     )
     if graph.labels is not None:
-        (out / "labels.tsv").write_text("".join(f"{int(y)}\n" for y in graph.labels))
+        (out / "labels.tsv").write_bytes(_id_text(graph.labels, b"\n"))
     return out
 
 
@@ -461,16 +477,321 @@ def _validate_spec(spec):
         raise DataError("noise_scale must be non-negative")
 
 
-def _sample_distinct_pair(rng, pool):
+def _same_label_step(rng, normals, anomalies, p_aa, n):
+    """One same-label iteration through ``rng``: its pair's key, or -1."""
+    pool = anomalies if rng.random() < p_aa else normals
+    if pool.size < 2:
+        return -1
     i = int(rng.integers(pool.size))
     j = int(rng.integers(pool.size - 1))
-    if j >= i:
-        j += 1
-    return int(pool[i]), int(pool[j])
+    j += j >= i
+    u, v = sorted((int(pool[i]), int(pool[j])))
+    return u * n + v
+
+
+def _cross_label_step(rng, normals, anomalies, n):
+    """One cross-label iteration through ``rng``: its pair's key."""
+    u = int(normals[rng.integers(normals.size)])
+    v = int(anomalies[rng.integers(anomalies.size)])
+    return min(u, v) * n + max(u, v)
+
+
+# The edge loops are replayed from PCG64's raw 64-bit words. ``rng.random()``
+# reads one word w as (w >> 11) * 2**-53. ``rng.integers(b)`` for b >= 2 reads
+# one uint32 by Lemire's method: the high half that the last such read left
+# buffered, if any, else the low half of a new word, buffering its high half.
+# Each rejection reads one more uint32. ``rng.integers(1)`` reads nothing.
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _threshold(bounds):
+    """Lemire's rejection threshold ``(2**32 - b) % b`` per bound b >= 1."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    return (2 ** 32 - bounds) % bounds
+
+
+def _lemire(halves, bound, threshold):
+    """numpy's draws below ``bound`` from the uint32 ``halves``: the values,
+    and where a draw is rejected (and so reads another half)."""
+    product = halves * bound
+    return product >> 32, (product & _LOW32) < threshold
+
+
+def _seek(bg, start, o, buffered):
+    """Put ``bg`` ``o`` words past state ``start`` with ``buffered`` (or no
+    half) in its uint32 buffer."""
+    bg.state = start
+    bg.advance(o)  # clears the buffer
+    state = bg.state
+    state["has_uint32"] = int(buffered is not None)
+    state["uinteger"] = 0 if buffered is None else int(buffered)
+    bg.state = state
+
+
+def _buffered(state):
+    return state["uinteger"] if state["has_uint32"] else None
+
+
+def _same_position(a, b):
+    return a["state"] == b["state"] and _buffered(a) == _buffered(b)
+
+
+def _words_used(bg, before, after, limit):
+    """How many words lie between states ``before`` and ``after``; None if
+    more than ``limit``."""
+    bg.state = before
+    for used in range(limit + 1):
+        if bg.state["state"] == after["state"]:
+            return used
+        bg.advance(1)
+    return None
+
+
+class _Batch:
+    """A batch of raw words read as the iterations of one edge loop.
+
+    A stream position is ``z = 2 * o - b``: ``words[o]`` is the next word,
+    and ``b`` is 1 when the uint32 buffer holds the high half of
+    ``words[o - 1]``. A regular iteration moves ``z`` by ``step``, and its
+    draws depend only on the words and ``z % step`` (the frame), so each
+    frame is read in one array pass from the first position that enters it.
+    An irregular iteration (a rejected draw, or a bound of 1 or less) goes
+    through ``rng`` and may leave the stream in another frame.
+    """
+
+    def __init__(self, words):
+        self.words = words
+        self.high = words >> 32
+        self.frames = {}
+
+    def position(self, o, buffered):
+        """z of word ``o`` with ``buffered`` pending; None if the buffer does
+        not hold the high half of ``words[o - 1]``."""
+        if buffered is None:
+            return 2 * o
+        if 0 < o <= self.words.size and buffered == self.high[o - 1]:
+            return 2 * o - 1
+        return None
+
+    def state(self, z):
+        """(o, buffered) of position z."""
+        o = (z + 1) >> 1
+        return o, int(self.high[o - 1]) if z & 1 else None
+
+    def regular(self, z, limit):
+        """Keys of at most ``limit`` iterations from z, up to the first
+        irregular one or the end of the words."""
+        if not self.step:
+            return np.zeros(0, dtype=np.int64)
+        frame = self.frames.get(z % self.step)
+        if frame is None:
+            frame = self.frames[z % self.step] = (z, *self.read(z))
+        first, keys, irregular = frame
+        k = (z - first) // self.step
+        cut = irregular[np.searchsorted(irregular, k):][:1]
+        return keys[k:min(int(cut[0]) if cut.size else keys.size, k + limit)]
+
+
+class _SameLabelBatch(_Batch):
+    """Same-label iterations: a double picks the pool, then two draws pick a
+    distinct pair in it. Each takes a word for the double and one for the
+    draws, which read its low and high halves, or the buffered half and its
+    low half."""
+
+    step = 4
+
+    def __init__(self, bg, iterations, normals, anomalies, p_aa, n):
+        super().__init__(bg.random_raw(2 * iterations))
+        self.pool = np.concatenate([normals, anomalies])
+        # Per pool (normal, anomaly): its offset in ``pool``, and the bounds
+        # of the first and second draws with their thresholds. A one-node
+        # pool's second bound is 0; it only ever runs through rng.
+        self.offsets = np.array([0, normals.size], dtype=np.uint64)
+        self.bounds = np.array([[normals.size, anomalies.size],
+                                [normals.size - 1, anomalies.size - 1]], dtype=np.uint64)
+        self.thresholds = _threshold(np.maximum(self.bounds, 1))
+        self.p_aa, self.n = p_aa, n
+
+    def read(self, z):
+        o = (z + 1) >> 1
+        draws = self.words[o + 1::2]
+        low = draws & _LOW32
+        first, second = (self.high[o - 1:-2:2], low) if z & 1 else (low, draws >> 32)
+        pool = ((self.words[o:-1:2] >> 11) * 2.0 ** -53 < self.p_aa).view(np.uint8)
+        size = self.bounds[0].take(pool)
+        i, rejected = _lemire(first, size, self.thresholds[0].take(pool))
+        j, rejected_second = _lemire(second, self.bounds[1].take(pool),
+                                     self.thresholds[1].take(pool))
+        j += j >= i
+        offset = self.offsets.take(pool)
+        u = self.pool.take(offset + i, mode="clip")
+        v = self.pool.take(offset + j, mode="clip")
+        keys = np.minimum(u, v) * self.n + np.maximum(u, v)
+        return keys, np.flatnonzero(rejected | rejected_second | (size < 3))
+
+
+class _CrossLabelBatch(_Batch):
+    """Cross-label iterations: one draw per class of two or more nodes, read
+    from consecutive uint32 halves; a one-node class takes its node."""
+
+    def __init__(self, bg, iterations, normals, anomalies, n):
+        self.step = int(normals.size > 1) + int(anomalies.size > 1)
+        super().__init__(bg.random_raw(-(-iterations * self.step // 2)))
+        self.halves = np.empty(2 * self.words.size, dtype=np.uint64)
+        self.halves[0::2] = self.words & _LOW32
+        self.halves[1::2] = self.high
+        self.classes = normals, anomalies
+        self.n = n
+
+    def read(self, z):
+        count = (self.halves.size - z) // self.step
+        halves = (self.halves[z + r::self.step][:count] for r in range(self.step))
+        irregular = np.zeros(count, dtype=bool)
+        ends = []
+        for nodes in self.classes:
+            if nodes.size > 1:
+                index, rejected = _lemire(next(halves), np.uint64(nodes.size),
+                                          _threshold(nodes.size))
+                irregular |= rejected
+                ends.append(nodes.take(index, mode="clip"))
+            else:
+                ends.append(np.full(count, nodes[0]))
+        u, v = ends
+        return np.minimum(u, v) * self.n + np.maximum(u, v), np.flatnonzero(irregular)
+
+
+def _replay(rng, batch_of, iterations, step):
+    """Run up to ``iterations`` loop iterations from ``rng`` over the raw
+    words of ``batch_of(bit_generator, iterations)``: regular ones as arrays,
+    irregular ones through ``step(rng)``.
+
+    Returns their keys and ``seek(j)``, which puts ``rng`` where the scalar
+    loop would be after iteration j. Fewer iterations come back when the
+    words run out.
+    """
+    bg = rng.bit_generator
+    start = bg.state
+    batch = batch_of(bg, iterations)
+    keys = np.empty(iterations, dtype=np.int64)
+    ends = np.empty(iterations, dtype=np.int64)  # z after each; -1: see posts
+    posts = {}  # the state after each iteration run through rng
+    o, buffered = 0, _buffered(start)
+    z = batch.position(o, buffered)
+    done = 0
+    while done < iterations:
+        if z is not None:
+            run = batch.regular(z, iterations - done)
+            keys[done:done + run.size] = run
+            ends[done:done + run.size] = z + batch.step * np.arange(1, run.size + 1)
+            done += run.size
+            z += batch.step * run.size
+            if done == iterations:
+                break
+            o, buffered = batch.state(z)
+        _seek(bg, start, o, buffered)
+        before = bg.state
+        keys[done] = step(rng)
+        after = bg.state
+        used = _words_used(bg, before, after, batch.words.size - o)
+        z = None if used is None else batch.position(o + used, _buffered(after))
+        ends[done], posts[done] = -1, after
+        done += 1
+        if used is None:
+            break
+        o, buffered = o + used, _buffered(after)
+
+    def seek(j):
+        if ends[j] < 0:
+            bg.state = posts[j]
+        else:
+            _seek(bg, start, *batch.state(int(ends[j])))
+
+    return keys[:done], seek
+
+
+def _first_unseen(keys, seen):
+    """Where ``keys`` holds a key that is neither in sorted ``seen`` nor
+    equal to an earlier key; a negative key (no pair drawn) never is."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[0] - 1))
+    distinct = ordered[starts]
+    fresh = distinct >= 0
+    if seen.size:
+        fresh &= seen.take(np.searchsorted(seen, distinct), mode="clip") != distinct
+    mask = np.zeros(keys.size, dtype=bool)
+    mask[np.minimum.reduceat(order, starts)[fresh]] = True
+    return mask
+
+
+def _draw_edges(rng, need, budget, batch_of, step, loop):
+    """The keys that a scalar loop of ``step(rng)`` iterations accepts: the
+    first ``need`` distinct ones, in order, within ``budget + 1`` iterations.
+
+    Batches are sized to the keys still needed at the last batch's
+    acceptance rate, and at most twice the first. The first batch is
+    checked against ``step`` on a copy of ``rng``.
+    """
+    accepted = []
+    seen = np.zeros(0, dtype=np.int64)
+    attempts = 0
+    size, cap = need, 2 * need
+    while need:
+        if attempts > budget:
+            raise DataError(f"infeasible spec: {loop} edge sampling exhausted its budget")
+        probe = None if attempts else copy.deepcopy(rng)
+        iterations = min(size, budget + 1 - attempts)
+        keys, seek = _replay(rng, batch_of, iterations, step)
+        if probe is not None:
+            _check_replay(probe, rng, keys, seek, step)
+        fresh = _first_unseen(keys, seen)
+        hits = np.cumsum(fresh)
+        done = keys.size if hits[-1] < need else int(np.searchsorted(hits, need)) + 1
+        seek(done - 1)
+        new = keys[:done][fresh[:done]]
+        accepted.append(new)
+        seen = np.sort(np.concatenate([seen, new]))
+        need -= new.size
+        attempts += done
+        size = min(cap, -(-need * done // max(new.size, 1)))
+    return np.concatenate(accepted) if accepted else np.zeros(0, dtype=np.int64)
+
+
+def _check_replay(probe, rng, keys, seek, step):
+    """Raise unless the first keys of a replayed batch, and the stream
+    position after them, match ``step`` run on ``probe`` (a copy of ``rng``
+    from before the batch)."""
+    count = min(keys.size, 8)
+    expected = [step(probe) for _ in range(count)]
+    seek(count - 1)
+    if (expected != keys[:count].tolist()
+            or not _same_position(probe.bit_generator.state, rng.bit_generator.state)):
+        raise TtgadError(
+            f"generate_synthetic: numpy {np.__version__} draws bounded integers in a "
+            "way its raw-stream replay does not reproduce, so the graph for this "
+            "seed cannot be generated")
 
 
 def generate_synthetic(spec):
-    """Generate a labeled attributed graph; bitwise deterministic per seed."""
+    """Generate a labeled attributed graph; bitwise deterministic per seed.
+
+    Labels, then features, then edges are drawn from one PCG64 stream
+    seeded by ``spec.seed``. Same-label edges come first: each iteration
+    picks the anomaly pool with probability ``p_aa`` (its share of the
+    same-label pairs) and two distinct nodes in the pool; then cross-label
+    edges pair a normal with an anomaly. A drawn pair already taken is
+    skipped. Each loop is the scalar ``rng`` loop of :func:`_same_label_step`
+    or :func:`_cross_label_step`, replayed in batches from the raw stream
+    (see :class:`_Batch`): iterations whose draws Lemire's method rejects
+    run through ``rng`` itself, and duplicates are removed per batch, so the
+    graph is bitwise the one the scalar loop draws. The first batch of each
+    loop is checked against the scalar calls on a copy of the generator; a
+    numpy whose bounded-integer draws differ raises :class:`TtgadError`
+    naming its version rather than return another graph. A loop that cannot
+    find its edges within ``200 * m + 1000`` iterations raises
+    :class:`DataError`.
+    """
     _validate_spec(spec)
     n = spec.num_nodes
     rng = np.random.default_rng(spec.seed)
@@ -495,39 +816,20 @@ def generate_synthetic(spec):
     if m_same > pairs_nn + pairs_aa or m_cross > normals.size * anomalies.size:
         raise DataError("infeasible spec: not enough distinct pairs for the target mix")
 
-    seen = set()
-    edges = np.zeros((m, 2), dtype=np.int64)
-    count = 0
     budget = 200 * max(m, 1) + 1000
     p_aa = pairs_aa / (pairs_nn + pairs_aa) if (pairs_nn + pairs_aa) else 0.0
-    attempts = 0
-    while count < m_same:
-        if attempts > budget:
-            raise DataError("infeasible spec: same-label edge sampling exhausted its budget")
-        attempts += 1
-        pool = anomalies if rng.random() < p_aa else normals
-        if pool.size < 2:
-            continue
-        u, v = _sample_distinct_pair(rng, pool)
-        key = min(u, v) * n + max(u, v)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges[count] = (min(u, v), max(u, v))
-        count += 1
-    attempts = 0
-    while count < m:
-        if attempts > budget:
-            raise DataError("infeasible spec: cross-label edge sampling exhausted its budget")
-        attempts += 1
-        u = int(normals[rng.integers(normals.size)])
-        v = int(anomalies[rng.integers(anomalies.size)])
-        key = min(u, v) * n + max(u, v)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges[count] = (min(u, v), max(u, v))
-        count += 1
+    same = _draw_edges(
+        rng, m_same, budget,
+        lambda bg, iters: _SameLabelBatch(bg, iters, normals, anomalies, p_aa, n),
+        lambda g: _same_label_step(g, normals, anomalies, p_aa, n), "same-label")
+    # Same-label keys never pair a normal with an anomaly, so the
+    # cross-label loop has nothing to check them against.
+    cross = _draw_edges(
+        rng, m_cross, budget,
+        lambda bg, iters: _CrossLabelBatch(bg, iters, normals, anomalies, n),
+        lambda g: _cross_label_step(g, normals, anomalies, n), "cross-label")
+    keys = np.concatenate([same, cross])
+    edges = np.column_stack([keys // n, keys % n])
 
     graph = build_graph(spec.name, n, edges, features, labels)
     if m > 0:

@@ -134,10 +134,11 @@ def sample_nonneighbors(graph, k, rng):
     Nodes adjacent to everything else have no non-neighbor and are skipped
     (with a warning); a node with ``avail = n - 1 - degree`` non-neighbors
     takes ``min(k, avail)`` of them. Round j draws each remaining node's rank
-    uniformly from the ``avail - j`` non-neighbors not yet taken and shifts
-    it past the earlier ranks in ascending order, which is exact sampling
-    without replacement; row i of the result lists node i's draws in order.
-    A rank becomes a node id by counting the neighbors before it.
+    uniformly from the ``avail - j`` non-neighbors not yet taken and maps it
+    back through the earlier rounds' draws, last first, to a rank among all
+    ``avail``, which is exact sampling without replacement; row i of the
+    result lists node i's draws in order. A rank becomes a node id by
+    counting the neighbors before it.
     """
     n = graph.num_nodes
     if k < 1:
@@ -148,16 +149,21 @@ def sample_nonneighbors(graph, k, rng):
         warnings.warn(f"{int(skipped.sum())} node(s) have no non-neighbor; skipped",
                       stacklevel=2)
     take = np.minimum(avail, min(k, n))
-    ranks = np.zeros((n, int(take.max(initial=0))), dtype=np.int64)
-    for j in range(ranks.shape[1]):
-        active = np.flatnonzero(take > j)
-        r = rng.integers(0, avail[active] - j)
-        for earlier in np.sort(ranks[active, :j], axis=1).T:
-            r += r >= earlier
-        ranks[active, j] = r
+    rounds = int(take.max(initial=0))
+    drawn = np.zeros((rounds, n), dtype=np.int64)
+    ranks = np.zeros((n, rounds), dtype=np.int64)
+    for j in range(rounds):
+        active = take > j
+        drawn[j, active] = rng.integers(0, avail[active] - j)
+        # Rank r among the non-neighbors left after round t is rank
+        # r + (r >= drawn[t]) among those left before it.
+        r = drawn[j].copy()
+        for t in range(j - 1, -1, -1):
+            r += r >= drawn[t]
+        ranks[:, j] = r
 
     rows = np.repeat(np.arange(n, dtype=np.int64), take)
-    r = ranks[np.arange(ranks.shape[1]) < take[:, None]]
+    r = ranks[np.arange(rounds) < take[:, None]]
     r += (np.searchsorted(graph.nonneighbor_keys, rows * n + r, side="right")
           - graph.indptr[rows])
     indptr = np.concatenate([[0], np.cumsum(take)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ttgad.cli import main
+from ttgad.errors import ConfigError
 from ttgad.graphstore import load_graph
 
 
@@ -365,6 +366,47 @@ class TestExperimentCommands:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "must be at least 1" in err
         assert "NaN" not in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--nodes", "1"], "num_nodes must be at least 2"),
+        (["--homophily", "1.5"], "target_homophily must lie in [0, 1]"),
+    ], ids=["nodes", "homophily"])
+    def test_margin_generator_flags_are_usage_errors(self, flags, message, monkeypatch,
+                                                     capsys):
+        # as for `ttgad gen`: a spec the generator refuses came from a flag
+        from ttgad import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("training started before the refusal")
+
+        for name in ("train_source", "adapt_target"):
+            monkeypatch.setattr(experiments, name, never)
+        assert main(["exp-margin", "--seeds", "2", "--steps", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exp-homophily", "--auto-train", "--seeds", "1", "--levels", "0.5,0.5"],
+        ["exp-homophily", "--auto-train", "--levels", "0.9,0.3,0.9"],
+    ], ids=["pair", "apart"])
+    def test_homophily_repeated_levels_refused(self, argv, monkeypatch, capsys):
+        from ttgad import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        for name in ("generate_synthetic", "train_source", "adapt_target"):
+            monkeypatch.setattr(experiments, name, never)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "must not repeat" in err and not out
+
+    def test_homophily_sweep_refuses_repeated_levels(self):
+        from ttgad import experiments
+        with pytest.raises(ConfigError, match="must not repeat"):
+            experiments.homophily_sweep(levels=(0.5, 0.5), seeds=1)
 
     def test_homophily_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["exp-homophily", "--out", str(tmp_path / "h")]) == 1

@@ -1,16 +1,17 @@
 """Graph container, disk format, generator and rewiring tests."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import edit_json, mutate_bytes
 from ttgad import graphstore
-from ttgad.errors import DataError, GraphFormatError
+from ttgad.errors import DataError, GraphFormatError, TtgadError
 from ttgad.graphstore import (AttributedGraph, SyntheticSpec, build_graph,
                               compute_stats, generate_synthetic, graphs_equal,
                               load_graph, rewire_to_homophily, save_graph)
@@ -421,6 +422,27 @@ def test_random_graph_round_trips_exactly(tmp_path_factory, seed, n, labeled):
     assert graphs_equal(g, load_graph(out))
 
 
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("edges", [
+    [(0, 9), (9, 10), (10, 99), (99, 100), (100, 999), (999, 1000), (1000, 10000),
+     (0, 1), (5, 10000), (9999, 10000)],
+    [],
+], ids=["digit-widths", "edgeless"])
+def test_save_graph_bytes_match_per_id_formatting(tmp_path, edges, labeled):
+    n = 10001
+    labels = (np.arange(n) % 7 == 3).astype(np.int64) if labeled else None
+    g = build_graph("w", n, edges or np.zeros((0, 2), dtype=np.int64),
+                    np.zeros((n, 1)), labels)
+    root = save_graph(g, tmp_path / "g")
+    expected = "".join(f"{u}\t{v}\n" for u, v in g.undirected_edges.tolist())
+    assert (root / "edges.tsv").read_bytes() == expected.encode()
+    assert (root / "labels.tsv").exists() == labeled
+    if labeled:
+        expected = "".join(f"{int(y)}\n" for y in g.labels)
+        assert (root / "labels.tsv").read_bytes() == expected.encode()
+    assert graphs_equal(load_graph(root), g)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generation
 
@@ -480,6 +502,208 @@ def test_generate_synthetic_infeasible_mix():
                          target_homophily=1.0, mean_degree=3.9, seed=1)
     with pytest.raises(DataError, match="infeasible"):
         generate_synthetic(spec)
+
+
+class RejectionCounter:
+    """A Generator stand-in for the scalar loop that notes each
+    ``integers(b)`` draw whose first uint32 Lemire's method rejects, by
+    peeking at the raw stream. A note is the bound and the number of
+    ``random()`` calls before it, so a count equal to the final one marks a
+    cross-label draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.peek = np.random.PCG64()
+        self.doubles = 0
+        self.rejections = []
+
+    def random(self, size=None):
+        self.doubles += size is None
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+    def integers(self, bound):
+        state = self.rng.bit_generator.state
+        bound = int(bound)
+        if bound > 1:
+            half = state["uinteger"]
+            if not state["has_uint32"]:
+                self.peek.state = state
+                half = int(self.peek.random_raw()) & 0xFFFFFFFF
+            if half * bound % 2 ** 32 < (2 ** 32 - bound) % bound:
+                self.rejections.append((self.doubles, bound))
+        return self.rng.integers(bound)
+
+
+def ref_generate_synthetic(spec, rng=None):
+    """The generator as scalar rng loops: one draw per Python call."""
+    graphstore._validate_spec(spec)
+    n = spec.num_nodes
+    rng = np.random.default_rng(spec.seed) if rng is None else rng
+    labels = (rng.random(n) < spec.anomaly_rate).astype(np.int64)
+    normals = np.flatnonzero(labels == 0)
+    anomalies = np.flatnonzero(labels == 1)
+    if normals.size == 0 or anomalies.size == 0:
+        raise DataError("infeasible spec: label draw produced a single class")
+    nc, ac = spec.resolved_centers()
+    features = np.stack([nc, ac])[labels] + spec.noise_scale * rng.standard_normal(
+        (n, spec.feature_dim))
+    features = features.astype(np.float32).astype(np.float64)
+    m = int(round(spec.mean_degree * n / 2.0))
+    m_same = int(round(spec.target_homophily * m))
+    pairs_nn = math.comb(normals.size, 2)
+    pairs_aa = math.comb(anomalies.size, 2)
+    if m_same > pairs_nn + pairs_aa or m - m_same > normals.size * anomalies.size:
+        raise DataError("infeasible spec: not enough distinct pairs for the target mix")
+    seen = set()
+    edges = []
+    budget = 200 * max(m, 1) + 1000
+    p_aa = pairs_aa / (pairs_nn + pairs_aa) if (pairs_nn + pairs_aa) else 0.0
+    attempts = 0
+    while len(edges) < m_same:
+        if attempts > budget:
+            raise DataError("infeasible spec: same-label edge sampling exhausted its budget")
+        attempts += 1
+        pool = anomalies if rng.random() < p_aa else normals
+        if pool.size < 2:
+            continue
+        i = int(rng.integers(pool.size))
+        j = int(rng.integers(pool.size - 1))
+        j += j >= i
+        u, v = sorted((int(pool[i]), int(pool[j])))
+        if u * n + v not in seen:
+            seen.add(u * n + v)
+            edges.append((u, v))
+    attempts = 0
+    while len(edges) < m:
+        if attempts > budget:
+            raise DataError("infeasible spec: cross-label edge sampling exhausted its budget")
+        attempts += 1
+        u = int(normals[rng.integers(normals.size)])
+        v = int(anomalies[rng.integers(anomalies.size)])
+        u, v = min(u, v), max(u, v)
+        if u * n + v not in seen:
+            seen.add(u * n + v)
+            edges.append((u, v))
+    graph = build_graph(spec.name, n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                        features, labels)
+    if m > 0 and abs(m_same / m - spec.target_homophily) > 0.03:
+        warnings.warn(f"generated homophily {m_same / m:.3f} misses target "
+                      f"{spec.target_homophily:.3f} (edge count too small)")
+    return graph
+
+
+def generator_outcome(generate, spec):
+    """(graph, DataError message, warning messages) of one generator call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            graph, error = generate(spec), None
+        except DataError as e:
+            graph, error = None, str(e)
+    return graph, error, [str(w.message) for w in caught]
+
+
+def assert_matches_scalar_loop(spec):
+    got, error, warned = generator_outcome(generate_synthetic, spec)
+    want, want_error, want_warned = generator_outcome(ref_generate_synthetic, spec)
+    assert (error, warned) == (want_error, want_warned)
+    assert got is None or graphs_equal(got, want)
+    return error
+
+
+@st.composite
+def synthetic_specs(draw):
+    n = draw(st.one_of(st.integers(2, 12), st.integers(13, 2000)))
+    degree = draw(st.one_of(st.just(0.0), st.floats(0.0, 12.0),
+                            st.floats(0.0, 1.0).map(lambda f: f * (n - 1))))
+    return SyntheticSpec(num_nodes=n, feature_dim=draw(st.integers(1, 3)),
+                         anomaly_rate=draw(st.floats(0.01, 0.49)),
+                         target_homophily=draw(st.floats(0.0, 1.0)),
+                         mean_degree=degree, seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def tiny(n, rate, homophily, degree, seed):
+    return SyntheticSpec(num_nodes=n, feature_dim=2, anomaly_rate=rate,
+                         target_homophily=homophily, mean_degree=degree, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=synthetic_specs())
+@example(spec=tiny(5, 0.45, 1.0, 1.6, 1))      # 2 anomalies among 5: a 2-node pool
+@example(spec=tiny(5, 0.49, 0.5, 1.6, 0))      # 3 anomalies, 2 normals
+@example(spec=tiny(20, 0.05, 0.5, 3.0, 1))     # one anomaly: one draw per cross edge
+@example(spec=tiny(3, 0.49, 0.0, 1.4, 0))      # one normal, two anomalies
+@example(spec=tiny(2, 0.49, 0.0, 1.0, 0))      # one node per class: no cross draws
+@example(spec=tiny(300, 0.1, 0.9, 0.0, 2))     # mean_degree=0
+@example(spec=tiny(40, 0.3, 0.8, 25.0, 0))     # 400 of 480 same-label pairs
+@example(spec=tiny(40, 0.3, 0.0, 15.0, 0))     # all 300 cross pairs
+def test_generator_matches_scalar_loop(spec):
+    assert_matches_scalar_loop(spec)
+
+
+def test_scalar_loop_examples_have_their_shapes():
+    # The @example specs above keep the class sizes their comments name.
+    def sizes(spec):
+        labels = np.random.default_rng(spec.seed).random(spec.num_nodes) < spec.anomaly_rate
+        return int((~labels).sum()), int(labels.sum())
+
+    assert sizes(tiny(5, 0.45, 1.0, 1.6, 1)) == (3, 2)
+    assert sizes(tiny(5, 0.49, 0.5, 1.6, 0)) == (2, 3)
+    assert sizes(tiny(20, 0.05, 0.5, 3.0, 1)) == (19, 1)
+    assert sizes(tiny(3, 0.49, 0.0, 1.4, 0)) == (1, 2)
+    assert sizes(tiny(2, 0.49, 0.0, 1.0, 0)) == (1, 1)
+    assert sizes(tiny(40, 0.3, 0.0, 15.0, 0)) == (30, 10)
+
+
+@pytest.mark.parametrize("homophily, seed, rejected", [
+    (0.9, 28143, ("same", "normals")),         # the first draw of a pair
+    (0.9, 177, ("same", "normals - 1")),       # the second draw of a pair
+    (0.1, 10643, ("cross", "normals")),
+    (0.1, 25852, ("cross", "anomalies")),
+])
+def test_generator_matches_scalar_loop_through_lemire_rejections(homophily, seed, rejected):
+    # Pinned seeds whose edge draws hit a rejection (found by scanning raw
+    # words); after one, each draw reads the other half of a word.
+    spec = SyntheticSpec(num_nodes=2000, feature_dim=1, anomaly_rate=0.3,
+                         target_homophily=homophily, mean_degree=20.0, seed=seed)
+    counter = RejectionCounter(seed)
+    want = ref_generate_synthetic(spec, counter)
+    normals = int((want.labels == 0).sum())
+    bounds = {"normals": normals, "normals - 1": normals - 1,
+              "anomalies": spec.num_nodes - normals}
+    seen = {("same" if doubles < counter.doubles else "cross", bound)
+            for doubles, bound in counter.rejections}
+    assert (rejected[0], bounds[rejected[1]]) in seen
+    assert graphs_equal(generate_synthetic(spec), want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 5])
+def test_exhausted_budget_matches_scalar_loop(monkeypatch, seed):
+    # One anomaly among 6 nodes leaves 10 same-label pairs for 15 edges.
+    # Overstated pair counts let that mix past the up-front check, so the
+    # same-label loop spends its budget, and also picks the one-node pool,
+    # which draws no pair.
+    real = math.comb
+    monkeypatch.setattr(math, "comb", lambda a, b: real(a, b) + 3)
+    error = assert_matches_scalar_loop(tiny(6, 0.2, 1.0, 5.0, seed))
+    assert "same-label edge sampling exhausted its budget" in error
+
+
+@pytest.mark.parametrize("homophily", [1.0, 0.0])
+def test_replay_self_check_refuses_a_different_stream(monkeypatch, homophily):
+    # Scalar draws that disagree with the replay (as on a numpy whose
+    # bounded integers differ) stop generation instead of changing it.
+    monkeypatch.setattr(graphstore, "_same_label_step",
+                        lambda rng, normals, anomalies, p_aa, n: 1)
+    monkeypatch.setattr(graphstore, "_cross_label_step",
+                        lambda rng, normals, anomalies, n: 1)
+    spec = tiny(300, 0.2, homophily, 6.0, 1)
+    with pytest.raises(TtgadError, match=np.__version__) as raised:
+        generate_synthetic(spec)
+    assert type(raised.value) is TtgadError
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,43 @@ def test_sampler_rows_hold_distinct_nonneighbors(seed, n, edge_prob, k):
         assert not adjacent[i, drawn].any() and not (drawn == i).any()
 
 
+def ref_sampler_ranks(graph, k, rng):
+    """Each row's non-neighbor ranks by the earlier round loop: round j's
+    draw shifts past the row's earlier ranks, sorted, one at a time."""
+    n = graph.num_nodes
+    avail = n - 1 - graph.degrees
+    take = np.minimum(avail, min(k, n))
+    ranks = np.zeros((n, int(take.max(initial=0))), dtype=np.int64)
+    for j in range(ranks.shape[1]):
+        active = np.flatnonzero(take > j)
+        r = rng.integers(0, avail[active] - j)
+        for earlier in np.sort(ranks[active, :j], axis=1).T:
+            r += r >= earlier
+        ranks[active, j] = r
+    return [ranks[i, :take[i]].tolist() for i in range(n)]
+
+
+@pytest.mark.filterwarnings("ignore:.*no non-neighbor.*")
+@pytest.mark.parametrize("k", [1, 5, 50])
+@pytest.mark.parametrize("edge_prob", [0.05, 0.6, 0.97])
+def test_sampler_draws_match_round_loop(k, edge_prob):
+    # dense graphs saturate rows: fewer than k non-neighbors, or none
+    rng = np.random.default_rng(int(100 * edge_prob) + k)
+    n = 80
+    upper = np.triu(rng.random((n, n)) < edge_prob, 1)
+    g = build_graph("h", n, np.argwhere(upper), np.zeros((n, 1)))
+    sample = losses.sample_nonneighbors(g, k, np.random.default_rng(k))
+    expected = ref_sampler_ranks(g, k, np.random.default_rng(k))
+    neighbors = [set(g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()) | {i}
+                 for i in range(n)]
+    for i in range(n):
+        others = [v for v in range(n) if v not in neighbors[i]]
+        drawn = sample.dst[sample.indptr[i]:sample.indptr[i + 1]].tolist()
+        assert drawn == [others[r] for r in expected[i]]
+    if edge_prob == 0.97:
+        assert any(len(row) < k for row in expected)
+
+
 def test_sampler_warns_on_complete_graph():
     g = build_graph("k3", 3, [(0, 1), (0, 2), (1, 2)], np.zeros((3, 1)))
     with pytest.warns(UserWarning, match="no non-neighbor"):

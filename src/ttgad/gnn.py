@@ -232,40 +232,46 @@ def assemble_bundle(arrays, nsaw_enabled):
         nsaw_enabled=nsaw_enabled)
 
 
+# Bytes a parameter tensor holds beyond its float64 values: peak RSS of
+# init_bundle at unit widths grew by about 1.97 KB per three-tensor layer.
+_TENSOR_OVERHEAD = 660
+
+
 def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
                      identity_encoder, target_cols=None):
     """``parameter_items()`` names and shapes of a bundle, in order; the one layout.
 
-    ``target_cols`` adds a target encoder for features of that width. The
-    walk raises ConfigError at the first entry that takes the float64 bytes
-    of the parameters past physical memory, so nothing is allocated for a
+    ``num_layers`` is at least 1, as :meth:`pipeline.RunConfig.validate` and
+    :func:`init_bundle` require. ``target_cols`` adds a target encoder for
+    features of that width. Before listing any entry, the bytes of the
+    bundle (each tensor's float64 values plus ``_TENSOR_OVERHEAD``) are
+    counted in closed form, since layers after the first are alike; past
+    physical memory, ConfigError is raised, so nothing is allocated for a
     bundle that cannot exist.
     """
-    def entries():
-        width = feature_dim if identity_encoder else p
-        if not identity_encoder:
-            yield "source_encoder.weight", (p, feature_dim)
-        if target_cols is not None:
-            yield "target_encoder.weight", (width, target_cols)
-        for i in range(num_layers):
-            yield from [(f"layers.{i}.W", (hidden_dim, 2 * width)),
-                        (f"layers.{i}.b", (1, hidden_dim)),
-                        (f"layers.{i}.U", (attn_dim, width))]
-            width = hidden_dim
-        yield from [("predictor.w_hidden", (hidden_dim, width)),
-                    ("predictor.b_hidden", (1, hidden_dim)),
-                    ("predictor.w_out", (1, hidden_dim)), ("predictor.b_out", (1, 1))]
+    width = feature_dim if identity_encoder else p
+    head = [] if identity_encoder else [("source_encoder.weight", (p, feature_dim))]
+    if target_cols is not None:
+        head.append(("target_encoder.weight", (width, target_cols)))
 
+    def layer(i):
+        cols = width if i == 0 else hidden_dim
+        return [(f"layers.{i}.W", (hidden_dim, 2 * cols)), (f"layers.{i}.b", (1, hidden_dim)),
+                (f"layers.{i}.U", (attn_dim, cols))]
+
+    tail = [("predictor.w_hidden", (hidden_dim, hidden_dim)),
+            ("predictor.b_hidden", (1, hidden_dim)),
+            ("predictor.w_out", (1, hidden_dim)), ("predictor.b_out", (1, 1))]
+
+    def size(entries):
+        return sum(8 * rows * cols + _TENSOR_OVERHEAD for _, (rows, cols) in entries)
+
+    needed = size(head + layer(0) + tail) + (num_layers - 1) * size(layer(1))
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    shapes, needed = [], 0
-    for name, (rows, cols) in entries():
-        needed += 8 * rows * cols
-        if needed > limit:
-            raise ConfigError(f"config sizes do not fit in memory: {name!r} brings "
-                              f"the parameters to {needed} bytes, past the {limit} "
-                              "bytes of physical memory")
-        shapes.append((name, (rows, cols)))
-    return shapes
+    if needed > limit:
+        raise ConfigError(f"config sizes do not fit in memory: the parameters need "
+                          f"{needed} bytes, past the {limit} bytes of physical memory")
+    return head + [entry for i in range(num_layers) for entry in layer(i)] + tail
 
 
 # ---------------------------------------------------------------------------

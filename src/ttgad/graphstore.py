@@ -137,11 +137,6 @@ class AttributedGraph:
         mask = self.slot_src < self.indices
         return np.column_stack([self.slot_src[mask], self.indices[mask]])
 
-    def has_edge(self, u, v):
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        pos = np.searchsorted(self.indices[lo:hi], v)
-        return pos < hi - lo and self.indices[lo + pos] == v
-
     def without_labels(self):
         """The same graph with its labels dropped (self if already unlabeled)."""
         if self.labels is None:
@@ -496,26 +491,25 @@ def _cross_label_step(rng, normals, anomalies, n):
     return min(u, v) * n + max(u, v)
 
 
-# The edge loops are replayed from PCG64's raw 64-bit words. ``rng.random()``
-# reads one word w as (w >> 11) * 2**-53. ``rng.integers(b)`` for b >= 2 reads
-# one uint32 by Lemire's method: the high half that the last such read left
-# buffered, if any, else the low half of a new word, buffering its high half.
-# Each rejection reads one more uint32. ``rng.integers(1)`` reads nothing.
+# The same-label loop is replayed from PCG64's raw 64-bit words.
+# ``rng.random()`` reads one word w as (w >> 11) * 2**-53. ``rng.integers(b)``
+# for b >= 2 reads one uint32 by Lemire's method: the high half that the last
+# such read left buffered, if any, else the low half of a new word, buffering
+# its high half. Each rejection reads one more uint32. ``rng.integers(1)``
+# reads nothing. So a regular same-label iteration (a pool of 3 or more nodes
+# and no rejection) reads two words and leaves the buffer full exactly when it
+# found it full: after k of them, the stream is 2k words on, and a full buffer
+# holds the high half of the k-th draw word.
 
+_RUN = 1 << 14  # same-label iterations read per run
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _threshold(bounds):
-    """Lemire's rejection threshold ``(2**32 - b) % b`` per bound b >= 1."""
-    bounds = np.asarray(bounds, dtype=np.uint64)
-    return (2 ** 32 - bounds) % bounds
-
-
-def _lemire(halves, bound, threshold):
-    """numpy's draws below ``bound`` from the uint32 ``halves``: the values,
+def _lemire(halves, bounds):
+    """numpy's draws below ``bounds`` (each >= 1) from the uint32 ``halves``,
     and where a draw is rejected (and so reads another half)."""
-    product = halves * bound
-    return product >> 32, (product & _LOW32) < threshold
+    product = halves * bounds
+    return product >> 32, (product & _LOW32) < (2 ** 32 - bounds) % bounds
 
 
 def _seek(bg, start, o, buffered):
@@ -533,181 +527,73 @@ def _buffered(state):
     return state["uinteger"] if state["has_uint32"] else None
 
 
-def _same_position(a, b):
-    return a["state"] == b["state"] and _buffered(a) == _buffered(b)
+def _same_label_run(rng, limit, normals, anomalies, p_aa, n):
+    """Keys of up to ``_RUN`` (and ``limit``) same-label iterations from
+    ``rng``, and ``seek(k)``, which puts ``rng`` where the scalar loop is
+    after iteration k.
 
-
-def _words_used(bg, before, after, limit):
-    """How many words lie between states ``before`` and ``after``; None if
-    more than ``limit``."""
-    bg.state = before
-    for used in range(limit + 1):
-        if bg.state["state"] == after["state"]:
-            return used
-        bg.advance(1)
-    return None
-
-
-class _Batch:
-    """A batch of raw words read as the iterations of one edge loop.
-
-    A stream position is ``z = 2 * o - b``: ``words[o]`` is the next word,
-    and ``b`` is 1 when the uint32 buffer holds the high half of
-    ``words[o - 1]``. A regular iteration moves ``z`` by ``step``, and its
-    draws depend only on the words and ``z % step`` (the frame), so each
-    frame is read in one array pass from the first position that enters it.
-    An irregular iteration (a rejected draw, or a bound of 1 or less) goes
-    through ``rng`` and may leave the stream in another frame.
-    """
-
-    def __init__(self, words):
-        self.words = words
-        self.high = words >> 32
-        self.frames = {}
-
-    def position(self, o, buffered):
-        """z of word ``o`` with ``buffered`` pending; None if the buffer does
-        not hold the high half of ``words[o - 1]``."""
-        if buffered is None:
-            return 2 * o
-        if 0 < o <= self.words.size and buffered == self.high[o - 1]:
-            return 2 * o - 1
-        return None
-
-    def state(self, z):
-        """(o, buffered) of position z."""
-        o = (z + 1) >> 1
-        return o, int(self.high[o - 1]) if z & 1 else None
-
-    def regular(self, z, limit):
-        """Keys of at most ``limit`` iterations from z, up to the first
-        irregular one or the end of the words."""
-        if not self.step:
-            return np.zeros(0, dtype=np.int64)
-        frame = self.frames.get(z % self.step)
-        if frame is None:
-            frame = self.frames[z % self.step] = (z, *self.read(z))
-        first, keys, irregular = frame
-        k = (z - first) // self.step
-        cut = irregular[np.searchsorted(irregular, k):][:1]
-        return keys[k:min(int(cut[0]) if cut.size else keys.size, k + limit)]
-
-
-class _SameLabelBatch(_Batch):
-    """Same-label iterations: a double picks the pool, then two draws pick a
-    distinct pair in it. Each takes a word for the double and one for the
-    draws, which read its low and high halves, or the buffered half and its
-    low half."""
-
-    step = 4
-
-    def __init__(self, bg, iterations, normals, anomalies, p_aa, n):
-        super().__init__(bg.random_raw(2 * iterations))
-        self.pool = np.concatenate([normals, anomalies])
-        # Per pool (normal, anomaly): its offset in ``pool``, and the bounds
-        # of the first and second draws with their thresholds. A one-node
-        # pool's second bound is 0; it only ever runs through rng.
-        self.offsets = np.array([0, normals.size], dtype=np.uint64)
-        self.bounds = np.array([[normals.size, anomalies.size],
-                                [normals.size - 1, anomalies.size - 1]], dtype=np.uint64)
-        self.thresholds = _threshold(np.maximum(self.bounds, 1))
-        self.p_aa, self.n = p_aa, n
-
-    def read(self, z):
-        o = (z + 1) >> 1
-        draws = self.words[o + 1::2]
-        low = draws & _LOW32
-        first, second = (self.high[o - 1:-2:2], low) if z & 1 else (low, draws >> 32)
-        pool = ((self.words[o:-1:2] >> 11) * 2.0 ** -53 < self.p_aa).view(np.uint8)
-        size = self.bounds[0].take(pool)
-        i, rejected = _lemire(first, size, self.thresholds[0].take(pool))
-        j, rejected_second = _lemire(second, self.bounds[1].take(pool),
-                                     self.thresholds[1].take(pool))
-        j += j >= i
-        offset = self.offsets.take(pool)
-        u = self.pool.take(offset + i, mode="clip")
-        v = self.pool.take(offset + j, mode="clip")
-        keys = np.minimum(u, v) * self.n + np.maximum(u, v)
-        return keys, np.flatnonzero(rejected | rejected_second | (size < 3))
-
-
-class _CrossLabelBatch(_Batch):
-    """Cross-label iterations: one draw per class of two or more nodes, read
-    from consecutive uint32 halves; a one-node class takes its node."""
-
-    def __init__(self, bg, iterations, normals, anomalies, n):
-        self.step = int(normals.size > 1) + int(anomalies.size > 1)
-        super().__init__(bg.random_raw(-(-iterations * self.step // 2)))
-        self.halves = np.empty(2 * self.words.size, dtype=np.uint64)
-        self.halves[0::2] = self.words & _LOW32
-        self.halves[1::2] = self.high
-        self.classes = normals, anomalies
-        self.n = n
-
-    def read(self, z):
-        count = (self.halves.size - z) // self.step
-        halves = (self.halves[z + r::self.step][:count] for r in range(self.step))
-        irregular = np.zeros(count, dtype=bool)
-        ends = []
-        for nodes in self.classes:
-            if nodes.size > 1:
-                index, rejected = _lemire(next(halves), np.uint64(nodes.size),
-                                          _threshold(nodes.size))
-                irregular |= rejected
-                ends.append(nodes.take(index, mode="clip"))
-            else:
-                ends.append(np.full(count, nodes[0]))
-        u, v = ends
-        return np.minimum(u, v) * self.n + np.maximum(u, v), np.flatnonzero(irregular)
-
-
-def _replay(rng, batch_of, iterations, step):
-    """Run up to ``iterations`` loop iterations from ``rng`` over the raw
-    words of ``batch_of(bit_generator, iterations)``: regular ones as arrays,
-    irregular ones through ``step(rng)``.
-
-    Returns their keys and ``seek(j)``, which puts ``rng`` where the scalar
-    loop would be after iteration j. Fewer iterations come back when the
-    words run out.
+    Regular iterations are read as arrays from the raw words. The run ends
+    at the first irregular one, which goes through :func:`_same_label_step`.
     """
     bg = rng.bit_generator
     start = bg.state
-    batch = batch_of(bg, iterations)
-    keys = np.empty(iterations, dtype=np.int64)
-    ends = np.empty(iterations, dtype=np.int64)  # z after each; -1: see posts
-    posts = {}  # the state after each iteration run through rng
-    o, buffered = 0, _buffered(start)
-    z = batch.position(o, buffered)
-    done = 0
-    while done < iterations:
-        if z is not None:
-            run = batch.regular(z, iterations - done)
-            keys[done:done + run.size] = run
-            ends[done:done + run.size] = z + batch.step * np.arange(1, run.size + 1)
-            done += run.size
-            z += batch.step * run.size
-            if done == iterations:
-                break
-            o, buffered = batch.state(z)
-        _seek(bg, start, o, buffered)
-        before = bg.state
-        keys[done] = step(rng)
-        after = bg.state
-        used = _words_used(bg, before, after, batch.words.size - o)
-        z = None if used is None else batch.position(o + used, _buffered(after))
-        ends[done], posts[done] = -1, after
-        done += 1
-        if used is None:
-            break
-        o, buffered = o + used, _buffered(after)
+    buffered = _buffered(start)
+    count = min(limit, _RUN)
+    words = bg.random_raw(2 * count)
+    draws = words[1::2]
+    if buffered is None:
+        first, second = draws & _LOW32, draws >> 32
+    else:  # pending[k]: the buffered half after k iterations
+        pending = np.concatenate([np.array([buffered], dtype=np.uint64), draws >> 32])
+        first, second = pending[:-1], draws & _LOW32
+    anomalous = ((words[0::2] >> 11) * 2.0 ** -53 < p_aa).view(np.uint8)
+    size = np.array([normals.size, anomalies.size], dtype=np.uint64).take(anomalous)
+    i, rejected = _lemire(first, size)
+    j, rejected_second = _lemire(second, np.maximum(size, 2) - 1)
+    irregular = np.flatnonzero(rejected | rejected_second | (size < 3))
+    regular = int(irregular[0]) if irregular.size else count
+    j += j >= i
+    members = np.concatenate([normals, anomalies])
+    offset = anomalous * np.uint64(normals.size)
+    u = members.take(offset[:regular] + i[:regular])
+    v = members.take(offset[:regular] + j[:regular])
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
 
-    def seek(j):
-        if ends[j] < 0:
-            bg.state = posts[j]
+    def place(k):
+        _seek(bg, start, 2 * (k + 1), None if buffered is None else pending[k + 1])
+
+    if regular == count:
+        return keys, place
+    place(regular - 1)
+    keys = np.append(keys, _same_label_step(rng, normals, anomalies, p_aa, n))
+    after = bg.state
+
+    def seek(k):
+        if k == regular:
+            bg.state = after
         else:
-            _seek(bg, start, *batch.state(int(ends[j])))
+            place(k)
 
-    return keys[:done], seek
+    return keys, seek
+
+
+def _cross_label_run(rng, limit, normals, anomalies, n):
+    """Keys of ``limit`` cross-label iterations from ``rng``, and ``seek(k)``,
+    which puts ``rng`` where the scalar loop is after iteration k.
+
+    numpy's array draws read the stream exactly as the scalar calls do, so
+    ``seek`` draws the first k + 1 rows again from the start state.
+    """
+    start = rng.bit_generator.state
+    bounds = [normals.size, anomalies.size]
+    draws = rng.integers(0, bounds, size=(limit, 2))
+    u, v = normals[draws[:, 0]], anomalies[draws[:, 1]]
+
+    def seek(k):
+        rng.bit_generator.state = start
+        rng.integers(0, bounds, size=(k + 1, 2))
+
+    return np.minimum(u, v) * n + np.maximum(u, v), seek
 
 
 def _first_unseen(keys, seen):
@@ -725,11 +611,12 @@ def _first_unseen(keys, seen):
     return mask
 
 
-def _draw_edges(rng, need, budget, batch_of, step, loop):
+def _draw_edges(rng, need, budget, run, step, loop):
     """The keys that a scalar loop of ``step(rng)`` iterations accepts: the
     first ``need`` distinct ones, in order, within ``budget + 1`` iterations.
 
-    Batches are sized to the keys still needed at the last batch's
+    ``run(rng, limit)`` replays at most ``limit`` iterations as a batch.
+    Batches are asked for the keys still needed at the last batch's
     acceptance rate, and at most twice the first. The first batch is
     checked against ``step`` on a copy of ``rng``.
     """
@@ -742,7 +629,7 @@ def _draw_edges(rng, need, budget, batch_of, step, loop):
             raise DataError(f"infeasible spec: {loop} edge sampling exhausted its budget")
         probe = None if attempts else copy.deepcopy(rng)
         iterations = min(size, budget + 1 - attempts)
-        keys, seek = _replay(rng, batch_of, iterations, step)
+        keys, seek = run(rng, iterations)
         if probe is not None:
             _check_replay(probe, rng, keys, seek, step)
         fresh = _first_unseen(keys, seen)
@@ -751,7 +638,8 @@ def _draw_edges(rng, need, budget, batch_of, step, loop):
         seek(done - 1)
         new = keys[:done][fresh[:done]]
         accepted.append(new)
-        seen = np.sort(np.concatenate([seen, new]))
+        new_sorted = np.sort(new)
+        seen = np.insert(seen, np.searchsorted(seen, new_sorted), new_sorted)
         need -= new.size
         attempts += done
         size = min(cap, -(-need * done // max(new.size, 1)))
@@ -765,12 +653,13 @@ def _check_replay(probe, rng, keys, seek, step):
     count = min(keys.size, 8)
     expected = [step(probe) for _ in range(count)]
     seek(count - 1)
-    if (expected != keys[:count].tolist()
-            or not _same_position(probe.bit_generator.state, rng.bit_generator.state)):
+    want, got = probe.bit_generator.state, rng.bit_generator.state
+    if (expected != keys[:count].tolist() or want["state"] != got["state"]
+            or _buffered(want) != _buffered(got)):
         raise TtgadError(
             f"generate_synthetic: numpy {np.__version__} draws bounded integers in a "
-            "way its raw-stream replay does not reproduce, so the graph for this "
-            "seed cannot be generated")
+            "way its replay of the scalar loops does not reproduce, so the graph for "
+            "this seed cannot be generated")
 
 
 def generate_synthetic(spec):
@@ -782,15 +671,18 @@ def generate_synthetic(spec):
     same-label pairs) and two distinct nodes in the pool; then cross-label
     edges pair a normal with an anomaly. A drawn pair already taken is
     skipped. Each loop is the scalar ``rng`` loop of :func:`_same_label_step`
-    or :func:`_cross_label_step`, replayed in batches from the raw stream
-    (see :class:`_Batch`): iterations whose draws Lemire's method rejects
-    run through ``rng`` itself, and duplicates are removed per batch, so the
-    graph is bitwise the one the scalar loop draws. The first batch of each
-    loop is checked against the scalar calls on a copy of the generator; a
-    numpy whose bounded-integer draws differ raises :class:`TtgadError`
-    naming its version rather than return another graph. A loop that cannot
-    find its edges within ``200 * m + 1000`` iterations raises
-    :class:`DataError`.
+    or :func:`_cross_label_step`, run in batches whose duplicates are
+    removed as arrays, so the graph is bitwise the one the scalar loop
+    draws. The same-label loop is read from the raw stream in runs of at
+    most ``_RUN`` iterations (see :func:`_same_label_run`); an iteration
+    whose draws Lemire's method rejects ends its run and goes through
+    ``rng`` itself. The cross-label loop is one array call of
+    ``rng.integers``, which reads the stream as the scalar calls do. The
+    first batch of each loop is checked against the scalar calls on a copy
+    of the generator; a numpy whose bounded-integer draws differ raises
+    :class:`TtgadError` naming its version rather than return another
+    graph. A loop that cannot find its edges within ``200 * m + 1000``
+    iterations raises :class:`DataError`.
     """
     _validate_spec(spec)
     n = spec.num_nodes
@@ -820,13 +712,13 @@ def generate_synthetic(spec):
     p_aa = pairs_aa / (pairs_nn + pairs_aa) if (pairs_nn + pairs_aa) else 0.0
     same = _draw_edges(
         rng, m_same, budget,
-        lambda bg, iters: _SameLabelBatch(bg, iters, normals, anomalies, p_aa, n),
+        lambda g, limit: _same_label_run(g, limit, normals, anomalies, p_aa, n),
         lambda g: _same_label_step(g, normals, anomalies, p_aa, n), "same-label")
     # Same-label keys never pair a normal with an anomaly, so the
     # cross-label loop has nothing to check them against.
     cross = _draw_edges(
         rng, m_cross, budget,
-        lambda bg, iters: _CrossLabelBatch(bg, iters, normals, anomalies, n),
+        lambda g, limit: _cross_label_run(g, limit, normals, anomalies, n),
         lambda g: _cross_label_step(g, normals, anomalies, n), "cross-label")
     keys = np.concatenate([same, cross])
     edges = np.column_stack([keys // n, keys % n])

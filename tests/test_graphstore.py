@@ -33,8 +33,8 @@ def test_build_graph_accepts_either_orientation_and_dedupes():
     features = np.zeros((3, 1))
     g = build_graph("g", 3, [(0, 1), (1, 0), (0, 1), (2, 1)], features)
     assert g.num_edges == 2
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert g.has_edge(1, 2) and not g.has_edge(0, 2)
+    neighbors = [g.indices[g.indptr[u]:g.indptr[u + 1]].tolist() for u in range(3)]
+    assert neighbors == [[1], [0, 2], [1]]
 
 
 def test_build_graph_drops_self_loops_with_warning():
@@ -677,6 +677,19 @@ def test_generator_matches_scalar_loop_through_lemire_rejections(homophily, seed
     seen = {("same" if doubles < counter.doubles else "cross", bound)
             for doubles, bound in counter.rejections}
     assert (rejected[0], bounds[rejected[1]]) in seen
+    assert graphs_equal(generate_synthetic(spec), want)
+
+
+def test_generator_matches_scalar_loop_through_a_rejection_after_a_full_run():
+    # 27000 same-label iterations read as a full run of _RUN, then a run
+    # that stops at a rejection in iteration 26320 (a pinned seed), runs it
+    # through rng and goes on from there.
+    spec = SyntheticSpec(num_nodes=100_000, feature_dim=1, anomaly_rate=0.3,
+                         target_homophily=0.9, mean_degree=0.6, seed=9)
+    counter = RejectionCounter(spec.seed)
+    want = ref_generate_synthetic(spec, counter)
+    assert counter.doubles == 27000 > graphstore._RUN
+    assert [doubles for doubles, _ in counter.rejections] == [26321]
     assert graphs_equal(generate_synthetic(spec), want)
 
 

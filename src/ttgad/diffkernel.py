@@ -3,9 +3,14 @@
 Everything is a :class:`Tensor` wrapping a 2-D numpy array. Ops executed
 while a :class:`Tape` is active are recorded when an input requires a
 gradient, so ops on frozen (``requires_grad=False``) tensors alone never
-reach the tape. ``Tape.backward(loss)`` replays the records in exact reverse
-execution order, accumulates gradients additively, and releases each record
-and each intermediate gradient once it has been passed on; the returned
+reach the tape. A record holds no tensor: it is the output's identity token,
+one token per input (``None`` for an input that does not train) and a
+backward function that closes over only the arrays it reads, given which
+inputs train. So an op output that no later record reads is freed as soon as
+the forward drops it, and an op run with no active tape saves nothing.
+``Tape.backward(loss)`` replays the records in exact reverse execution order,
+accumulates gradients additively, and releases each record and each
+intermediate gradient once it has been passed on; the returned
 :class:`Gradients` holds leaf tensors only. With no active tape, ops are
 plain numpy and scipy computations (eval mode).
 
@@ -67,14 +72,15 @@ _ACTIVE_TAPES = []
 
 
 class Tensor:
-    """2-D float64 array with a requires_grad flag.
+    """2-D float64 array with a requires_grad flag and an identity token.
 
     Scalars are stored as shape (1, 1); 1-D input becomes a row vector.
     The public constructor copies its input; internal ops wrap freshly
-    allocated arrays without copying.
+    allocated arrays without copying. ``token`` names the tensor on a tape
+    and in :class:`Gradients`; a deep copy gets a fresh one.
     """
 
-    __slots__ = ("values", "requires_grad")
+    __slots__ = ("values", "requires_grad", "token", "__weakref__")
 
     def __init__(self, values, requires_grad=False):
         arr = np.array(values, dtype=np.float64, copy=True)
@@ -86,12 +92,14 @@ class Tensor:
             raise ShapeError("tensors are 2-D (scalars (1,1), vectors 1xN or Nx1)")
         self.values = arr
         self.requires_grad = bool(requires_grad)
+        self.token = object()
 
     @classmethod
     def _wrap(cls, arr, requires_grad):
         t = cls.__new__(cls)
         t.values = arr
         t.requires_grad = requires_grad
+        t.token = object()
         return t
 
     @property
@@ -108,7 +116,7 @@ class Tensor:
 
 
 class Gradients:
-    """Gradients of the leaf tensors a backward pass reached.
+    """Gradients of the leaf tensors a backward pass reached, by token.
 
     Unknown tensors, intermediates and frozen tensors read as zeros.
     """
@@ -117,17 +125,23 @@ class Gradients:
         self._store = store
 
     def __getitem__(self, tensor):
-        entry = self._store.get(id(tensor))
-        if entry is None:
-            return np.zeros_like(tensor.values)
-        return entry[1]
+        grad = self._store.get(tensor.token)
+        return np.zeros_like(tensor.values) if grad is None else grad
 
     def __contains__(self, tensor):
-        return id(tensor) in self._store
+        return tensor.token in self._store
 
 
 class Tape:
-    """Ordered record of executed ops for one forward pass; backward consumes it."""
+    """Ordered record of executed ops for one forward pass; backward consumes it.
+
+    A record is ``(out, ins, bwd)``: the output's token, one token per input
+    or None where the input does not train, and ``bwd``, which maps the
+    output's gradient to one gradient per input, None where the token is.
+    Each gradient ``bwd`` returns is a new array that nothing else holds, so
+    backward adds into it in place and ``bwd`` may overwrite the gradient it
+    is given.
+    """
 
     def __init__(self):
         self._entries = []
@@ -147,21 +161,18 @@ class Tape:
         if self._consumed:
             raise ValueError("backward already ran on this tape; re-run the forward pass")
         self._consumed = True
-        store = {id(loss): (loss, np.ones((1, 1)))}
+        store = {loss.token: np.ones((1, 1))}
         entries = self._entries
         while entries:
-            out, bwd = entries.pop()
-            entry = store.pop(id(out), None)
-            if entry is None:
+            out, ins, bwd = entries.pop()
+            g = store.pop(out, None)
+            if g is None:
                 continue
-            for tensor, grad in bwd(entry[1]):
-                if grad is None or not tensor.requires_grad:
-                    continue
-                acc = store.get(id(tensor))
-                if acc is None:
-                    store[id(tensor)] = (tensor, grad)
-                else:
-                    store[id(tensor)] = (tensor, acc[1] + grad)
+            for token, grad in zip(ins, bwd(g)):
+                if token is not None:
+                    acc = store.setdefault(token, grad)
+                    if acc is not grad:
+                        acc += grad
         return Gradients(store)
 
 
@@ -176,9 +187,14 @@ def _make(op, arr, *inputs):
     return Tensor._wrap(arr, rg)
 
 
-def _emit(out, bwd):
-    if _ACTIVE_TAPES and out.requires_grad:
-        _ACTIVE_TAPES[-1]._entries.append((out, bwd))
+def _recording(out):
+    """Whether ``out`` goes on the tape; an op saves state for backward only then."""
+    return bool(_ACTIVE_TAPES) and out.requires_grad
+
+
+def _record(out, inputs, bwd):
+    _ACTIVE_TAPES[-1]._entries.append(
+        (out.token, tuple(t.token if t.requires_grad else None for t in inputs), bwd))
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +224,23 @@ def linear(inputs, W, b=None, relu=False):
     if relu:
         np.maximum(vals, 0.0, out=vals)
     out = _make("linear", vals, *xs, W, *bias)
+    if not _recording(out):
+        return out
+    # Only W's gradient reads the inputs; of the output, only the relu mask.
+    mask = vals > 0 if relu else None
+    back = [block if x.requires_grad else None for x, block in zip(xs, blocks)]
+    seen = [x.values for x in xs] if W.requires_grad else None
+    bias_trains = [t.requires_grad for t in bias]
 
     def bwd(g):
-        if relu:
-            g = g * (vals > 0)
-        grads = [(x, g @ block if x.requires_grad else None) for x, block in zip(xs, blocks)]
-        grads.append((W, np.hstack([g.T @ x.values for x in xs]) if W.requires_grad else None))
-        return grads + [(t, g.sum(axis=0, keepdims=True) if t.requires_grad else None)
-                        for t in bias]
+        if mask is not None:
+            g *= mask
+        grads = [None if block is None else g @ block for block in back]
+        grads.append(None if seen is None else np.hstack([g.T @ v for v in seen]))
+        return grads + [g.sum(axis=0, keepdims=True) if live else None
+                        for live in bias_trains]
 
-    _emit(out, bwd)
+    _record(out, (*xs, W, *bias), bwd)
     return out
 
 
@@ -226,8 +249,11 @@ def add(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} + {b.shape}")
     out = _make("add", a.values + b.values, a, b)
-    _emit(out, lambda g: ((a, g if a.requires_grad else None),
-                          (b, g if b.requires_grad else None)))
+    if _recording(out):
+        # each side gets its own array: a later record may overwrite it
+        live = a.requires_grad, b.requires_grad
+        _record(out, (a, b), lambda g: (g if live[0] else None,
+                                        g.copy() if live[1] else None))
     return out
 
 
@@ -235,10 +261,13 @@ def elementwise_mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}")
-    av, bv = a.values, b.values
-    out = _make("elementwise_mul", av * bv, a, b)
-    _emit(out, lambda g: ((a, g * bv if a.requires_grad else None),
-                          (b, g * av if b.requires_grad else None)))
+    out = _make("elementwise_mul", a.values * b.values, a, b)
+    if _recording(out):
+        # each side's gradient reads the other side's values
+        for_a = b.values if a.requires_grad else None
+        for_b = a.values if b.requires_grad else None
+        _record(out, (a, b), lambda g: (None if for_a is None else g * for_a,
+                                        None if for_b is None else g * for_b))
     return out
 
 
@@ -246,7 +275,8 @@ def scalar_mul(x, c):
     x = _as_tensor(x)
     c = float(c)
     out = _make("scalar_mul", x.values * c, x)
-    _emit(out, lambda g: ((x, g * c),))
+    if _recording(out):
+        _record(out, (x,), lambda g: (g * c,))
     return out
 
 
@@ -259,7 +289,8 @@ def sigmoid(x):
     ev = np.exp(v[~pos])
     s[~pos] = ev / (1.0 + ev)
     out = _make("sigmoid", s, x)
-    _emit(out, lambda g: ((x, g * s * (1.0 - s)),))
+    if _recording(out):
+        _record(out, (x,), lambda g: (g * s * (1.0 - s),))
     return out
 
 
@@ -267,8 +298,9 @@ def sum(x):
     """Sum of all entries, as a (1, 1) tensor."""
     x = _as_tensor(x)
     out = _make("sum", np.array([[x.values.sum()]]), x)
-    shape = x.shape
-    _emit(out, lambda g: ((x, np.full(shape, g[0, 0])),))
+    if _recording(out):
+        shape = x.shape
+        _record(out, (x,), lambda g: (np.full(shape, g[0, 0]),))
     return out
 
 
@@ -297,9 +329,10 @@ def masked_row_softmax(scores, mask):
 
     def bwd(g):
         inner = (p * g).sum(axis=1, keepdims=True)
-        return ((scores, p * (g - inner)),)
+        return (p * (g - inner),)
 
-    _emit(out, bwd)
+    if _recording(out):
+        _record(out, (scores,), bwd)
     return out
 
 
@@ -392,9 +425,10 @@ def segment_softmax(x, pattern):
     def bwd(g):
         gp = g[:, 0]
         inner = _segment_sums(p * gp, indptr)
-        return ((x, (p * (gp - inner[seg])).reshape(-1, 1)),)
+        return ((p * (gp - inner[seg])).reshape(-1, 1),)
 
-    _emit(out, bwd)
+    if _recording(out):
+        _record(out, (x,), bwd)
     return out
 
 
@@ -405,8 +439,9 @@ def segment_mean(x, pattern):
     safe = np.maximum(np.diff(pattern.indptr).astype(np.float64), 1.0)
     sums = _segment_sums(x.values, pattern.indptr)
     out = _make("segment_mean", sums / safe[:, None], x)
-    seg, inv = pattern.rows, 1.0 / safe
-    _emit(out, lambda g: ((x, g[seg] * inv[seg][:, None]),))
+    if _recording(out):
+        seg, inv = pattern.rows, 1.0 / safe
+        _record(out, (x,), lambda g: (g[seg] * inv[seg][:, None],))
     return out
 
 
@@ -422,12 +457,10 @@ def reverse_min(x, pattern):
     xv = x.values
     mirrored = xv[rev]
     out = _make("reverse_min", np.minimum(xv, mirrored), x)
-
-    def bwd(g):
+    if _recording(out):
+        # the share of each output's gradient that its own slot takes
         wa = np.where(xv < mirrored, 1.0, np.where(xv == mirrored, 0.5, 0.0))
-        return ((x, g * wa + (g * (1.0 - wa))[rev]),)
-
-    _emit(out, bwd)
+        _record(out, (x,), lambda g: (g * wa + (g * (1.0 - wa))[rev],))
     return out
 
 
@@ -482,8 +515,9 @@ def pair_dot(x, pattern):
         raise ShapeError(f"pair_dot: {x.shape} over {pattern.shape}")
     xv = x.values
     out = _make("pair_dot", _self_dot(xv, pattern).reshape(-1, 1), x)
-    # M_g @ x + M_g.T @ x is one SpMM of g + g[reverse]
-    _emit(out, lambda g: ((x, _csr(g[:, 0] + g[rev, 0], pattern) @ xv),))
+    if _recording(out):
+        # M_g @ x + M_g.T @ x is one SpMM of g + g[reverse]
+        _record(out, (x,), lambda g: (_csr(g[:, 0] + g[rev, 0], pattern) @ xv,))
     return out
 
 
@@ -498,17 +532,21 @@ def spmm(w, x, pattern):
     _check_slots("spmm", w, pattern, width=1)
     if x.shape[0] != pattern.num_cols:
         raise ShapeError(f"spmm: input {x.shape} over {pattern.shape}")
-    xv, wv = x.values, w.values[:, 0]
-    out = _make("spmm", _csr(wv, pattern) @ xv, w, x)
+    out = _make("spmm", _csr(w.values[:, 0], pattern) @ x.values, w, x)
+    if not _recording(out):
+        return out
+    # each side's gradient reads the other side's values
+    xv = x.values if w.requires_grad else None
+    wv = w.values[:, 0] if x.requires_grad else None
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        gw = (_sampled_dot(g, xv, pattern.rows, pattern.indices).reshape(-1, 1)
-              if w.requires_grad else None)
-        gx = _csr(wv[rev], pattern) @ g if x.requires_grad else None
-        return ((w, gw), (x, gx))
+        gw = (None if xv is None else
+              _sampled_dot(g, xv, pattern.rows, pattern.indices).reshape(-1, 1))
+        gx = None if wv is None else _csr(wv[rev], pattern) @ g
+        return gw, gx
 
-    _emit(out, bwd)
+    _record(out, (w, x), bwd)
     return out
 
 
@@ -541,16 +579,20 @@ def pair_cosine(x, pattern):
         t = np.where(live, g[:, 0] * c, 0.0)
         if rev is None:
             m = _csr(q, pattern)
-            pulled = m @ xv + m.T @ xv
+            pulled = m @ xv
+            pulled += m.T @ xv
             self_w = (np.bincount(rows, weights=t, minlength=n)
                       + np.bincount(indices, weights=t, minlength=n))
         else:
             pulled = _csr(q + q[rev], pattern) @ xv
             self_w = np.bincount(rows, weights=t + t[rev], minlength=n)
         inv_sq = np.divide(1.0, sq, out=np.zeros(n), where=sq > 0)
-        return ((x, pulled - xv * (self_w * inv_sq)[:, None]),)
+        # in place: backward's peak holds one (n, width) temporary, not two
+        pulled -= xv * (self_w * inv_sq)[:, None]
+        return (pulled,)
 
-    _emit(out, bwd)
+    if _recording(out):
+        _record(out, (x,), bwd)
     return out
 
 
@@ -576,7 +618,8 @@ def binary_cross_entropy(probs, labels):
     p = np.clip(probs.values, 1e-7, 1.0 - 1e-7)
     loss = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean()
     out = _make("binary_cross_entropy", np.array([[loss]]), probs)
-    _emit(out, lambda g: ((probs, g[0, 0] * (p - y) / (p * (1.0 - p)) / n),))
+    if _recording(out):
+        _record(out, (probs,), lambda g: (g[0, 0] * (p - y) / (p * (1.0 - p)) / n,))
     return out
 
 
@@ -594,7 +637,8 @@ def dropout(x, rate, rng, training):
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     out = _make("dropout", x.values * keep * scale, x)
-    _emit(out, lambda g: ((x, g * keep * scale),))
+    if _recording(out):
+        _record(out, (x,), lambda g: (g * keep * scale,))
     return out
 
 

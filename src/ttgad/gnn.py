@@ -18,6 +18,7 @@ Entries outside the adjacency never exist, so they are exactly zero with
 exactly zero gradient.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -243,11 +244,12 @@ def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
 
     ``num_layers`` is at least 1, as :meth:`pipeline.RunConfig.validate` and
     :func:`init_bundle` require. ``target_cols`` adds a target encoder for
-    features of that width. Before listing any entry, the bytes of the
-    bundle (each tensor's float64 values plus ``_TENSOR_OVERHEAD``) are
-    counted in closed form, since layers after the first are alike; past
-    physical memory, ConfigError is raised, so nothing is allocated for a
-    bundle that cannot exist.
+    features of that width. The entries come as an iterator, listed only as
+    far as the caller reads. Before it is returned, the bytes of the bundle
+    (each tensor's float64 values plus ``_TENSOR_OVERHEAD``) are counted in
+    closed form, since layers after the first are alike; past physical
+    memory, ConfigError is raised, so nothing is allocated for a bundle that
+    cannot exist.
     """
     width = feature_dim if identity_encoder else p
     head = [] if identity_encoder else [("source_encoder.weight", (p, feature_dim))]
@@ -271,7 +273,8 @@ def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
     if needed > limit:
         raise ConfigError(f"config sizes do not fit in memory: the parameters need "
                           f"{needed} bytes, past the {limit} bytes of physical memory")
-    return head + [entry for i in range(num_layers) for entry in layer(i)] + tail
+    return itertools.chain(head, (entry for i in range(num_layers) for entry in layer(i)),
+                           tail)
 
 
 # ---------------------------------------------------------------------------

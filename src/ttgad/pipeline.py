@@ -9,6 +9,7 @@ is deterministic given (data, config, seed).
 """
 
 import copy
+import itertools
 import json
 import math
 import numbers
@@ -262,8 +263,8 @@ def train_source(graph, config, rng=None):
         entry["auroc_affinity"] = evaluation.auroc(-aff.values(), labels)
         log.append(entry)
 
-    h_final, _ = forward_embeddings(bundle, graph, "source")
-    centroids = ClassCentroids.from_embeddings(h_final.values, labels)
+    # the last epoch's eval forward already ran on the final parameters
+    centroids = ClassCentroids.from_embeddings(h_eval.values, labels)
     return bundle, centroids, log
 
 
@@ -550,11 +551,18 @@ def load_checkpoint(path, expect_nsaw=None):
     target_cols = (stored_cols("target_encoder.weight")
                    if "target_encoder.weight" in blocks else None)
     try:
-        shapes = dict(parameter_shapes(feature_dim, config.p, config.hidden_dim,
-                                       config.attn_dim, config.num_layers,
-                                       config.identity_encoder, target_cols))
+        layout = parameter_shapes(feature_dim, config.p, config.hidden_dim,
+                                  config.attn_dim, config.num_layers,
+                                  config.identity_encoder, target_cols)
     except ConfigError as e:
         raise CheckpointError(f"checkpoint {e}") from e
+    # A header may claim far more tensors than the file stores: list the
+    # layout only one entry past the stored count. Past it, a tensor is
+    # missing, and the first missing one lies within.
+    shapes = dict(itertools.islice(layout, len(blocks) + 1))
+    if len(shapes) > len(blocks):
+        missing = next(name for name in shapes if name not in blocks)
+        raise CheckpointError(f"missing tensor {missing!r}")
     for name in blocks:
         if name not in shapes:
             raise CheckpointError(f"unexpected tensor {name!r}")

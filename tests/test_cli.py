@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -328,6 +329,22 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad),
                      "--graph", str(workspace["target"])]) == 2
         assert "tensor 'layers.0.W' holds non-finite values" in capsys.readouterr().err
+
+    def test_checkpoint_claiming_a_million_layers_exits_2_at_once(self, workspace,
+                                                                  tmp_path, capsys):
+        # The header claims 10**6 layers, the file stores 2. The refusal
+        # names the first missing tensor without listing the claimed layout.
+        raw = workspace["checkpoint"].read_bytes()
+        cut = raw.index(b"\n")
+        header = json.loads(raw[:cut])
+        header["config"]["num_layers"] = 10 ** 6
+        bad = tmp_path / "deep.bin"
+        bad.write_bytes(json.dumps(header).encode() + raw[cut:])
+        start = time.perf_counter()
+        code = main(["eval", "--checkpoint", str(bad), "--graph", str(workspace["target"])])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "missing tensor 'layers.2.W'" in capsys.readouterr().err
 
     def test_unlabeled_graph_exits_2(self, workspace, tmp_path, capsys):
         from ttgad.graphstore import save_graph

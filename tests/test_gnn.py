@@ -6,6 +6,7 @@ and is the reference the sparse implementation is checked against.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ def test_parameter_shapes_match_init_bundle(identity, nsaw, target_cols):
         bundle.target_encoder = gnn.init_encoder(rng, bundle.layers[0].in_dim,
                                                  target_cols, "target")
     want = [(name, t.shape) for name, t in bundle.parameter_items()]
-    assert gnn.parameter_shapes(7, 4, 5, 3, 3, identity, target_cols) == want
+    assert list(gnn.parameter_shapes(7, 4, 5, 3, 3, identity, target_cols)) == want
 
     # assemble_bundle inverts parameter_items(), copying every array.
     rebuilt = gnn.assemble_bundle({n: t.values for n, t in bundle.parameter_items()}, nsaw)
@@ -402,6 +403,34 @@ def test_attention_contract_on_random_graphs(seed, n):
 # Memory contract of the taped forward
 
 
+def kept_arrays(tape):
+    """Every array the tape's records close over, lists and tuples opened.
+
+    A record is (output token, input tokens, bwd) and holds no tensor.
+    """
+    for out, ins, bwd in tape._entries:
+        stack = [cell.cell_contents for cell in bwd.__closure__ or ()]
+        while stack:
+            item = stack.pop()
+            assert not isinstance(item, dk.Tensor), bwd.__qualname__
+            if isinstance(item, (list, tuple)):
+                stack.extend(item)
+            elif isinstance(item, np.ndarray):
+                yield bwd, item
+
+
+def node_rows(tape, n, w):
+    """Bytes of the distinct arrays with ``n`` rows that the tape keeps, in
+    rows of width ``w`` per node; views count once, through their base."""
+    bases = {}
+    for _, arr in kept_arrays(tape):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        if arr.ndim == 2 and arr.shape[0] == n:
+            bases[id(arr)] = arr
+    return sum(arr.nbytes for arr in bases.values()) / (8 * n * w)
+
+
 def test_tape_keeps_no_per_slot_rows():
     # 30 nodes, about 500 slots: every array the tape keeps for backward is
     # per-node (at most num_nodes rows) or a per-slot scalar (one column).
@@ -413,48 +442,86 @@ def test_tape_keeps_no_per_slot_rows():
         h, _ = gnn.forward_embeddings(bundle, g, "source", training=True,
                                       rng=rng, dropout_rate=0.5)
         losses.ttt_loss(h, g, losses.LossWeights(), rng)
-        entries = list(tape._entries)
 
     def per_node_or_scalar(arr):
         return arr.ndim < 2 or arr.shape[0] <= g.num_nodes or arr.shape[1] == 1
 
-    assert len(entries) > 20
-    for out, bwd in entries:
-        assert per_node_or_scalar(out.values), (bwd.__qualname__, out.shape)
-        for cell in bwd.__closure__ or ():
-            kept = cell.cell_contents
-            if isinstance(kept, np.ndarray):
-                assert per_node_or_scalar(kept), (bwd.__qualname__, kept.shape)
+    assert len(tape._entries) > 20
+    for bwd, kept in kept_arrays(tape):
+        assert per_node_or_scalar(kept), (bwd.__qualname__, kept.shape)
 
 
-def test_training_step_tape_holds_at_most_12_node_rows_per_node():
-    # One 2-layer nsaw training step at the default dropout: forward,
-    # predict and the source loss. Each distinct array with num_nodes rows
-    # that the tape keeps counts its bytes in rows of width w per node. Per
-    # layer: the dropout output and mask, relu(h @ U.T), the message and the
-    # layer output; then the features, the head's hidden rows and per-node
-    # scalars: 11.4. One record per dense layer, the attention projection
-    # included, keeps no concatenated [message | h], no pre-bias product,
-    # no pre-relu sum and no relu mask.
+def nsaw_graph_and_bundle(n=60, w=40):
     rng = np.random.default_rng(5)
-    n, w = 60, 40
     g = random_graph(rng, n, dim=w, labels=(np.arange(n) % 6 == 0).astype(int))
-    bundle = small_bundle(w, width=w, num_layers=2)
+    return rng, g, small_bundle(w, width=w, num_layers=2)
+
+
+def test_training_step_tape_holds_at_most_10_node_rows_per_node():
+    # One 2-layer nsaw training step at the default dropout: forward,
+    # predict and the source loss. Per layer: the dropped-out input, its
+    # dropout mask, relu(x @ U.T), the message, and the relu masks of the
+    # projection and of the layer (one byte per entry); then the features,
+    # the final embeddings, the head's hidden rows and its mask and per-node
+    # scalars: 9.925. No record keeps an output its backward does not read:
+    # not the encoder output, not a layer output whose relu mask is read.
+    rng, g, bundle = nsaw_graph_and_bundle()
     with dk.Tape() as tape:
         h, _ = gnn.forward_embeddings(bundle, g, "source", training=True,
                                       rng=rng, dropout_rate=0.7)
         probs = gnn.predict(bundle, h)
         losses.train_loss_parts(probs, h, g, losses.LossWeights(), rng)
-        entries = list(tape._entries)
+    rows = node_rows(tape, 60, 40)
+    assert 8.9 < rows <= 10, rows
 
-    bases = {}
-    for out, bwd in entries:
-        kept = [out] + [cell.cell_contents for cell in bwd.__closure__ or ()]
-        for item in (k for c in kept for k in (c if isinstance(c, (list, tuple)) else [c])):
-            arr = item.values if isinstance(item, dk.Tensor) else item
-            while isinstance(arr, np.ndarray) and isinstance(arr.base, np.ndarray):
-                arr = arr.base
-            if isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.shape[0] == n:
-                bases[id(arr)] = arr
-    rows = sum(arr.nbytes for arr in bases.values()) / (8 * n * w)
-    assert 10 < rows <= 12, rows
+
+def adapting(bundle, rng, feature_dim):
+    """Give ``bundle`` a fresh target encoder and freeze everything else."""
+    bundle.target_encoder = gnn.init_encoder(rng, bundle.layers[0].in_dim,
+                                             feature_dim, "target")
+    for name, tensor in bundle.parameter_items():
+        tensor.requires_grad = name == "target_encoder.weight"
+
+
+def test_adaptation_step_tape_holds_at_most_7_node_rows_per_node():
+    # The same forward and the adaptation loss, with only the target
+    # encoder training: the messages go too, since only the frozen W's
+    # gradient reads them. The features, per layer the dropped-out input,
+    # relu(x @ U.T) and three masks, and the final embeddings: 6.75.
+    rng, g, bundle = nsaw_graph_and_bundle()
+    adapting(bundle, rng, 40)
+    with dk.Tape() as tape:
+        h, _ = gnn.forward_embeddings(bundle, g, "target", training=True,
+                                      rng=rng, dropout_rate=0.7)
+        losses.ttt_loss(h, g, losses.LossWeights(), rng)
+    rows = node_rows(tape, 60, 40)
+    assert 5.75 < rows <= 7, rows
+
+
+def test_adaptation_step_peaks_below_13_5_node_rows_per_node():
+    # tracemalloc over one adaptation step on 2000 nodes and 24k slots at
+    # width 40, from the taped forward to the end of backward: 12.7 rows
+    # of 320 bytes per node, per-slot scalars included. The peak sits in
+    # the affinity cosine's backward, which updates its result in place.
+    n, w = 2000, 40
+    g = generate_synthetic(SyntheticSpec(num_nodes=n, feature_dim=w, anomaly_rate=0.05,
+                                         target_homophily=0.9, mean_degree=12.0,
+                                         seed=1, name="mid"))
+    rng = np.random.default_rng(0)
+    bundle = small_bundle(w, width=w, num_layers=2)
+    adapting(bundle, rng, w)
+    gnn.forward_embeddings(bundle, g, "target")  # caches the pattern's upper slots
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with dk.Tape() as tape:
+            h, _ = gnn.forward_embeddings(bundle, g, "target", training=True,
+                                          rng=rng, dropout_rate=0.7)
+            loss = losses.ttt_loss(h, g, losses.LossWeights(), rng)
+        grads = tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.any(grads[bundle.target_encoder.weight] != 0.0)
+    rows = peak / (8 * n * w)
+    assert rows <= 13.5, rows

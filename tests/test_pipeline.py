@@ -292,6 +292,14 @@ class TestTrainSource:
         assert np.array_equal(c1.anomaly, c2.anomaly)
         assert log1 == log2
 
+    def test_centroids_are_those_of_a_fresh_eval_forward(self):
+        graph = generate_synthetic(small_spec(4))
+        bundle, centroids, _ = train_source(graph, quick_config(seed=6, source_epochs=2))
+        h, _ = forward_embeddings(bundle, graph, "source")
+        fresh = ClassCentroids.from_embeddings(h.values, graph.labels)
+        assert np.array_equal(centroids.normal, fresh.normal)
+        assert np.array_equal(centroids.anomaly, fresh.anomaly)
+
     def test_separable_classes_reach_perfect_ranking(self):
         # Widely separated class clouds on a homophilic graph: supervised
         # training must rank every anomaly above every normal node.

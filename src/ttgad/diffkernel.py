@@ -664,8 +664,8 @@ class AdamState:
 def adam_step(params, grads, state):
     """One Adam update with bias correction; mutates params in place.
 
-    ``grads`` is either a :class:`Gradients` map or a sequence aligned with
-    ``params``. Returns (params, state).
+    ``grads`` is the :class:`Gradients` map of a backward pass. Returns
+    (params, state).
     """
     if len(state.m) != len(params):
         raise ShapeError("adam_step: state does not match the parameter list")
@@ -674,7 +674,7 @@ def adam_step(params, grads, state):
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for i, p in enumerate(params):
-        g = grads[p] if isinstance(grads, Gradients) else grads[i]
+        g = grads[p]
         if g.shape != p.values.shape:
             raise ShapeError("adam_step: gradient shape mismatch")
         state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g

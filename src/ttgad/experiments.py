@@ -112,7 +112,7 @@ def homophily_sweep(levels=DEFAULT_LEVELS, seeds=5, num_nodes=400,
         raise ConfigError(f"levels must not repeat, got {levels}")
     shared = bundle is not None
     if shared and centroids is None:
-        raise ValueError("a shared bundle needs its centroids")
+        raise ConfigError("a shared bundle needs its centroids")
     results = {lv: {"auroc": [], "auprc": [], "realized": []} for lv in levels}
     for s in range(seeds):
         config = _harness_config(seed=s, lr=lr, dims=dims,
@@ -134,8 +134,7 @@ def homophily_sweep(levels=DEFAULT_LEVELS, seeds=5, num_nodes=400,
                                   name=f"sweep-target-{s}")
         base = generate_synthetic(base_spec)
         for idx, level in enumerate(levels):
-            graph_l = rewire_to_homophily(base, level, seed=5000 + 131 * s + idx,
-                                          max_swaps_factor=400)
+            graph_l = rewire_to_homophily(base, level, seed=5000 + 131 * s + idx)
             adapted, _ = adapt_target(bundle_s, centroids_s, graph_l, config)
             ranking = evaluation.score_nodes(adapted, graph_l, mode="affinity")
             metrics = evaluation.metric_result(ranking.scores, graph_l.labels)

@@ -14,6 +14,7 @@ Disk layout of a graph bundle directory:
 """
 
 import copy
+import itertools
 import json
 import math
 import warnings
@@ -739,86 +740,84 @@ def generate_synthetic(spec):
 # Rewiring
 
 REWIRE_TOLERANCE = 0.03
+_REWIRE_CHUNK = 1 << 16  # candidate swaps checked at once when a round keeps none
 
 
-def rewire_to_homophily(graph, target_homophily, seed=0, max_swaps_factor=50):
+def rewire_to_homophily(graph, target_homophily, seed=0):
     """Degree-preserving double-edge swaps toward a target edge-label homophily.
 
-    Each accepted swap replaces edges (a,b),(c,d) with (a,d),(c,b) or
-    (a,c),(b,d), keeping every node degree fixed. Swaps are accepted only when
-    they move the same-label edge count strictly toward the target. If the
-    target is unreachable within ``max_swaps_factor * num_edges`` attempts
-    (degree preservation bounds how low homophily can go), the best-effort
-    result is returned with a warning. A target below the degree-sum floor
-    stops as soon as the floor is reached, since no later swap could be
-    accepted.
+    With each edge held lower label first, a swap turns (x0, x1), (y0, y1)
+    into (x0, y0), (x1, y1) (Maslov & Sneppen, Science 2002). Only two kinds
+    move the same-label count, each by 2: two cross-label edges (up), and a
+    normal-normal with an anomaly-anomaly edge, either way round (down).
+    Each round applies the valid swaps (no self-loop, both new edges absent)
+    among random candidate pairs, none sharing an edge or a new edge, at
+    most half the gap. A round that keeps none checks every candidate pair;
+    if none is valid, no degree-preserving swap moves closer, and a result
+    that misses by more than ``REWIRE_TOLERANCE`` warns.
     """
     if graph.labels is None:
         raise DataError("rewiring requires labels")
     if not (0.0 <= target_homophily <= 1.0):
         raise DataError("target_homophily must lie in [0, 1]")
-    m = graph.num_edges
+    m, n, labels = graph.num_edges, graph.num_nodes, graph.labels
     if m == 0:
         return graph
-    edges = graph.undirected_edges.copy()
-    labels = graph.labels
-    same = labels[edges[:, 0]] == labels[edges[:, 1]]
-    cur = int(same.sum())
+    edges = graph.undirected_edges
+    edges = np.take_along_axis(edges, np.argsort(labels[edges], axis=1), axis=1)
     target_count = int(round(target_homophily * m))
-    if cur == target_count:
-        return graph
-
-    keys = set((int(u) * graph.num_nodes + int(v)) for u, v in edges)
-    n = graph.num_nodes
     rng = np.random.default_rng(seed)
-    budget = max_swaps_factor * m
-    # A cross-label edge adds 1 to each class's degree sum, and swaps keep
-    # every degree, so the same-label count never falls below this floor.
-    floor = m - int(min(graph.degrees[labels == 0].sum(), graph.degrees[labels == 1].sum()))
-    goal = max(target_count, floor)
-    # Every swap moves the same-label count by 0 or 2, so its parity is
-    # fixed; an off-parity target can only be approached to distance 1.
-    stop_distance = abs(cur - goal) % 2
-    for _ in range(budget):
-        if abs(cur - goal) <= stop_distance:
+    moved = False
+    while True:
+        kind = labels[edges[:, 0]] + labels[edges[:, 1]]  # 1 is cross-label
+        gap = target_count - int(np.count_nonzero(kind != 1))
+        if abs(gap) < 2:
             break
-        i = int(rng.integers(m))
-        j = int(rng.integers(m))
-        flip = rng.random() < 0.5
-        if i == j:
-            continue
-        a, b = edges[i]
-        c, d = edges[j]
-        if len({int(a), int(b), int(c), int(d)}) != 4:
-            continue
-        if flip:
-            p1, p2 = (a, d), (c, b)
+        up = gap > 0
+        first, second = (np.flatnonzero(kind == c) for c in ((1, 1) if up else (0, 2)))
+        pa = rng.permutation(first.size)
+        pa, pb = (pa[0::2], pa[1::2]) if up else (pa, rng.permutation(second.size))
+        # Candidate t is (first[t // (size * turns)], second[t // turns % size],
+        # turned if t % turns): the random pairs first, then all, chunk by chunk.
+        turns, size, k = (1 if up else 2), second.size, min(pa.size, pb.size)
+        total = first.size * size * turns
+        drawn = (pa[:k] * size + pb[:k]) * turns + rng.integers(turns, size=k)
+        chunks = (np.arange(s, min(s + _REWIRE_CHUNK, total))
+                  for s in range(0, total, _REWIRE_CHUNK))
+        keys = np.sort(edges.min(axis=1) * n + edges.max(axis=1))
+        for t in itertools.chain([drawn], chunks):
+            i, j, new = _valid_swaps(edges, keys, n, first[t // (size * turns)],
+                                     second[t // turns % size], t % turns == 1)
+            if i.size:
+                break
         else:
-            p1, p2 = (a, c), (b, d)
-        k1 = min(p1) * n + max(p1)
-        k2 = min(p2) * n + max(p2)
-        if k1 in keys or k2 in keys:
-            continue
-        new_same = int(labels[p1[0]] == labels[p1[1]]) + int(labels[p2[0]] == labels[p2[1]])
-        old_same = int(same[i]) + int(same[j])
-        cand = cur + new_same - old_same
-        if abs(cand - target_count) >= abs(cur - target_count):
-            continue
-        keys.discard(min(a, b) * n + max(a, b))
-        keys.discard(min(c, d) * n + max(c, d))
-        keys.add(k1)
-        keys.add(k2)
-        edges[i] = (min(p1), max(p1))
-        edges[j] = (min(p2), max(p2))
-        same[i] = labels[p1[0]] == labels[p1[1]]
-        same[j] = labels[p2[0]] == labels[p2[1]]
-        cur = cand
+            break
+        cap = abs(gap) // 2
+        edges[i[:cap]], edges[j[:cap]] = new[:cap, :, 0], new[:cap, :, 1]
+        moved = True
 
-    realized = cur / m
+    realized = (target_count - gap) / m
     if abs(realized - target_homophily) > REWIRE_TOLERANCE:
-        warnings.warn(
-            f"rewire: reached homophily {realized:.3f}, target {target_homophily:.3f} "
-            "not attainable within budget (degree preservation bounds the range)",
-            stacklevel=2,
-        )
-    return build_graph(graph.name, n, edges, graph.features, labels)
+        warnings.warn(f"rewire: reached homophily {realized:.3f}, target {target_homophily:.3f} "
+                      "not attainable (no degree-preserving swap moves closer)", stacklevel=2)
+    return build_graph(graph.name, n, edges, graph.features, labels) if moved else graph
+
+
+def _valid_swaps(edges, keys, n, i, j, turn):
+    """The swaps of edges ``i`` with edges ``j`` (turned where ``turn``) that
+    make no self-loop and no edge in ``keys``, cut to a subset that shares no
+    edge and no new edge. Returns ``(i, j, new)``: ``new[s, :, 0]`` replaces
+    edge ``i[s]`` and ``new[s, :, 1]`` edge ``j[s]``."""
+    y = edges[j]
+    y[turn] = y[turn, ::-1]
+    new = np.stack([edges[i], y], axis=1)  # new[s, :, r] = (x_r, y_r)
+    new_keys = new.min(axis=1) * n + new.max(axis=1)
+    at = np.minimum(np.searchsorted(keys, new_keys), keys.size - 1)
+    ok = (new[:, 0] != new[:, 1]).all(axis=1) & (keys[at] != new_keys).all(axis=1)
+    i, j, new = i[ok], j[ok], new[ok]
+    # A swap is kept when it is the first to use each of its two edges and
+    # two new edges (keys offset past the edge ids), so no two kept ones meet.
+    items = np.column_stack([i, j, new_keys[ok] + edges.shape[0]]).ravel()
+    _, seen, inverse = np.unique(items, return_index=True, return_inverse=True)
+    own = (seen[inverse] // 4 == np.arange(items.size) // 4).reshape(-1, 4).all(axis=1)
+    return i[own], j[own], new[own]

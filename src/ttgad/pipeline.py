@@ -566,9 +566,6 @@ def load_checkpoint(path, expect_nsaw=None):
     for name in blocks:
         if name not in shapes:
             raise CheckpointError(f"unexpected tensor {name!r}")
-    for name in shapes:
-        if name not in blocks:
-            raise CheckpointError(f"missing tensor {name!r}")
     for name, shape in shapes.items():
         if blocks[name].shape != shape:
             raise CheckpointError(

@@ -425,6 +425,13 @@ class TestExperimentCommands:
         with pytest.raises(ConfigError, match="must not repeat"):
             experiments.homophily_sweep(levels=(0.5, 0.5), seeds=1)
 
+    def test_homophily_sweep_shared_bundle_needs_centroids(self, workspace):
+        from ttgad import experiments
+        from ttgad.pipeline import load_checkpoint
+        bundle = load_checkpoint(workspace["checkpoint"]).bundle
+        with pytest.raises(ConfigError, match="needs its centroids"):
+            experiments.homophily_sweep(levels=(0.5,), seeds=1, bundle=bundle)
+
     def test_homophily_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["exp-homophily", "--out", str(tmp_path / "h")]) == 1
         assert "exactly one of" in capsys.readouterr().err

@@ -872,7 +872,7 @@ def test_adam_zero_gradient_is_identity():
     before = p.values.copy()
     state = dk.AdamState([p])
     for _ in range(5):
-        dk.adam_step([p], [np.zeros((2, 2))], state)
+        dk.adam_step([p], dk.Gradients({p.token: np.zeros((2, 2))}), state)
     assert np.array_equal(p.values, before)
 
 
@@ -883,7 +883,7 @@ def test_adam_single_step_closed_form():
     expected = 1.0 - lr * g / (abs(g) + 1e-8)
     p = dk.Tensor([[1.0]], requires_grad=True)
     state = dk.AdamState([p], lr=lr)
-    dk.adam_step([p], [np.array([[g]])], state)
+    dk.adam_step([p], dk.Gradients({p.token: np.array([[g]])}), state)
     assert abs(p.values[0, 0] - expected) < 1e-15
     assert abs(p.values[0, 0] - (1.0 - lr)) < 1e-8
 
@@ -894,7 +894,7 @@ def test_adam_two_steps_match_reference():
     p = dk.Tensor([[1.0, -1.0]], requires_grad=True)
     state = dk.AdamState([p])
     for g in grads:
-        dk.adam_step([p], [g], state)
+        dk.adam_step([p], dk.Gradients({p.token: g}), state)
     np.testing.assert_allclose(p.values, expected, rtol=0, atol=0)
 
 
@@ -904,7 +904,8 @@ def test_adam_runs_are_bitwise_identical():
         state = dk.AdamState([p], lr=0.01)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            dk.adam_step([p], [rng.standard_normal((1, 2))], state)
+            g = rng.standard_normal((1, 2))
+            dk.adam_step([p], dk.Gradients({p.token: g}), state)
         return p.values
 
     assert np.array_equal(run(), run())
@@ -914,7 +915,7 @@ def test_adam_shape_mismatch():
     p = dk.Tensor([[1.0]], requires_grad=True)
     state = dk.AdamState([p])
     with pytest.raises(ShapeError):
-        dk.adam_step([p], [np.zeros((2, 2))], state)
+        dk.adam_step([p], dk.Gradients({p.token: np.zeros((2, 2))}), state)
 
 
 # ---------------------------------------------------------------------------

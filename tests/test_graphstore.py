@@ -1,12 +1,14 @@
 """Graph container, disk format, generator and rewiring tests."""
 
+import itertools
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import edit_json, mutate_bytes
@@ -771,98 +773,90 @@ def test_rewire_warns_when_target_unreachable():
     assert np.array_equal(out.degrees, g.degrees)
 
 
-def reference_rewire(graph, target_homophily, seed=0, max_swaps_factor=50):
-    """The swap loop as it ran before the degree-sum floor: every target
-    spends the whole budget unless it is met."""
-    m = graph.num_edges
-    edges = graph.undirected_edges.copy()
+def same_label_count(graph):
+    u, v = graph.undirected_edges.T
+    return int((graph.labels[u] == graph.labels[v]).sum())
+
+
+def improving_swap_exists(graph, target_count):
+    """Brute force over every edge pair and both ways of rejoining it."""
+    edges = [tuple(map(int, e)) for e in graph.undirected_edges]
+    present = set(edges)
     labels = graph.labels
-    same = labels[edges[:, 0]] == labels[edges[:, 1]]
-    cur = int(same.sum())
-    target_count = int(round(target_homophily * m))
-    keys = set((int(u) * graph.num_nodes + int(v)) for u, v in edges)
-    n = graph.num_nodes
-    rng = np.random.default_rng(seed)
-    stop_distance = abs(cur - target_count) % 2
-    for _ in range(max_swaps_factor * m):
-        if abs(cur - target_count) <= stop_distance:
-            break
-        i = int(rng.integers(m))
-        j = int(rng.integers(m))
-        flip = rng.random() < 0.5
-        if i == j:
+    cur = same_label_count(graph)
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if len({a, b, c, d}) < 4:
             continue
-        a, b = edges[i]
-        c, d = edges[j]
-        if len({int(a), int(b), int(c), int(d)}) != 4:
-            continue
-        p1, p2 = ((a, d), (c, b)) if flip else ((a, c), (b, d))
-        k1 = min(p1) * n + max(p1)
-        k2 = min(p2) * n + max(p2)
-        if k1 in keys or k2 in keys:
-            continue
-        new_same = int(labels[p1[0]] == labels[p1[1]]) + int(labels[p2[0]] == labels[p2[1]])
-        cand = cur + new_same - int(same[i]) - int(same[j])
-        if abs(cand - target_count) >= abs(cur - target_count):
-            continue
-        keys -= {min(a, b) * n + max(a, b), min(c, d) * n + max(c, d)}
-        keys |= {k1, k2}
-        edges[i] = (min(p1), max(p1))
-        edges[j] = (min(p2), max(p2))
-        same[i] = labels[p1[0]] == labels[p1[1]]
-        same[j] = labels[p2[0]] == labels[p2[1]]
-        cur = cand
-    return build_graph(graph.name, n, edges, graph.features, labels), cur / m
+        for p, q in (((a, c), (b, d)), ((a, d), (b, c))):
+            if tuple(sorted(p)) in present or tuple(sorted(q)) in present:
+                continue
+            change = (int(labels[p[0]] == labels[p[1]]) + int(labels[q[0]] == labels[q[1]])
+                      - int(labels[a] == labels[b]) - int(labels[c] == labels[d]))
+            if abs(cur + change - target_count) < abs(cur - target_count):
+                return True
+    return False
 
 
-@pytest.fixture(scope="module")
-def floored_graph():
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 16), rate=st.floats(0.1, 0.49), homophily=st.floats(0.0, 1.0),
+       density=st.floats(0.1, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       target=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       rewire_seed=st.integers(0, 2 ** 16))
+def test_rewire_stops_only_when_no_swap_moves_closer(n, rate, homophily, density, seed,
+                                                    target, rewire_seed):
+    spec = tiny(n, rate, homophily, density * (n - 1), seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            g = generate_synthetic(spec)
+        except DataError:
+            assume(False)
+    assume(g.num_edges >= 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = rewire_to_homophily(g, target, seed=rewire_seed)
+    assert np.array_equal(out.degrees, g.degrees)
+    assert np.array_equal(out.features, g.features)
+    assert np.array_equal(out.labels, g.labels)
+    target_count = round(target * g.num_edges)
+    if abs(same_label_count(out) - target_count) >= 2:
+        assert not improving_swap_exists(out, target_count)
+    realized = same_label_count(out) / out.num_edges
+    assert (len(caught) == 1) == (abs(realized - target) > 0.03)
+
+
+def test_rewire_stall_spec_returns_at_once():
+    # Four cross-label edges remain toward 1.0, and every swap of two of them
+    # shares a node or makes an anomaly-anomaly edge that already exists.
+    spec = SyntheticSpec(num_nodes=120, feature_dim=8, anomaly_rate=0.15,
+                         target_homophily=0.9, mean_degree=6.0, seed=3)
+    g = generate_synthetic(spec)
+    start = time.perf_counter()
+    out = rewire_to_homophily(g, 1.0, seed=0)
+    assert time.perf_counter() - start < 0.1
+    assert not improving_swap_exists(out, out.num_edges)
+
+
+def test_rewire_stops_at_degree_sum_floor():
     # Anomalies are few and low-degree, so the degree-sum floor sits at 0.811:
     # cross-label edges cannot outnumber the anomalies' degree sum.
     spec = SyntheticSpec(num_nodes=150, feature_dim=3, anomaly_rate=0.2,
                          target_homophily=0.9, mean_degree=6.0, seed=2)
-    return generate_synthetic(spec)
-
-
-@pytest.mark.parametrize("target", [0.3, 0.86, 1.0],
-                         ids=["below_floor", "in_range", "above_range"])
-def test_rewire_matches_reference_loop(floored_graph, target):
-    expected, realized = reference_rewire(floored_graph, target, seed=4)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = rewire_to_homophily(floored_graph, target, seed=4)
-    assert graphs_equal(out, expected)
-    assert (len(caught) == 1) == (abs(realized - target) > 0.03)
-
-
-class CountingRng:
-    """Counts swap attempts: each one draws exactly one ``random()``."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.attempts = 0
-
-    def integers(self, *args):
-        return self.rng.integers(*args)
-
-    def random(self):
-        self.attempts += 1
-        return self.rng.random()
-
-
-def test_rewire_stops_at_degree_sum_floor(floored_graph, monkeypatch):
-    made = []
-    default_rng = np.random.default_rng
-
-    def counting_rng(seed):
-        made.append(CountingRng(default_rng(seed)))
-        return made[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    g = generate_synthetic(spec)
     with pytest.warns(UserWarning, match="not attainable"):
-        out = rewire_to_homophily(floored_graph, 0.0, seed=4, max_swaps_factor=400)
-    budget = 400 * floored_graph.num_edges
-    assert made[0].attempts < budget // 20
-    labels = out.labels
-    cross = int((labels[out.undirected_edges[:, 0]] != labels[out.undirected_edges[:, 1]]).sum())
-    assert cross == out.degrees[labels == 1].sum()
+        out = rewire_to_homophily(g, 0.0, seed=4)
+    cross = out.num_edges - same_label_count(out)
+    assert cross == out.degrees[out.labels == 1].sum()
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0])
+def test_rewire_complete_graph_has_no_swap(target):
+    # Every new edge of K_60 already exists; the candidate pairs of both
+    # directions outnumber one checking chunk.
+    n = 60
+    labels = (np.arange(n) < 12).astype(np.int64)
+    g = build_graph("k60", n, np.column_stack(np.triu_indices(n, 1)),
+                    np.zeros((n, 1)), labels)
+    with pytest.warns(UserWarning, match="not attainable"):
+        out = rewire_to_homophily(g, target, seed=0)
+    assert graphs_equal(out, g)

@@ -217,8 +217,6 @@ def _cmd_exp_homophily(args):
         raise ConfigError(f"invalid --levels: {e}") from e
     if not levels or any(not 0.0 <= lv <= 1.0 for lv in levels):
         raise ConfigError("--levels must be homophily values in [0, 1]")
-    if len(set(levels)) != len(levels):
-        raise ConfigError(f"--levels must not repeat a value: {args.levels}")
     bundle = centroids = None
     if args.checkpoint is not None:
         loaded = load_checkpoint(args.checkpoint)

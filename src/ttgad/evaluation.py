@@ -2,10 +2,11 @@
 
 Two scoring modes share one ranking convention (higher score = more
 anomalous, ties broken by node id): "affinity" negates the neighborhood
-affinity score, "predictor" uses the classifier head's probability. The
-ranking metrics are exact: AUROC via the rank-sum formulation with tied
-ranks averaged, AUPRC as average precision with tied-score blocks
-processed atomically.
+affinity score, "predictor" uses the classifier head's probability. Both
+ranking metrics are exact and read only the blocks of tied scores, most
+anomalous first: AUROC counts each anomaly against the normals in later
+blocks and half of those in its own, AUPRC is average precision with each
+tied block taken whole.
 """
 
 from dataclasses import asdict, dataclass
@@ -27,14 +28,18 @@ SCORING_MODES = ("affinity", "predictor")
 class AnomalyRanking:
     """Per-node anomaly scores plus the induced rank order.
 
-    ``order`` lists node ids from most to least anomalous. ``isolated``
-    flags nodes without neighbors, whose affinity carries no signal.
+    ``order`` lists node ids from most to least anomalous, ties by node id;
+    it is derived from ``scores`` on each read. ``isolated`` flags nodes
+    without neighbors, whose affinity carries no signal.
     """
 
     scores: np.ndarray
-    order: np.ndarray
     scoring_mode: str
     isolated: np.ndarray
+
+    @property
+    def order(self):
+        return np.argsort(-self.scores, kind="stable")
 
 
 def score_nodes(bundle, graph, mode="affinity", domain=None):
@@ -48,22 +53,20 @@ def score_nodes(bundle, graph, mode="affinity", domain=None):
     if domain is None:
         domain = "target" if bundle.target_encoder is not None else "source"
     h, _ = gnn.forward_embeddings(bundle, graph, domain)
-    isolated = graph.degrees == 0
     if mode == "affinity":
-        aff = losses.affinity_scores(h, graph)
-        scores = -aff.values()
+        scores = -losses.affinity_scores(h, graph).values()
     else:
         scores = gnn.predict(bundle, h).values[:, 0].copy()
-    order = np.lexsort((np.arange(graph.num_nodes), -scores))
-    return AnomalyRanking(scores=scores, order=order,
-                          scoring_mode=mode, isolated=isolated)
+    return AnomalyRanking(scores=scores, scoring_mode=mode,
+                          isolated=graph.degrees == 0)
 
 
 # ---------------------------------------------------------------------------
 # Ranking metrics
 
 
-def _check_binary(scores, labels):
+def _tied_blocks(scores, labels):
+    """Anomaly and node counts of each tied-score block, most anomalous first."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape:
@@ -72,50 +75,33 @@ def _check_binary(scores, labels):
         raise DataError("scores must be finite")
     if not np.isin(labels, (0, 1)).all():
         raise DataError("labels must be 0 or 1")
-    return scores, labels.astype(np.int64)
-
-
-def _average_ranks(scores):
-    """1-based ranks, ascending by score, ties averaged within each block."""
-    order = np.argsort(scores, kind="mergesort")
+    order = np.argsort(-scores)
     s = scores[order]
-    n = s.size
-    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-    ends = np.concatenate([starts[1:], [n]])
-    block_rank = (starts + ends + 1) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(block_rank, ends - starts)
-    return ranks
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.size)
+    hits = np.concatenate(([0], np.cumsum(labels[order] == 1)))
+    return np.diff(hits[ends], prepend=0), np.diff(ends, prepend=0)
 
 
 def auroc(scores, labels):
     """Probability a random anomaly outscores a random normal (ties count half)."""
-    scores, labels = _check_binary(scores, labels)
-    pos = labels == 1
+    pos, nodes = _tied_blocks(scores, labels)
     num_pos = int(pos.sum())
-    num_neg = labels.size - num_pos
+    num_neg = int(nodes.sum()) - num_pos
     if num_pos == 0 or num_neg == 0:
         raise DataError("auroc needs at least one node of each class")
-    ranks = _average_ranks(scores)
-    rank_sum = ranks[pos].sum()
-    return float((rank_sum - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg))
+    neg = nodes - pos
+    below = np.sum(pos * (num_neg - np.cumsum(neg)))
+    return float((below + 0.5 * np.sum(pos * neg)) / (num_pos * num_neg))
 
 
 def auprc(scores, labels):
     """Average precision down the score ranking, tied blocks taken whole."""
-    scores, labels = _check_binary(scores, labels)
-    num_pos = int((labels == 1).sum())
+    pos, nodes = _tied_blocks(scores, labels)
+    num_pos = int(pos.sum())
     if num_pos == 0:
         raise DataError("auprc needs at least one anomaly")
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    n = s.size
-    ends = np.concatenate([np.flatnonzero(s[1:] != s[:-1]) + 1, [n]])
-    tp = np.cumsum(y)[ends - 1]
-    delta_tp = np.diff(np.concatenate([[0], tp]))
-    precision = tp / ends
-    return float(np.sum(delta_tp * precision) / num_pos)
+    precision = np.cumsum(pos) / np.cumsum(nodes)
+    return float(np.sum(pos * precision) / num_pos)
 
 
 @dataclass
@@ -131,7 +117,8 @@ class MetricResult:
 
 def metric_result(scores, labels):
     """Both ranking metrics plus the class counts they were computed over."""
-    _, checked = _check_binary(scores, labels)
-    num_pos = int((checked == 1).sum())
-    return MetricResult(auroc=auroc(scores, labels), auprc=auprc(scores, labels),
-                        positives=num_pos, negatives=int(checked.size - num_pos))
+    labels = np.asarray(labels).reshape(-1)
+    roc = auroc(scores, labels)  # validates before the labels are counted
+    num_pos = int(np.count_nonzero(labels == 1))
+    return MetricResult(auroc=roc, auprc=auprc(scores, labels),
+                        positives=num_pos, negatives=labels.size - num_pos)

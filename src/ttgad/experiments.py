@@ -181,6 +181,8 @@ def adaptation_benefit(seeds=10, num_nodes=400, feature_dim=12, target_dim=18,
     never scores below the baseline by construction; ``strict_wins`` counts
     the runs where it engaged and strictly helped.
     """
+    if seeds < 1:  # no seeds has no median
+        raise ConfigError(f"seeds must be at least 1, got {seeds}")
     normal_center = np.ones(feature_dim)
     anomaly_center = np.zeros(feature_dim)
     anomaly_center[::2] = 2.0

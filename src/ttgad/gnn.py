@@ -148,10 +148,6 @@ class ModelBundle:
             return self.target_encoder
         raise ConfigError(f"unknown domain {domain!r}")
 
-    @property
-    def embedding_dim(self):
-        return self.layers[-1].out_dim
-
     def parameter_items(self):
         """All named tensors in a stable order (checkpoint layout).
 

@@ -80,15 +80,10 @@ class AttributedGraph:
                 raise DataError("labels must have one entry per node")
             if self.labels.size and not np.isin(self.labels, (0, 1)).all():
                 raise DataError("labels must be 0 or 1")
-        # Sorted strictly ascending within each row: catches duplicates too.
-        if self.indices.size > 1:
-            gaps = np.diff(self.indices)
-            interior = np.ones(self.indices.size - 1, dtype=bool)
-            bounds = self.indptr[1:-1]
-            bounds = bounds[(bounds > 0) & (bounds < self.indices.size)]
-            interior[bounds - 1] = False
-            if np.any(gaps[interior] <= 0):
-                raise DataError("row columns must be sorted ascending without duplicates")
+        # Rows ascend and columns lie in [0, n), so the slot keys ascend
+        # strictly exactly when each row's columns do, without duplicates.
+        if np.any(np.diff(self.slot_src * np.int64(n) + self.indices) <= 0):
+            raise DataError("row columns must be sorted ascending without duplicates")
         if np.any(self.indices == self.slot_src):
             raise DataError("self-loops are not allowed")
         # Symmetry: the transpose has the same pattern, and the slot ids it
@@ -162,26 +157,17 @@ def build_graph(name, num_nodes, edges, features, labels=None):
     """
     n = int(num_nodes)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        if edges.min() < 0 or edges.max() >= n:
-            raise DataError("node id out of range in edge list")
-        loops = edges[:, 0] == edges[:, 1]
-        if np.any(loops):
-            warnings.warn(f"dropping {int(loops.sum())} self-loop(s)", stacklevel=2)
-            edges = edges[~loops]
-    if edges.size:
-        both = np.concatenate([edges, edges[:, ::-1]])
-        keys = np.sort(both[:, 0] * np.int64(n) + both[:, 1])
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        src = keys // n
-        dst = keys % n
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
-    return AttributedGraph(name, n, indptr, dst, features, labels)
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise DataError("node id out of range in edge list")
+    loops = edges[:, 0] == edges[:, 1]
+    if np.any(loops):
+        warnings.warn(f"dropping {int(loops.sum())} self-loop(s)", stacklevel=2)
+        edges = edges[~loops]
+    u, v = edges[:, 0], edges[:, 1]
+    keys = np.sort(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return AttributedGraph(name, n, indptr, keys % n, features, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,18 @@ class TestExperimentCommands:
         with pytest.raises(ConfigError, match="must not repeat"):
             experiments.homophily_sweep(levels=(0.5, 0.5), seeds=1)
 
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_adaptation_benefit_refuses_no_seeds(self, seeds, monkeypatch):
+        from ttgad import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        for name in ("generate_synthetic", "train_source", "adapt_target"):
+            monkeypatch.setattr(experiments, name, never)
+        with pytest.raises(ConfigError, match="seeds must be at least 1"):
+            experiments.adaptation_benefit(seeds=seeds)
+
     def test_homophily_sweep_shared_bundle_needs_centroids(self, workspace):
         from ttgad import experiments
         from ttgad.pipeline import load_checkpoint

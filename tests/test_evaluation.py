@@ -5,6 +5,8 @@ independent reference implementations; random instances are checked against
 them to 1e-12 and the worked examples were computed from them by hand.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,41 @@ def test_metrics_match_sklearn_when_available():
                    - sk.roc_auc_score(labels, scores)) < 1e-10
         assert abs(ev.auprc(scores, labels)
                    - sk.average_precision_score(labels, scores)) < 1e-10
+
+
+def test_metrics_bitwise_invariant_under_joint_permutation():
+    # Order within a tied block is arbitrary after an unstable sort and
+    # must not move either metric by even one ulp.
+    rng = np.random.default_rng(31)
+    for trial in range(100):
+        n = int(rng.integers(2, 400))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        scores = rng.integers(0, 1 + trial % 5, size=n).astype(np.float64)
+        perm = rng.permutation(n)
+        assert ev.auroc(scores[perm], labels[perm]) == ev.auroc(scores, labels)
+        assert ev.auprc(scores[perm], labels[perm]) == ev.auprc(scores, labels)
+
+
+def test_auroc_exact_on_large_tied_instance():
+    rng = np.random.default_rng(77)
+    n = 200_000
+    labels = (rng.random(n) < 0.05).astype(np.int64)
+    scores = rng.integers(0, 10, size=n) + 2 * labels  # ten-ish heavy ties
+    pos = [int(c) for c in np.bincount(scores[labels == 1], minlength=12)]
+    neg = [int(c) for c in np.bincount(scores[labels == 0], minlength=12)]
+    wins = sum(2 * p * sum(neg[:v]) + p * neg[v] for v, p in enumerate(pos))
+    exact = Fraction(wins, 2 * sum(pos) * sum(neg))
+    assert ev.auroc(scores.astype(np.float64), labels) == float(exact)
+
+
+def test_ranking_order_of_equal_scores_is_node_order():
+    n = 5000
+    scores = np.zeros(n)
+    scores[::3] = -0.0  # equal to 0.0, so still one tied block
+    ranking = ev.AnomalyRanking(scores=scores, scoring_mode="affinity",
+                                isolated=np.zeros(n, dtype=bool))
+    assert np.array_equal(ranking.order, np.arange(n))
 
 
 @settings(max_examples=60, deadline=None)

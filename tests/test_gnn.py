@@ -134,7 +134,6 @@ def test_init_bundle_shapes():
     assert bundle.layers[0].U.shape == (3, 4)
     assert bundle.layers[1].W.shape == (5, 10)
     assert bundle.predictor.w_out.shape == (1, 5)
-    assert bundle.embedding_dim == 5
 
 
 @pytest.mark.parametrize("identity", [False, True])

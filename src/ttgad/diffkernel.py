@@ -1,8 +1,10 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 arrays.
 
-Everything is a :class:`Tensor` wrapping a 2-D numpy array. Ops executed
-while a :class:`Tape` is active are recorded when an input requires a
-gradient, so ops on frozen (``requires_grad=False``) tensors alone never
+Everything is a :class:`Tensor` wrapping a 2-D numpy array, float64 with
+one exception: a frozen input of :func:`linear` may hold float32 values (a
+graph's raw features), which it upcasts one row block at a time. Ops
+executed while a :class:`Tape` is active are recorded when an input requires
+a gradient, so ops on frozen (``requires_grad=False``) tensors alone never
 reach the tape. A record holds no tensor: it is the output's identity token,
 one token per input (``None`` for an input that does not train) and a
 backward function that closes over only the arrays it reads, given which
@@ -39,7 +41,8 @@ Backward computes no gradient for an operand with ``requires_grad=False``.
 
 Design constraints honored throughout:
 
-- all math in float64; every op validates that its output is finite;
+- all math in float64 (a float32 input is upcast before any arithmetic);
+  every op validates that its output is finite;
 - :func:`linear`'s relu has zero derivative at exactly 0;
 - :func:`linear`'s bias is the only broadcast; :func:`add` and
   :func:`elementwise_mul` take equal shapes;
@@ -73,6 +76,9 @@ _ACTIVE_TAPES = []
 
 class Tensor:
     """2-D float64 array with a requires_grad flag and an identity token.
+
+    The one exception to float64: a frozen tensor wrapped around float32
+    features, which only :func:`linear` reads.
 
     Scalars are stored as shape (1, 1); 1-D input becomes a row vector.
     The public constructor copies its input; internal ops wrap freshly
@@ -201,12 +207,45 @@ def _record(out, inputs, bwd):
 # Dense ops
 
 
+# Bytes of one gathered block in _sampled_dot; blocks that stay in cache run
+# several times faster than whole (slots x width) gathers.
+_CHUNK_BYTES = 1 << 18
+
+
+# A float32 input of linear is upcast in row blocks of about _BLOCK_BYTES
+# of float64, each holding at least _BLOCK_MIN_OUT output values. BLAS picks
+# its kernel by the product's shape, and a short block can get one that sums
+# in another order (OpenBLAS takes gemv for one row and a small-matrix
+# kernel for a few), so long blocks keep every row bitwise the whole product's.
+# A one-column product is a gemv whose rows depend on how its threads split
+# the whole, so it is upcast whole.
+_BLOCK_BYTES = 4 * _CHUNK_BYTES
+_BLOCK_MIN_OUT = 1 << 12
+
+
+def _times_t(x, block):
+    """``x @ block.T`` in float64; a float32 ``x`` is upcast one row block at
+    a time into the output, so no float64 copy of ``x`` exists."""
+    n, (width, cols) = x.shape[0], block.shape
+    if x.dtype == np.float64 or width == 1:
+        return x.astype(np.float64, copy=False) @ block.T
+    rows = max(_BLOCK_BYTES // (8 * max(cols, 1)), -(-_BLOCK_MIN_OUT // max(width, 1)), 2)
+    count = max(1, n // rows)  # so every block has between rows and 2 * rows rows
+    out = np.empty((n, width))
+    bounds = [n * i // count for i in range(count + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(x[lo:hi].astype(np.float64), block.T, out=out[lo:hi])
+    return out
+
+
 def linear(inputs, W, b=None, relu=False):
     """``sum_i inputs[i] @ W[:, block_i].T + b``, then relu if asked; one tape record.
 
     ``W``'s column blocks meet ``inputs`` in order, so ``linear([m, h], W)``
     is ``[m | h] @ W.T`` without the copy; ``b`` is (1, out). The relu mask
-    is ``out > 0``, so the derivative at exactly 0 is 0.
+    is ``out > 0``, so the derivative at exactly 0 is 0. A frozen input may
+    hold float32 values: it is upcast in row blocks for the product, and
+    once, whole, for ``W``'s gradient, whose sum over rows must not be split.
     """
     xs, W = [_as_tensor(x) for x in inputs], _as_tensor(W)
     bias = [] if b is None else [_as_tensor(b)]
@@ -216,9 +255,9 @@ def linear(inputs, W, b=None, relu=False):
         raise ShapeError(f"linear: {[x.shape for x in xs]} through {W.shape}"
                          f" + {[t.shape for t in bias]}")
     blocks = [W.values[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-    vals = xs[0].values @ blocks[0].T
+    vals = _times_t(xs[0].values, blocks[0])
     for x, block in zip(xs[1:], blocks[1:]):
-        vals += x.values @ block.T
+        vals += _times_t(x.values, block)
     for t in bias:
         vals += t.values
     if relu:
@@ -236,7 +275,8 @@ def linear(inputs, W, b=None, relu=False):
         if mask is not None:
             g *= mask
         grads = [None if block is None else g @ block for block in back]
-        grads.append(None if seen is None else np.hstack([g.T @ v for v in seen]))
+        grads.append(None if seen is None else np.hstack(
+            [g.T @ v.astype(np.float64, copy=False) for v in seen]))
         return grads + [g.sum(axis=0, keepdims=True) if live else None
                         for live in bias_trains]
 
@@ -462,11 +502,6 @@ def reverse_min(x, pattern):
         wa = np.where(xv < mirrored, 1.0, np.where(xv == mirrored, 0.5, 0.0))
         _record(out, (x,), lambda g: (g * wa + (g * (1.0 - wa))[rev],))
     return out
-
-
-# Bytes of one gathered block in _sampled_dot; blocks that stay in cache run
-# several times faster than whole (slots x width) gathers.
-_CHUNK_BYTES = 1 << 18
 
 
 def _csr(data, pattern):

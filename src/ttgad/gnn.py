@@ -54,8 +54,13 @@ class ProjectionEncoder:
         """Map raw node features into the shared embedding space."""
         if np.ndim(features) == 2:
             # A read-only view: a forward reads the features and never
-            # needs its own copy of them.
-            values = np.ascontiguousarray(features, dtype=np.float64).view()
+            # needs its own copy of them. float32 features stay float32 for
+            # dk.linear to upcast block by block; the identity encoder's
+            # output is a layer input, so it is upcast once.
+            values = np.asarray(features)
+            keep = values.dtype == np.float32 and self.weight is not None
+            values = np.ascontiguousarray(
+                values, dtype=np.float32 if keep else np.float64).view()
             values.flags.writeable = False
             x = dk.Tensor._wrap(values, False)
         else:

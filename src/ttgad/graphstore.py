@@ -3,7 +3,10 @@
 Graphs are undirected, simple (no self-loops, no parallel edges), stored as
 CSR over directed slots: every undirected edge {u, v} appears as two slots
 (u -> v) and (v -> u). Column indices are sorted within each row. Features
-live in memory as float64; the disk format stores float32.
+stay in memory at the precision they arrive in: float32 features (generated
+or loaded, since the disk format stores float32) stay float32, and any
+other features are held as float64. Only the encoder's projection reads
+them, and it upcasts float32 rows to float64 a block at a time.
 
 Disk layout of a graph bundle directory:
 
@@ -17,6 +20,7 @@ import copy
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -51,6 +55,7 @@ class AttributedGraph:
     is the graph's one :class:`diffkernel.Pattern`; ``indptr``, ``indices``,
     ``slot_src`` (each directed slot's source node) and ``reverse_slot``
     (the permutation from slot u -> v to slot v -> u) are its arrays.
+    ``features`` is C-contiguous: float32 when given float32, else float64.
     """
 
     def __init__(self, name, num_nodes, indptr, indices, features, labels=None):
@@ -58,7 +63,9 @@ class AttributedGraph:
         self.num_nodes = int(num_nodes)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.features = np.ascontiguousarray(features, dtype=np.float64)
+        features = np.asarray(features)
+        self.features = np.ascontiguousarray(
+            features, dtype=np.float32 if features.dtype == np.float32 else np.float64)
         self.labels = None if labels is None else np.ascontiguousarray(labels, dtype=np.int64)
         self._validate()
 
@@ -127,9 +134,10 @@ class AttributedGraph:
         q = np.arange(dst.size) - self.indptr[src]
         return src * np.int64(self.num_nodes) + (dst - (dst > src) - q)
 
-    @cached_property
+    @property
     def undirected_edges(self):
-        """(num_edges, 2) array of undirected edges with u < v, sorted."""
+        """(num_edges, 2) array of undirected edges with u < v, sorted; a new
+        array on each read, which its two readers make once each."""
         mask = self.slot_src < self.indices
         return np.column_stack([self.slot_src[mask], self.indices[mask]])
 
@@ -192,7 +200,17 @@ def _id_text(ids, seps):
 
 
 def save_graph(graph, path):
-    """Write a graph bundle directory; returns the directory path."""
+    """Write a graph bundle directory; returns the directory path.
+
+    Features are written as float32. Float64 features beyond float32's
+    range raise :class:`DataError` before any file is written.
+    """
+    with np.errstate(over="ignore"):
+        features = np.ascontiguousarray(graph.features, dtype="<f4")
+    overflow = np.count_nonzero(np.isinf(features))  # the graph's are finite
+    if overflow:
+        raise DataError(f"save_graph: {overflow} feature value(s) lie beyond float32's "
+                        "range and cannot be stored")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -203,9 +221,7 @@ def save_graph(graph, path):
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     (out / "edges.tsv").write_bytes(_id_text(graph.undirected_edges, b"\t\n"))
-    (out / "features.bin").write_bytes(
-        np.ascontiguousarray(graph.features, dtype="<f4").tobytes()
-    )
+    features.tofile(out / "features.bin")
     if graph.labels is not None:
         (out / "labels.tsv").write_bytes(_id_text(graph.labels, b"\n"))
     return out
@@ -316,9 +332,8 @@ def load_graph(path):
         raise GraphFormatError(
             f"features.bin: malformed binary length {size}, expected {expected}"
         )
-    # Mapped, not read: no copy of the file's bytes. numpy cannot map an empty file.
-    features = np.zeros((n, d)) if not size else np.array(
-        np.memmap(feat_path, dtype="<f4", mode="r", shape=(n, d)), dtype=np.float64)
+    # One copy, kept as float32: the graph holds float32 features as they are.
+    features = np.fromfile(feat_path, dtype="<f4").reshape(n, d)
 
     labels = None
     if meta["has_labels"]:
@@ -453,10 +468,18 @@ def _validate_spec(spec):
         raise DataError("anomaly_rate must lie in (0, 0.5)")
     if not (0.0 <= spec.target_homophily <= 1.0):
         raise DataError("target_homophily must lie in [0, 1]")
-    if spec.mean_degree < 0:
+    if not spec.mean_degree >= 0:
         raise DataError("mean_degree must be non-negative")
     if spec.noise_scale < 0:
         raise DataError("noise_scale must be non-negative")
+    # Generation holds the float64 feature draw and the graph's three per-slot
+    # int64 arrays (indices, slot sources, mirrors) over 2m slots.
+    slots = spec.mean_degree * spec.num_nodes
+    needed = 8.0 * spec.num_nodes * spec.feature_dim + 3 * 8.0 * slots
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > limit:
+        raise DataError(f"spec does not fit in memory: generation needs {needed:.3g} "
+                        f"bytes, past the {limit} bytes of physical memory")
 
 
 def _same_label_step(rng, normals, anomalies, p_aa, n):
@@ -684,8 +707,8 @@ def generate_synthetic(spec):
     nc, ac = spec.resolved_centers()
     centers = np.stack([nc, ac])
     features = centers[labels] + spec.noise_scale * rng.standard_normal((n, spec.feature_dim))
-    # Quantize to the disk precision so save -> load round-trips exactly.
-    features = features.astype(np.float32).astype(np.float64)
+    # Held at the disk precision, so save -> load round-trips exactly.
+    features = features.astype(np.float32)
 
     m = int(round(spec.mean_degree * n / 2.0))
     m_same = int(round(spec.target_homophily * m))

@@ -94,6 +94,16 @@ class TestGen:
         assert main(["gen", "--nodes", "20"]) == 1
         assert "requires --out" in capsys.readouterr().err
 
+    def test_spec_past_physical_memory_exits_1_before_allocating(self, tmp_path, capsys):
+        # 10**11 nodes would need 745 GiB for the features alone; the spec
+        # is sized in closed form and refused before any draw.
+        start = time.perf_counter()
+        assert main(["gen", "--out", str(tmp_path / "x"), "--nodes", "100000000000"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "error: gen:" in err and "does not fit in memory" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, workspace):

@@ -197,6 +197,28 @@ def test_linear_against_numpy(blocks, bias, relu):
                                rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("block_bytes", [0, dk._BLOCK_BYTES], ids=["floor", "default"])
+def test_linear_float32_input_is_bitwise_the_float64_product(monkeypatch, block_bytes):
+    # A frozen float32 input is upcast in row blocks, here at row counts no
+    # block length divides; with no byte budget only the floor of output
+    # values per block is left. Output and W's gradient must match the
+    # float64 input's bitwise.
+    monkeypatch.setattr(dk, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(0)
+    for n, d, p in [(9001, 32, 40), (5003, 128, 6), (4099, 3, 16), (6007, 64, 1), (1, 5, 4)]:
+        x32 = rng.standard_normal((n, d)).astype(np.float32)
+        w, b = rng.standard_normal((p, d)), rng.standard_normal((1, p))
+        results = []
+        for x in (x32, x32.astype(np.float64)):
+            W = dk.Tensor(w, requires_grad=True)
+            with dk.Tape() as tape:
+                out = dk.linear([dk.Tensor._wrap(x, False)], W, dk.Tensor(b), relu=True)
+                loss = dk.sum(out)
+            results.append((out.values, tape.backward(loss)[W]))
+        (out32, grad32), (out64, grad64) = results
+        assert np.array_equal(out32, out64) and np.array_equal(grad32, grad64), (n, d, p)
+
+
 def test_elementwise_ops_against_numpy():
     x = np.array([[-1.5, 0.0, 2.0]])
     np.testing.assert_allclose(dk.sigmoid(dk.Tensor(x)).values,

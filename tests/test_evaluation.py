@@ -5,6 +5,7 @@ independent reference implementations; random instances are checked against
 them to 1e-12 and the worked examples were computed from them by hand.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import small_bundle
 from ttgad import diffkernel as dk
 from ttgad import evaluation as ev
 from ttgad.errors import ConfigError, DataError
+from ttgad.graphstore import SyntheticSpec, generate_synthetic
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +274,21 @@ def test_domain_defaults_to_target_when_present(path3):
     assert not np.array_equal(r_source.scores, r_target.scores)
     r_explicit = ev.score_nodes(bundle, path3, domain="source")
     assert np.array_equal(r_source.scores, r_explicit.scores)
+
+
+def test_scoring_float32_features_never_copies_them_whole():
+    # 20k x 512 float32 features take 39 MB, and one float64 copy of them
+    # would take 78 MB; the encoder upcasts a block of rows at a time, so a
+    # scoring pass peaks at about 28 MB.
+    graph = generate_synthetic(SyntheticSpec(num_nodes=20000, feature_dim=512,
+                                             anomaly_rate=0.05, target_homophily=0.9,
+                                             mean_degree=6, seed=0))
+    bundle = small_bundle(512, width=40)
+    for mode in ("affinity", "predictor"):
+        tracemalloc.start()
+        try:
+            ev.score_nodes(bundle, graph, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < graph.features.nbytes, mode

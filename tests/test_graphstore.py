@@ -189,6 +189,57 @@ def test_features_stored_as_float32(tmp_path):
                                   feats.astype(np.float32).astype(np.float64))
 
 
+def test_features_keep_the_precision_they_arrive_in(tmp_path):
+    spec = SyntheticSpec(num_nodes=30, feature_dim=3, anomaly_rate=0.2,
+                         target_homophily=0.8, mean_degree=4, seed=1)
+    generated = generate_synthetic(spec)
+    assert generated.features.dtype == np.float32
+    save_graph(generated, tmp_path / "gen")
+    assert "undirected_edges" not in vars(generated)  # read once, not kept
+    loaded = load_graph(tmp_path / "gen")
+    assert loaded.features.dtype == np.float32 and graphs_equal(generated, loaded)
+
+    wide = generated.features.astype(np.float64)
+    twin = build_graph(generated.name, 30, generated.undirected_edges, wide,
+                       generated.labels)
+    assert twin.features.dtype == np.float64 and graphs_equal(twin, generated)
+    save_graph(twin, tmp_path / "twin")
+    assert (tmp_path / "twin" / "features.bin").read_bytes() \
+        == (tmp_path / "gen" / "features.bin").read_bytes()
+
+    strided = np.asfortranarray(generated.features)
+    kept = build_graph("g", 30, generated.undirected_edges, strided)
+    assert kept.features.dtype == np.float32 and kept.features.flags.c_contiguous
+    for other in (np.float16, np.int64):
+        assert build_graph("g", 2, [(0, 1)], np.ones((2, 2), dtype=other)).features.dtype \
+            == np.float64
+
+
+def test_save_graph_refuses_features_beyond_float32_range(tmp_path):
+    feats = np.array([[1e39, 0.5], [-1e39, 3.0e38]])
+    g = build_graph("g", 2, [(0, 1)], feats)
+    with pytest.raises(DataError, match="2 feature value"):
+        save_graph(g, tmp_path / "g")
+    assert not (tmp_path / "g").exists()
+    fits = build_graph("g", 2, [(0, 1)], np.array([[3.0e38, -3.4e38], [1e-40, 0.5]]))
+    save_graph(fits, tmp_path / "fits")
+    back = load_graph(tmp_path / "fits")
+    np.testing.assert_array_equal(back.features, fits.features.astype(np.float32))
+
+
+def test_generate_refuses_spec_past_physical_memory():
+    spec = SyntheticSpec(num_nodes=10 ** 11, feature_dim=1, anomaly_rate=0.1,
+                         target_homophily=0.5)
+    start = time.perf_counter()
+    with pytest.raises(DataError, match="does not fit in memory"):
+        generate_synthetic(spec)
+    assert time.perf_counter() - start < 1.0
+    for degree in (math.inf, math.nan):
+        with pytest.raises(DataError):
+            generate_synthetic(SyntheticSpec(num_nodes=10, feature_dim=1, anomaly_rate=0.1,
+                                             target_homophily=0.5, mean_degree=degree))
+
+
 def test_load_missing_pieces(tmp_path, path3):
     with pytest.raises(GraphFormatError, match="meta.json"):
         load_graph(tmp_path / "nowhere")

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import edit_json, mutate_bytes
 from ttgad import diffkernel as dk
-from ttgad import losses, pipeline
+from ttgad import evaluation, losses, pipeline
 from ttgad.diffkernel import Tensor
 from ttgad.errors import CheckpointError, ConfigError, DataError
 from ttgad.gnn import forward_embeddings, init_bundle, init_encoder, predict
-from ttgad.graphstore import SyntheticSpec, build_graph, generate_synthetic
+from ttgad.graphstore import AttributedGraph, SyntheticSpec, build_graph, generate_synthetic
 from ttgad.losses import LossWeights
 from ttgad.pipeline import (
     AdaptationTrace,
@@ -361,6 +361,33 @@ def test_graph_features_untouched_by_training_and_adaptation():
             adapt_target(bundle, centroids, target, cfg)
     assert (source.features.tobytes(), target.features.tobytes()) == kept
     assert source.features.flags.writeable and target.features.flags.writeable
+
+
+@pytest.mark.parametrize("variant", [{}, {"nsaw_enabled": False},
+                                     {"identity_encoder": True, "ttt_max_epochs": 0}],
+                         ids=["nsaw", "plain", "identity"])
+def test_float32_features_give_bitwise_the_results_of_a_float64_twin(tmp_path, monkeypatch,
+                                                                      variant):
+    # With no byte budget an encoder block holds the floor of 4096 output
+    # values: 683 rows at width 6, so 2503 nodes project in 3 blocks.
+    monkeypatch.setattr(dk, "_BLOCK_BYTES", 0)
+    graphs = [generate_synthetic(small_spec(seed, n=2503, feature_dim=8)) for seed in (4, 5)]
+    twins = [AttributedGraph(g.name, g.num_nodes, g.indptr, g.indices,
+                             g.features.astype(np.float64), g.labels) for g in graphs]
+    assert [g.features.dtype for g in graphs + twins] == [np.float32] * 2 + [np.float64] * 2
+    cfg = quick_config(**variant)
+    runs = []
+    for source, target in (graphs, twins):
+        bundle, centroids, log = train_source(source, cfg)
+        save_checkpoint(bundle, centroids, cfg, tmp_path / "source.bin")
+        adapted, trace = adapt_target(bundle, centroids, target, cfg)
+        save_checkpoint(adapted, centroids, cfg, tmp_path / "adapted.bin")
+        scores = [evaluation.score_nodes(model, g, mode=mode).scores.tobytes()
+                  for model, g in ((bundle, source), (adapted, target))
+                  for mode in ("affinity", "predictor")]
+        runs.append((log, trace.to_dict(), scores, (tmp_path / "source.bin").read_bytes(),
+                     (tmp_path / "adapted.bin").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 class TestAdaptTarget:

@@ -16,7 +16,7 @@ from . import evaluation, experiments
 from .errors import ConfigError, DataError, NumericalError, ShapeError, TtgadError
 from .graphstore import SyntheticSpec, compute_stats, generate_synthetic, \
     load_graph, save_graph
-from .pipeline import (RunConfig, adapt_target, full_model_grad_check,
+from .pipeline import (TTT_INITS, RunConfig, adapt_target, full_model_grad_check,
                        load_checkpoint, save_checkpoint, train_source)
 
 PATH_KEYS = ("source_graph", "target_graph", "output_dir")
@@ -31,6 +31,9 @@ EXIT_CODES = ((ConfigError, 1), ((DataError, ShapeError, OSError), 2),
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no prefixes: `exp-margin --seed` is not `--seeds`
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -39,22 +42,30 @@ class _Parser(argparse.ArgumentParser):
 def _read_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            data = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8 text
         raise ConfigError(f"config file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
 
 
+def _pop_paths(data):
+    """Take the path keys out of a config dict; each must be a non-empty string."""
+    paths = {key: data.pop(key) for key in PATH_KEYS if key in data}
+    for key, value in paths.items():
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"config key {key!r} must be a non-empty path string, "
+                              f"got {value!r}")
+    return paths
+
+
 def _load_run_config(args, overrides=None, base=None):
     """Merge config file, checkpoint base, and flag overrides; validate."""
     data = _read_config_file(args.config) if args.config else {}
-    paths = {key: data.pop(key) for key in PATH_KEYS if key in data}
+    paths = _pop_paths(data)
     if base is not None:
         stored = base.to_dict()
         for key in STRUCTURAL_KEYS:
@@ -69,9 +80,7 @@ def _load_run_config(args, overrides=None, base=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             data[key] = value
-    config = RunConfig.from_dict(data)
-    config.validate()
-    return config, paths
+    return RunConfig.from_dict(data).validate(), paths
 
 
 def _out_dir(args, paths):
@@ -81,16 +90,23 @@ def _out_dir(args, paths):
     return out
 
 
+def _json_text(data):
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(data))
+
+
 def _emit_report(report, args, filename):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, filename)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_json(path, report)
         _say(args, f"wrote {path}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_json_text(report))
 
 
 def _say(args, message):
@@ -118,8 +134,7 @@ def _cmd_gen(args):
         raise ConfigError(f"gen: {e}") from e
     save_graph(graph, args.out)
     if not args.quiet:
-        stats = compute_stats(graph).to_dict()
-        sys.stdout.write(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(compute_stats(graph).to_dict()))
     return 0
 
 
@@ -134,9 +149,7 @@ def _cmd_train(args):
     os.makedirs(out, exist_ok=True)
     ckpt = os.path.join(out, "checkpoint.bin")
     save_checkpoint(bundle, centroids, config, ckpt)
-    log_path = os.path.join(out, "train_log.json")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"epochs": log}, indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(out, "train_log.json"), {"epochs": log})
     final = log[-1]
     _say(args, f"trained {len(log)} epochs; auroc {final['auroc']:.4f}; "
                f"checkpoint {ckpt}")
@@ -163,9 +176,7 @@ def _cmd_adapt(args):
     os.makedirs(out, exist_ok=True)
     ckpt = os.path.join(out, "adapted.bin")
     save_checkpoint(adapted, loaded.centroids, config, ckpt)
-    trace_path = os.path.join(out, "adapt_trace.json")
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(out, "adapt_trace.json"), trace.to_dict())
     _say(args, f"adapted for {len(trace.epochs)} epochs "
                f"(kept epoch {trace.chosen_epoch}, {trace.stop_reason}); "
                f"checkpoint {ckpt}")
@@ -175,10 +186,7 @@ def _cmd_adapt(args):
 def _cmd_eval(args):
     expect_nsaw = None if args.attention is None else args.attention == "nsaw"
     loaded = load_checkpoint(args.checkpoint, expect_nsaw=expect_nsaw)
-    paths = {}
-    if args.config:
-        data = _read_config_file(args.config)
-        paths = {key: data.get(key) for key in PATH_KEYS if key in data}
+    paths = _pop_paths(_read_config_file(args.config)) if args.config else {}
     graph_path = args.graph or paths.get("target_graph")
     if not graph_path:
         raise ConfigError("a graph is required (--graph or target_graph)")
@@ -241,19 +249,28 @@ def _cmd_gradcheck(args):
 # Parser assembly
 
 
+def _seed(text):
+    """A --seed value: numpy takes only non-negative integer seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, help="override the run seed")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress status lines")
+    # each subcommand takes only the shared flags its handler reads
+    io = _Parser(add_help=False)
+    io.add_argument("--out", help="output directory")
+    io.add_argument("--quiet", action="store_true", help="suppress status lines")
+    config = _Parser(add_help=False)
+    config.add_argument("--config", help="JSON config file")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=_seed, help="override the run seed")
 
     parser = _Parser(prog="ttgad",
                      description="cross-domain graph anomaly detection")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen", parents=[io, seed],
                        help="generate a synthetic labeled graph")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--dim", type=int, default=32, help="feature dimension")
@@ -266,33 +283,32 @@ def _build_parser():
     p.add_argument("--name", default="synthetic")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[io, config, seed],
                        help="train on the configured source graph")
     p.set_defaults(handler=_cmd_train)
 
-    p = sub.add_parser("adapt", parents=[common],
+    p = sub.add_parser("adapt", parents=[io, config, seed],
                        help="adapt a trained model to a target graph")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", help="target graph directory")
     p.add_argument("--ttt-max-epochs", type=int, default=None)
-    p.add_argument("--ttt-init", choices=("fresh", "source", "keep"),
-                   default=None)
+    p.add_argument("--ttt-init", choices=TTT_INITS, default=None)
     p.add_argument("--eval-labels", action="store_true",
                    help="use target labels to record per-epoch margins")
     p.set_defaults(handler=_cmd_adapt)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[io, config],
                        help="score a labeled graph with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", help="graph directory")
-    p.add_argument("--mode", choices=("affinity", "predictor"), default=None)
+    p.add_argument("--mode", choices=evaluation.SCORING_MODES, default=None)
     p.add_argument("--attention", choices=("nsaw", "plain"), default=None,
                    help="require the checkpoint to use this aggregation")
     p.add_argument("--dump-ranking", metavar="PATH",
                    help="write the ranked node list as TSV")
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("exp-margin", parents=[common],
+    p = sub.add_parser("exp-margin", parents=[io],
                        help="margin-increase experiment on synthetic pairs")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.001)
@@ -301,16 +317,16 @@ def _build_parser():
     p.add_argument("--nodes", type=int, default=300)
     p.set_defaults(handler=_cmd_exp_margin)
 
-    p = sub.add_parser("exp-homophily", parents=[common],
+    p = sub.add_parser("exp-homophily", parents=[io],
                        help="ranking quality under decreasing target homophily")
-    p.add_argument("--levels", default="0.9,0.7,0.5,0.3,0.1")
+    p.add_argument("--levels", default=",".join(map(str, experiments.DEFAULT_LEVELS)))
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--checkpoint", help="reuse one trained source model")
     p.add_argument("--auto-train", action="store_true",
                    help="train a fresh source model per seed")
     p.set_defaults(handler=_cmd_exp_homophily)
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck", parents=[seed],
                        help="finite-difference check of the full model")
     p.set_defaults(handler=_cmd_gradcheck)
 

@@ -356,23 +356,16 @@ def masked_row_softmax(scores, mask):
     if mask_arr.shape != scores.shape:
         raise ShapeError(f"masked_row_softmax: mask {mask_arr.shape} vs scores {scores.shape}")
     allowed = mask_arr != 0
-    v = scores.values
-    p = np.zeros_like(v)
-    rows_with = allowed.any(axis=1)
-    if rows_with.any():
-        masked_vals = np.where(allowed, v, -np.inf)
-        row_max = masked_vals[rows_with].max(axis=1, keepdims=True)
-        sub = np.where(allowed[rows_with], masked_vals[rows_with] - row_max, -np.inf)
-        e = np.where(allowed[rows_with], np.exp(np.where(allowed[rows_with], sub, 0.0)), 0.0)
-        p[rows_with] = e / e.sum(axis=1, keepdims=True)
+    shifted = np.where(allowed, scores.values, -np.inf)
+    # an all-masked row shifts by 0: its entries stay -inf and exp to exactly 0
+    top = np.where(allowed.any(axis=1, keepdims=True),
+                   shifted.max(axis=1, keepdims=True, initial=-np.inf), 0.0)
+    e = np.exp(shifted - top)
+    # a row with an allowed entry sums to at least exp(0) = 1
+    p = e / np.maximum(e.sum(axis=1, keepdims=True), 1.0)
     out = _make("masked_row_softmax", p, scores)
-
-    def bwd(g):
-        inner = (p * g).sum(axis=1, keepdims=True)
-        return (p * (g - inner),)
-
     if _recording(out):
-        _record(out, (scores,), bwd)
+        _record(out, (scores,), lambda g: (p * (g - (p * g).sum(axis=1, keepdims=True)),))
     return out
 
 
@@ -752,9 +745,7 @@ def grad_check(f, point, step=1e-5, tol=1e-4):
 
     base = point.values
     numeric = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    while not it.finished:
-        ij = it.multi_index
+    for ij in np.ndindex(base.shape):
         orig = base[ij]
         base[ij] = orig + step
         fp = f(point).item()
@@ -762,7 +753,6 @@ def grad_check(f, point, step=1e-5, tol=1e-4):
         fm = f(point).item()
         base[ij] = orig
         numeric[ij] = (fp - fm) / (2.0 * step)
-        it.iternext()
 
     abs_err = np.abs(analytic - numeric)
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-8)

@@ -63,7 +63,6 @@ def margin_experiment(seeds=10, lr=0.001, homophily=0.9, num_nodes=300,
         except DataError as e:  # every spec value is an argument
             raise ConfigError(f"margin experiment: {e}") from e
     per_seed = []
-    fractions = []
     for s, (graph_s, latent) in enumerate(pairs):
         basis = np.linalg.qr(np.random.default_rng(9000 + s).normal(
             size=(feature_dim, feature_dim)))[0]
@@ -75,16 +74,15 @@ def margin_experiment(seeds=10, lr=0.001, homophily=0.9, num_nodes=300,
                                  ttt_epochs=steps, ttt_init="source")
         bundle, centroids, _ = train_source(graph_s, config)
         _, trace = adapt_target(bundle, centroids, graph_t, config)
-        report = margin_trace_check(trace)
-        fractions.append(report.fraction_increasing)
-        per_seed.append({"seed": s, **report.to_dict()})
+        per_seed.append({"seed": s, **margin_trace_check(trace).to_dict()})
     return {
         "seeds": seeds,
         "lr": lr,
         "homophily": homophily,
         "steps": steps,
         "per_seed": per_seed,
-        "median_fraction_increasing": float(np.median(fractions)),
+        "median_fraction_increasing": float(np.median(
+            [r["fraction_increasing"] for r in per_seed])),
         "monotone_claim_applicable": all(r["monotone_claim_applicable"]
                                          for r in per_seed),
     }
@@ -108,12 +106,13 @@ def homophily_sweep(levels=DEFAULT_LEVELS, seeds=5, num_nodes=400,
     if seeds < 1:  # no seeds has no median
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
     levels = [float(lv) for lv in levels]
-    if len(set(levels)) != len(levels):  # results are keyed by level
+    if len(set(levels)) != len(levels):  # a repeat would count its runs twice
         raise ConfigError(f"levels must not repeat, got {levels}")
     shared = bundle is not None
     if shared and centroids is None:
         raise ConfigError("a shared bundle needs its centroids")
-    results = {lv: {"auroc": [], "auprc": [], "realized": []} for lv in levels}
+    rows = [{"requested_homophily": lv, "realized_homophily": [], "auroc": [],
+             "auprc": []} for lv in levels]
     for s in range(seeds):
         config = _harness_config(seed=s, lr=lr, dims=dims,
                                  source_epochs=source_epochs,
@@ -133,28 +132,20 @@ def homophily_sweep(levels=DEFAULT_LEVELS, seeds=5, num_nodes=400,
                                   mean_degree=mean_degree, seed=4000 + s,
                                   name=f"sweep-target-{s}")
         base = generate_synthetic(base_spec)
-        for idx, level in enumerate(levels):
-            graph_l = rewire_to_homophily(base, level, seed=5000 + 131 * s + idx)
+        for idx, row in enumerate(rows):
+            graph_l = rewire_to_homophily(base, row["requested_homophily"],
+                                          seed=5000 + 131 * s + idx)
             adapted, _ = adapt_target(bundle_s, centroids_s, graph_l, config)
             ranking = evaluation.score_nodes(adapted, graph_l, mode="affinity")
             metrics = evaluation.metric_result(ranking.scores, graph_l.labels)
-            stats = compute_stats(graph_l)
-            results[level]["auroc"].append(metrics.auroc)
-            results[level]["auprc"].append(metrics.auprc)
-            results[level]["realized"].append(stats.edge_label_homophily)
+            row["realized_homophily"].append(compute_stats(graph_l).edge_label_homophily)
+            row["auroc"].append(metrics.auroc)
+            row["auprc"].append(metrics.auprc)
 
-    rows = []
-    for level in levels:
-        r = results[level]
-        rows.append({
-            "requested_homophily": level,
-            "realized_homophily": r["realized"],
-            "auroc": r["auroc"],
-            "auprc": r["auprc"],
-            "median_auroc": float(np.median(r["auroc"])),
-        })
-    high = [a for lv in levels if lv >= 0.5 for a in results[lv]["auroc"]]
-    low = [a for lv in levels if lv <= 0.3 for a in results[lv]["auroc"]]
+    for row in rows:
+        row["median_auroc"] = float(np.median(row["auroc"]))
+    high = [a for row in rows if row["requested_homophily"] >= 0.5 for a in row["auroc"]]
+    low = [a for row in rows if row["requested_homophily"] <= 0.3 for a in row["auroc"]]
     return {
         "seeds": seeds,
         "levels": rows,

@@ -91,10 +91,6 @@ class NsawLayer:
     def in_dim(self):
         return self.W.shape[1] // 2
 
-    @property
-    def out_dim(self):
-        return self.W.shape[0]
-
 
 @dataclass
 class PredictorHead:

@@ -472,6 +472,8 @@ def _validate_spec(spec):
         raise DataError("mean_degree must be non-negative")
     if spec.noise_scale < 0:
         raise DataError("noise_scale must be non-negative")
+    if spec.seed < 0:
+        raise DataError("seed must be non-negative")
     # Generation holds the float64 feature draw and the graph's three per-slot
     # int64 arrays (indices, slot sources, mirrors) over 2m slots.
     slots = spec.mean_degree * spec.num_nodes

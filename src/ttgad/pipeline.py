@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
@@ -68,6 +69,8 @@ class RunConfig:
     def validate(self):
         _check_field_types(self)
         _check_field_types(self.weights)
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.source_epochs < 1:
             raise ConfigError("source_epochs ≥ 1")
         if self.lr <= 0:
@@ -114,8 +117,8 @@ _ABSTRACT_TYPES = {int: numbers.Integral, float: numbers.Real}
 def _check_field_types(obj):
     """Raise ConfigError unless each dataclass field holds its annotated type.
 
-    Int fields take any integer and float fields any real number, but
-    neither takes a bool; a union field takes any of its members.
+    Int fields take any integer and float fields any finite real number,
+    but neither takes a bool; a union field takes any of its members.
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -127,6 +130,10 @@ def _check_field_types(obj):
         if not ok:
             kind = getattr(f.type, "__name__", str(f.type))
             raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
+        # NaN fails the comparison; an int past float range fails it too
+        if float in kinds and isinstance(value, numbers.Real) \
+                and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -618,13 +625,7 @@ def full_model_grad_check(seed=0, num_points=5, num_nodes=9, feature_dim=4,
                          mean_degree=4.0, seed=seed, name="gradcheck")
     graph = generate_synthetic(spec)
     weights = LossWeights()
-
-    worst = {"train": [0.0, 0.0], "ttt": [0.0, 0.0]}
-
-    def track(kind, report):
-        worst[kind][0] = max(worst[kind][0], report.max_rel_error)
-        worst[kind][1] = max(worst[kind][1], report.max_abs_error)
-
+    reports = {"train": [], "ttt": []}
     for point in range(num_points):
         rng = np.random.default_rng(seed * 7919 + point + 1)
         bundle = init_bundle(rng, feature_dim, width, width, width, num_layers)
@@ -644,15 +645,14 @@ def full_model_grad_check(seed=0, num_points=5, num_nodes=9, feature_dim=4,
 
         for name, param in bundle.parameter_items():
             if name == "target_encoder.weight":
-                track("ttt", dk.grad_check(ttt_objective, param, step=step, tol=tol))
+                reports["ttt"].append(dk.grad_check(ttt_objective, param, step, tol))
             else:
-                track("train", dk.grad_check(train_objective, param, step=step, tol=tol))
+                reports["train"].append(dk.grad_check(train_objective, param, step, tol))
 
-    train_report = dk.GradCheckReport(max_rel_error=worst["train"][0],
-                                      max_abs_error=worst["train"][1],
-                                      tol=tol, passed=worst["train"][0] <= tol)
-    ttt_report = dk.GradCheckReport(max_rel_error=worst["ttt"][0],
-                                    max_abs_error=worst["ttt"][1],
-                                    tol=tol, passed=worst["ttt"][0] <= tol)
+    train_report, ttt_report = (
+        dk.GradCheckReport(max_rel_error=max((r.max_rel_error for r in found), default=0.0),
+                           max_abs_error=max((r.max_abs_error for r in found), default=0.0),
+                           tol=tol, passed=all(r.passed for r in found))
+        for found in (reports["train"], reports["ttt"]))
     return FullModelGradCheck(train_report=train_report, ttt_report=ttt_report,
                               passed=train_report.passed and ttt_report.passed)

@@ -146,6 +146,14 @@ class TestTrain:
                      str(tmp_path / "o")]) == 1
         assert "p must be of type int" in capsys.readouterr().err
 
+    def test_nonfinite_setting_exits_1_before_training(self, workspace, tmp_path,
+                                                       capsys):
+        cfg = write_config(tmp_path / "c.json", **SMALL, nonneighbor_weight=float("nan"),
+                           source_graph=str(workspace["source"]))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "nonneighbor_weight must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_removed_neighbor_cap_key_exits_1(self, workspace, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", **SMALL, neighbor_cap=3,
                            source_graph=str(workspace["source"]))
@@ -169,10 +177,41 @@ class TestTrain:
 
     def test_invalid_json_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["train", "--config", str(bad), "--out",
-                     str(tmp_path / "o")]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
+        for raw in (b"{not json", b"\xff\xfe{}"):  # bad syntax, then not UTF-8
+            bad.write_bytes(raw)
+            assert main(["train", "--config", str(bad), "--out",
+                         str(tmp_path / "o")]) == 1
+            assert "not valid JSON" in capsys.readouterr().err
+
+
+class TestConfigPaths:
+    @pytest.mark.parametrize("command", ["train", "adapt", "eval"])
+    @pytest.mark.parametrize("bad", [
+        {"source_graph": 5}, {"target_graph": ["x"]}, {"output_dir": ["x"]},
+        {"output_dir": ""},
+    ], ids=["source-int", "target-list", "output-list", "output-empty"])
+    def test_path_of_wrong_type_exits_1_before_any_work(self, workspace, tmp_path,
+                                                        monkeypatch, capsys,
+                                                        command, bad):
+        from ttgad import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        for name in ("load_graph", "train_source", "adapt_target"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.chdir(tmp_path)
+        paths = {"source_graph": str(workspace["source"]),
+                 "target_graph": str(workspace["target"]), **bad}
+        cfg = write_config(tmp_path / "c.json", **paths)
+        argv = [command, "--config", cfg]
+        if command != "train":
+            argv += ["--checkpoint", str(workspace["checkpoint"])]
+        assert main([*argv, "--out", "o"]) == 1
+        err = capsys.readouterr().err
+        key = next(iter(bad))
+        assert f"config key {key!r} must be a non-empty path string" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 class TestAdapt:
@@ -430,6 +469,12 @@ class TestExperimentCommands:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "must not repeat" in err and not out
 
+    def test_margin_nonfinite_lr_exits_1(self, capsys):
+        assert main(["exp-margin", "--seeds", "1", "--steps", "1", "--nodes", "30",
+                     "--lr", "1e400"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lr must be finite" in err
+
     def test_homophily_sweep_refuses_repeated_levels(self):
         from ttgad import experiments
         with pytest.raises(ConfigError, match="must not repeat"):
@@ -487,6 +532,40 @@ class TestGradcheckCommand:
 class TestExitCodes:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--nodes", "10", "--config", "c.json"],
+        ["eval", "--checkpoint", "c.bin", "--seed", "1"],
+        ["exp-margin", "--config", "c.json"],
+        ["exp-margin", "--seed", "1"],
+        ["exp-homophily", "--auto-train", "--config", "c.json"],
+        ["exp-homophily", "--auto-train", "--seed", "1"],
+        ["gradcheck", "--config", "c.json"],
+        ["gradcheck", "--out", "o"],
+        ["gradcheck", "--quiet"],
+    ], ids=["gen-config", "eval-seed", "margin-config", "margin-seed",
+            "homophily-config", "homophily-seed", "gradcheck-config",
+            "gradcheck-out", "gradcheck-quiet"])
+    def test_shared_flag_a_subcommand_does_not_read_exits_1(self, argv, tmp_path,
+                                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ttgad ")
+        assert "error: unrecognized arguments: --" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1", "--out", "o"],
+        ["gen", "--nodes", "10", "--seed", "-3", "--out", "o"],
+        ["gradcheck", "--seed", "-1"],
+    ], ids=["train", "gen", "gradcheck"])
+    def test_negative_seed_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["adapt"]) == 1

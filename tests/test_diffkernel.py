@@ -49,6 +49,21 @@ def ref_adam(param, grad_sequence, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     return p
 
 
+def ref_masked_row_softmax(v, mask, g):
+    """The earlier per-row-subset masked softmax, and its backward for upstream g."""
+    allowed = mask != 0
+    p = np.zeros_like(v)
+    rows_with = allowed.any(axis=1)
+    if rows_with.any():
+        masked_vals = np.where(allowed, v, -np.inf)
+        row_max = masked_vals[rows_with].max(axis=1, keepdims=True)
+        sub = np.where(allowed[rows_with], masked_vals[rows_with] - row_max, -np.inf)
+        e = np.where(allowed[rows_with], np.exp(np.where(allowed[rows_with], sub, 0.0)), 0.0)
+        p[rows_with] = e / e.sum(axis=1, keepdims=True)
+    inner = (p * g).sum(axis=1, keepdims=True)
+    return p, p * (g - inner)
+
+
 def ref_pattern_rows(indptr):
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
@@ -799,6 +814,26 @@ def test_masked_softmax_rows_sum_to_one(rows, cols, seed):
     assert np.array_equal(out.values[mask == 0], np.zeros((mask == 0).sum()))
     np.testing.assert_allclose(out.values.sum(axis=1), np.ones(rows),
                                atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([1.0, 10.0, 700.0]),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 31 - 1))
+def test_masked_softmax_bitwise_matches_reference(rows, cols, scale, density, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal((rows, cols)) * scale
+    mask = (rng.random((rows, cols)) < density).astype(np.int64)
+    if rows:
+        mask[rng.integers(rows)] = 0  # at least one all-masked row
+    g = rng.standard_normal((rows, cols))
+    x = dk.Tensor(scores, requires_grad=True)
+    with dk.Tape() as tape:
+        out = dk.masked_row_softmax(x, mask)
+        loss = dk.sum(dk.elementwise_mul(out, dk.Tensor(g)))
+    grad = tape.backward(loss)[x]
+    want_p, want_grad = ref_masked_row_softmax(scores, mask, g)
+    assert out.values.tobytes() == want_p.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 # ---------------------------------------------------------------------------

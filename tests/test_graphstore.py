@@ -547,6 +547,19 @@ def test_generate_synthetic_validates_spec():
         generate_synthetic(SyntheticSpec(num_nodes=1, feature_dim=2,
                                          anomaly_rate=0.2,
                                          target_homophily=0.5))
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        generate_synthetic(SyntheticSpec(num_nodes=10, feature_dim=2,
+                                         anomaly_rate=0.2,
+                                         target_homophily=0.5, seed=-3))
+    with pytest.raises(DataError, match="mean_degree"):
+        generate_synthetic(SyntheticSpec(num_nodes=10, feature_dim=2,
+                                         anomaly_rate=0.2, target_homophily=0.5,
+                                         mean_degree=float("nan")))
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="features must be finite"):
+            generate_synthetic(SyntheticSpec(num_nodes=40, feature_dim=2,
+                                             anomaly_rate=0.2, target_homophily=0.5,
+                                             mean_degree=4.0, noise_scale=noise))
 
 
 def test_generate_synthetic_infeasible_mix():

@@ -97,6 +97,13 @@ class TestRunConfig:
         ("nsaw_enabled", 1, "nsaw_enabled must be of type bool"),
         ("neg_samples_k", "5", "neg_samples_k must be of type int"),
         ("anomaly_weight", None, "anomaly_weight must be of type float"),
+        ("seed", -1, "seed must be non-negative"),
+        ("lr", float("inf"), "lr must be finite"),
+        ("lr", float("nan"), "lr must be finite"),
+        ("dropout_rate", float("nan"), "dropout_rate must be finite"),
+        ("nonneighbor_weight", float("nan"), "nonneighbor_weight must be finite"),
+        ("anomaly_weight", float("inf"), "anomaly_weight must be finite"),
+        pytest.param("lr", 10 ** 400, "lr must be finite", id="lr-int-past-float-range"),
     ])
     def test_validation_messages(self, field_name, value, msg):
         cfg = RunConfig.from_dict({field_name: value})

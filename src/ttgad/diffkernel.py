@@ -17,34 +17,37 @@ intermediate gradient once it has been passed on; the returned
 plain numpy and scipy computations (eval mode).
 
 Every dense layer, its weight stored (out, in), is one :func:`linear`
-record: matrix products, bias and optional relu together.
+record: matrix product, bias and optional relu together.
 
 Message passing runs on ops over a :class:`Pattern`: a CSR pattern whose
 slot ``s`` of row ``r`` (``indptr[r] <= s < indptr[r + 1]``) pairs row ``r``
 with column ``indices[s]``. Its owner validates it once; the ops check only
 shapes against it. :func:`pair_dot` is an SDDMM of a tensor with itself,
-:func:`spmm` an SpMM, :func:`pair_cosine` the per-slot cosine,
-:func:`segment_softmax` and :func:`segment_mean` reduce over each row's
-slots, and :func:`reverse_min` takes the min of each slot and its mirror.
-The backward passes of the first three are SpMMs with
-``scipy.sparse.csr_matrix`` plus per-row scalars, so a pattern op keeps only
+:func:`aggregate` a message-passing layer (an SpMM fused with the dense
+transform that reads it, after FusedMM), :func:`pair_cosine` the per-slot
+cosine, :func:`segment_softmax` and :func:`segment_mean` reduce over each
+row's slots, and :func:`reverse_min` takes the min of each slot and its
+mirror. The backward passes of the first three are SpMMs with
+``scipy.sparse.csr_matrix`` plus per-row scalars (and, for the slot weights
+of :func:`aggregate`, an SDDMM), so a pattern op keeps only
 per-slot scalars and per-node rows alive on the tape; per-slot rows exist
 only in bounded chunks inside one call.
 
-:func:`pair_dot`, :func:`spmm` and :func:`reverse_min` need a symmetric
+:func:`pair_dot`, :func:`aggregate` and :func:`reverse_min` need a symmetric
 pattern, one whose owner set ``reverse``, and refuse any other; only
 :func:`pair_cosine` also runs on a non-symmetric one, on the CSC view. On a
 symmetric pattern the SDDMMs compute only the slots with ``row <= col`` and
 copy each value to its mirror, and ``M.T`` is ``csr(data[reverse])`` on the
-same pattern, so every backward runs CSR SpMMs only, one per SDDMM.
+same pattern, so every backward runs CSR SpMMs only.
 Backward computes no gradient for an operand with ``requires_grad=False``.
 
 Design constraints honored throughout:
 
 - all math in float64 (a float32 input is upcast before any arithmetic);
   every op validates that its output is finite;
-- :func:`linear`'s relu has zero derivative at exactly 0;
-- :func:`linear`'s bias is the only broadcast; :func:`add` and
+- the relu of :func:`linear` and :func:`aggregate` has zero derivative at
+  exactly 0;
+- their bias is the only broadcast; :func:`add` and
   :func:`elementwise_mul` take equal shapes;
 - guarded denominators: cosine uses eps = 1e-12, softmax subtracts the
   per-row/per-segment max before exponentiation;
@@ -64,7 +67,7 @@ __all__ = [
     "linear", "add", "sigmoid", "elementwise_mul",
     "scalar_mul", "sum", "masked_row_softmax",
     "Pattern", "segment_softmax", "segment_mean", "reverse_min",
-    "pair_dot", "spmm", "pair_cosine",
+    "pair_dot", "aggregate", "pair_cosine",
     "binary_cross_entropy", "dropout",
     "AdamState", "adam_step", "GradCheckReport", "grad_check",
 ]
@@ -212,75 +215,69 @@ def _record(out, inputs, bwd):
 _CHUNK_BYTES = 1 << 18
 
 
-# A float32 input of linear is upcast in row blocks of about _BLOCK_BYTES
-# of float64, each holding at least _BLOCK_MIN_OUT output values. BLAS picks
-# its kernel by the product's shape, and a short block can get one that sums
-# in another order (OpenBLAS takes gemv for one row and a small-matrix
-# kernel for a few), so long blocks keep every row bitwise the whole product's.
-# A one-column product is a gemv whose rows depend on how its threads split
-# the whole, so it is upcast whole.
+# Products of a dense operand with a weight run in row blocks of about
+# _BLOCK_BYTES of float64 operand (a float32 input of linear is upcast one
+# block at a time, aggregate's message exists one block at a time), each
+# holding at least _BLOCK_MIN_OUT output values. BLAS picks its kernel by the
+# product's shape, and a short block can get one that sums in another order
+# (OpenBLAS takes gemv for one row and a small-matrix kernel for a few), so
+# long blocks keep every row bitwise the whole product's. A one-column
+# product is a gemv whose rows depend on how its threads split the whole, so
+# it is one block.
 _BLOCK_BYTES = 4 * _CHUNK_BYTES
 _BLOCK_MIN_OUT = 1 << 12
 
 
-def _times_t(x, block):
-    """``x @ block.T`` in float64; a float32 ``x`` is upcast one row block at
-    a time into the output, so no float64 copy of ``x`` exists."""
-    n, (width, cols) = x.shape[0], block.shape
-    if x.dtype == np.float64 or width == 1:
-        return x.astype(np.float64, copy=False) @ block.T
+def _row_blocks(n, cols, width):
+    """``(lo, hi)`` row blocks for ``(n, cols) @ (cols, width)``; see _BLOCK_BYTES."""
+    if width == 1:
+        return [(0, n)]
     rows = max(_BLOCK_BYTES // (8 * max(cols, 1)), -(-_BLOCK_MIN_OUT // max(width, 1)), 2)
     count = max(1, n // rows)  # so every block has between rows and 2 * rows rows
-    out = np.empty((n, width))
     bounds = [n * i // count for i in range(count + 1)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(x[lo:hi].astype(np.float64), block.T, out=out[lo:hi])
-    return out
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def linear(inputs, W, b=None, relu=False):
-    """``sum_i inputs[i] @ W[:, block_i].T + b``, then relu if asked; one tape record.
+def linear(x, W, b=None, relu=False):
+    """``x @ W.T + b``, then relu if asked; one tape record.
 
-    ``W``'s column blocks meet ``inputs`` in order, so ``linear([m, h], W)``
-    is ``[m | h] @ W.T`` without the copy; ``b`` is (1, out). The relu mask
-    is ``out > 0``, so the derivative at exactly 0 is 0. A frozen input may
-    hold float32 values: it is upcast in row blocks for the product, and
-    once, whole, for ``W``'s gradient, whose sum over rows must not be split.
+    ``b`` is (1, out). The relu mask is ``out > 0``, so the derivative at
+    exactly 0 is 0. A frozen ``x`` may hold float32 values: it is upcast in
+    row blocks for the product, and once, whole, for ``W``'s gradient, whose
+    sum over rows must not be split.
     """
-    xs, W = [_as_tensor(x) for x in inputs], _as_tensor(W)
+    x, W = _as_tensor(x), _as_tensor(W)
     bias = [] if b is None else [_as_tensor(b)]
-    edges = np.cumsum([0] + [x.shape[1] for x in xs])
-    if (len({x.shape[0] for x in xs}) != 1 or edges[-1] != W.shape[1]
-            or any(t.shape != (1, W.shape[0]) for t in bias)):
-        raise ShapeError(f"linear: {[x.shape for x in xs]} through {W.shape}"
-                         f" + {[t.shape for t in bias]}")
-    blocks = [W.values[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-    vals = _times_t(xs[0].values, blocks[0])
-    for x, block in zip(xs[1:], blocks[1:]):
-        vals += _times_t(x.values, block)
+    if x.shape[1] != W.shape[1] or any(t.shape != (1, W.shape[0]) for t in bias):
+        raise ShapeError(f"linear: {x.shape} through {W.shape} + {[t.shape for t in bias]}")
+    if x.values.dtype == np.float64:
+        vals = x.values @ W.values.T
+    else:  # upcast one row block at a time, so no float64 copy of x exists
+        vals = np.empty((x.shape[0], W.shape[0]))
+        for lo, hi in _row_blocks(*x.shape, W.shape[0]):
+            np.matmul(x.values[lo:hi].astype(np.float64), W.values.T, out=vals[lo:hi])
     for t in bias:
         vals += t.values
     if relu:
         np.maximum(vals, 0.0, out=vals)
-    out = _make("linear", vals, *xs, W, *bias)
+    out = _make("linear", vals, x, W, *bias)
     if not _recording(out):
         return out
-    # Only W's gradient reads the inputs; of the output, only the relu mask.
+    # Only W's gradient reads the input; of the output, only the relu mask.
     mask = vals > 0 if relu else None
-    back = [block if x.requires_grad else None for x, block in zip(xs, blocks)]
-    seen = [x.values for x in xs] if W.requires_grad else None
+    wv = W.values if x.requires_grad else None
+    xv = x.values if W.requires_grad else None
     bias_trains = [t.requires_grad for t in bias]
 
     def bwd(g):
         if mask is not None:
             g *= mask
-        grads = [None if block is None else g @ block for block in back]
-        grads.append(None if seen is None else np.hstack(
-            [g.T @ v.astype(np.float64, copy=False) for v in seen]))
+        grads = [None if wv is None else g @ wv,
+                 None if xv is None else g.T @ xv.astype(np.float64, copy=False)]
         return grads + [g.sum(axis=0, keepdims=True) if live else None
                         for live in bias_trains]
 
-    _record(out, (*xs, W, *bias), bwd)
+    _record(out, (x, W, *bias), bwd)
     return out
 
 
@@ -371,7 +368,7 @@ def masked_row_softmax(scores, mask):
 
 # ---------------------------------------------------------------------------
 # Sparse pattern ops over a CSR Pattern: segment reductions, the reverse-slot
-# min, SDDMM, SpMM and pair cosine
+# min, SDDMM, the fused message-passing layer and pair cosine
 
 
 class Pattern:
@@ -502,6 +499,16 @@ def _csr(data, pattern):
                                    shape=pattern.shape)
 
 
+def _csr_rows(data, pattern, lo, hi, order=None):
+    """Rows ``lo:hi`` of ``_csr(data if order is None else data[order],
+    pattern)``, built from those rows' slots alone."""
+    s0, s1 = pattern.indptr[lo], pattern.indptr[hi]
+    values = data[s0:s1] if order is None else data[order[s0:s1]]
+    return scipy.sparse.csr_matrix(
+        (values, pattern.indices[s0:s1], pattern.indptr[lo:hi + 1] - s0),
+        shape=(hi - lo, pattern.num_cols))
+
+
 def _sampled_dot(a, b, rows, cols):
     """``a[rows[s]] · b[cols[s]]`` per slot, gathering one chunk at a time."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
@@ -549,32 +556,62 @@ def pair_dot(x, pattern):
     return out
 
 
-def spmm(w, x, pattern):
-    """SpMM: ``out = M_w @ x``, where ``M_w[row(s), indices[s]] = w[s]``.
+def aggregate(w, x, W, b, pattern):
+    """One message-passing layer, ``relu([M_w @ x | x] @ W.T + b)``; one tape record.
 
-    ``w`` is (slots, 1) and ``x`` has one row per node of the symmetric
-    pattern; a row without slots is zero.
+    ``M_w[row(s), indices[s]] = w[s]`` on a symmetric pattern: ``w`` is
+    (slots, 1), ``x`` has one row per node (a row without slots aggregates
+    zero), ``W`` is (out, 2 * width) and ``b`` is (1, out). ``W``'s left
+    column block meets the message ``M_w @ x`` and its right block ``x``.
+    The output starts as ``x @ W_x.T``, and the message's product is added
+    one row block of :func:`_row_blocks` at a time, so every row is bitwise
+    the sum of the two whole products and the (nodes, width) message exists
+    only when ``W`` trains, since its gradient reads the message whole.
+    Backward adds ``M_w.T``'s share of ``x``'s gradient in the same row
+    blocks, after the dense share, as the unfused ops accumulated them.
     """
-    w, x = _as_tensor(w), _as_tensor(x)
-    rev = _reverse("spmm", pattern)
-    _check_slots("spmm", w, pattern, width=1)
-    if x.shape[0] != pattern.num_cols:
-        raise ShapeError(f"spmm: input {x.shape} over {pattern.shape}")
-    out = _make("spmm", _csr(w.values[:, 0], pattern) @ x.values, w, x)
+    w, x, W, b = (_as_tensor(t) for t in (w, x, W, b))
+    rev = _reverse("aggregate", pattern)
+    _check_slots("aggregate", w, pattern, width=1)
+    n, k = x.shape
+    if pattern.shape != (n, n) or W.shape[1] != 2 * k or b.shape != (1, W.shape[0]):
+        raise ShapeError(f"aggregate: {x.shape} over {pattern.shape} through {W.shape}"
+                         f" + {b.shape}")
+    xv, wv = x.values, w.values[:, 0]
+    W_m, W_x = W.values[:, :k], W.values[:, k:]
+    message = _csr(wv, pattern) @ xv if _ACTIVE_TAPES and W.requires_grad else None
+    vals = xv @ W_x.T
+    blocks = _row_blocks(n, k, W.shape[0])
+    buf = np.empty((max(hi - lo for lo, hi in blocks), W.shape[0]))
+    for lo, hi in blocks:
+        block = _csr_rows(wv, pattern, lo, hi) @ xv if message is None else message[lo:hi]
+        vals[lo:hi] += np.matmul(block, W_m.T, out=buf[:hi - lo])
+    vals += b.values
+    np.maximum(vals, 0.0, out=vals)
+    out = _make("aggregate", vals, w, x, W, b)
     if not _recording(out):
         return out
-    # each side's gradient reads the other side's values
-    xv = x.values if w.requires_grad else None
-    wv = w.values[:, 0] if x.requires_grad else None
+    # Of the output only the relu mask is read; each other array only by the
+    # gradients named beside it.
+    mask = vals > 0
+    train_w, train_x, train_b = w.requires_grad, x.requires_grad, b.requires_grad
+    seen = xv if train_w or message is not None else None  # w's, W's
+    weights = wv if train_x else None  # x's
 
     def bwd(g):
-        g = np.ascontiguousarray(g)
-        gw = (None if xv is None else
-              _sampled_dot(g, xv, pattern.rows, pattern.indices).reshape(-1, 1))
-        gx = None if wv is None else _csr(wv[rev], pattern) @ g
-        return gw, gx
+        g *= mask
+        g_msg = g @ W_m if train_w or train_x else None
+        gx = None
+        if train_x:  # g and g_msg are still held, so no whole SpMM result joins them
+            gx = g @ W_x
+            for lo, hi in blocks:
+                gx[lo:hi] += _csr_rows(weights, pattern, lo, hi, rev) @ g_msg
+        gw = (_sampled_dot(g_msg, seen, pattern.rows, pattern.indices).reshape(-1, 1)
+              if train_w else None)
+        gW = None if message is None else np.hstack([g.T @ message, g.T @ seen])
+        return gw, gx, gW, g.sum(axis=0, keepdims=True) if train_b else None
 
-    _record(out, (w, x), bwd)
+    _record(out, (w, x, W, b), bwd)
     return out
 
 

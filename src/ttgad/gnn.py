@@ -12,10 +12,11 @@ Message passing is sparse-matrix algebra over the graph's
 (:func:`diffkernel.pair_dot`) of the relu-projected embeddings with
 themselves, one score per directed slot, softmax-normalized over each
 node's neighborhood, then symmetrized by :func:`diffkernel.reverse_min`
-against the reverse slot. The message is the SpMM (:func:`diffkernel.spmm`)
-of those slot weights, or of 1/degree in plain mode, with the layer input.
-Entries outside the adjacency never exist, so they are exactly zero with
-exactly zero gradient.
+against the reverse slot. Each layer is one :func:`diffkernel.aggregate`:
+the SpMM of those slot weights, or of 1/degree in plain mode, with the layer
+input, fused with the layer's dense transform, so the aggregated message is
+added into the output one row block at a time. Entries outside the adjacency
+never exist, so they are exactly zero with exactly zero gradient.
 """
 
 import itertools
@@ -72,7 +73,7 @@ class ProjectionEncoder:
                 f"{self.domain} encoder expects feature_dim {self.weight.shape[1]}, "
                 f"got {x.shape[1]}"
             )
-        return dk.linear([x], self.weight)
+        return dk.linear(x, self.weight)
 
 
 @dataclass
@@ -285,7 +286,7 @@ def compute_attention(layer, h, graph):
     projection being one :func:`diffkernel.linear` record, normalized over
     each node's neighborhood. Rows of isolated nodes simply have no slots.
     """
-    z = dk.linear([h], layer.U, relu=True)
+    z = dk.linear(h, layer.U, relu=True)
     scores = dk.pair_dot(z, graph.pattern)
     return dk.segment_softmax(scores, graph.pattern)
 
@@ -296,19 +297,19 @@ def symmetrize_attention(attention, graph):
 
 
 def nsaw_layer_forward(layer, h, graph, weights):
-    """One layer: ``relu([message | h] @ W.T + b)`` as one :func:`diffkernel.linear`.
+    """One layer, ``relu([message | h] @ W.T + b)``, as one :func:`diffkernel.aggregate`.
 
-    ``W``'s left column block meets the aggregated message and its right
-    block ``h``, so ``[message | h]`` is never built. ``weights`` holds one
-    weight per slot (symmetrized attention, or 1/degree without attention).
-    Isolated nodes have no slots, so they aggregate a zero message.
+    The message aggregates each node's neighbours of ``h`` with one weight
+    per slot (symmetrized attention, or 1/degree without attention); it
+    meets ``W``'s left column block and ``h`` its right block, and neither
+    ``[message | h]`` nor the whole message is built. Isolated nodes have no
+    slots, so they aggregate a zero message.
     """
     if h.shape[0] != graph.num_nodes:
         raise ShapeError("layer input rows must match graph nodes")
     if layer.in_dim != h.shape[1]:
         raise ShapeError(f"layer expects width {layer.in_dim}, got {h.shape[1]}")
-    message = dk.spmm(weights, h, graph.pattern)
-    return dk.linear([message, h], layer.W, layer.b, relu=True)
+    return dk.aggregate(weights, h, layer.W, layer.b, graph.pattern)
 
 
 def forward_embeddings(bundle, graph, domain, training=False, rng=None,
@@ -339,5 +340,5 @@ def forward_embeddings(bundle, graph, domain, training=False, rng=None,
 def predict(bundle, embeddings):
     """Anomaly probabilities from final embeddings, shape (n, 1)."""
     p = bundle.predictor
-    hidden = dk.linear([embeddings], p.w_hidden, p.b_hidden, relu=True)
-    return dk.sigmoid(dk.linear([hidden], p.w_out, p.b_out))
+    hidden = dk.linear(embeddings, p.w_hidden, p.b_hidden, relu=True)
+    return dk.sigmoid(dk.linear(hidden, p.w_out, p.b_out))

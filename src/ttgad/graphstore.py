@@ -459,6 +459,10 @@ class SyntheticSpec:
         return nc, ac
 
 
+# Bytes of float64 in one row block of generate_synthetic's feature draw.
+_DRAW_BLOCK_BYTES = 1 << 20
+
+
 def _validate_spec(spec):
     if spec.num_nodes < 2:
         raise DataError("num_nodes must be at least 2")
@@ -474,10 +478,11 @@ def _validate_spec(spec):
         raise DataError("noise_scale must be non-negative")
     if spec.seed < 0:
         raise DataError("seed must be non-negative")
-    # Generation holds the float64 feature draw and the graph's three per-slot
-    # int64 arrays (indices, slot sources, mirrors) over 2m slots.
+    # Generation holds the float32 features, one float64 row block of the
+    # draw and the graph's three per-slot int64 arrays (indices, slot
+    # sources, mirrors) over 2m slots.
     slots = spec.mean_degree * spec.num_nodes
-    needed = 8.0 * spec.num_nodes * spec.feature_dim + 3 * 8.0 * slots
+    needed = 4.0 * spec.num_nodes * spec.feature_dim + _DRAW_BLOCK_BYTES + 3 * 8.0 * slots
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > limit:
         raise DataError(f"spec does not fit in memory: generation needs {needed:.3g} "
@@ -708,9 +713,16 @@ def generate_synthetic(spec):
 
     nc, ac = spec.resolved_centers()
     centers = np.stack([nc, ac])
-    features = centers[labels] + spec.noise_scale * rng.standard_normal((n, spec.feature_dim))
-    # Held at the disk precision, so save -> load round-trips exactly.
-    features = features.astype(np.float32)
+    # Held at the disk precision, so save -> load round-trips exactly, and
+    # drawn in row blocks straight into it: standard_normal keeps no state
+    # between calls, so the blocks draw the one whole draw's values.
+    features = np.empty((n, spec.feature_dim), dtype=np.float32)
+    rows = max(1, _DRAW_BLOCK_BYTES // (8 * spec.feature_dim))
+    for lo in range(0, n, rows):
+        block = rng.standard_normal((min(rows, n - lo), spec.feature_dim))
+        block *= spec.noise_scale
+        block += centers[labels[lo:lo + rows]]
+        features[lo:lo + rows] = block
 
     m = int(round(spec.mean_degree * n / 2.0))
     m_same = int(round(spec.target_homophily * m))

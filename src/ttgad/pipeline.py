@@ -16,13 +16,13 @@ import numbers
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import diffkernel as dk
 from . import evaluation, losses
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, NumericalError
 from .gnn import (ModelBundle, ProjectionEncoder, assemble_bundle,
                   forward_embeddings, init_bundle, init_encoder,
                   parameter_shapes, predict)
@@ -610,6 +610,11 @@ class FullModelGradCheck:
     passed: bool
 
 
+# Draws the gradient check makes, per graph and per parameter point it
+# needs, before it gives up.
+_GRADCHECK_DRAWS = 20
+
+
 def full_model_grad_check(seed=0, num_points=5, num_nodes=9, feature_dim=4,
                           width=5, num_layers=2, step=1e-5, tol=1e-4):
     """Finite-difference check of both composite objectives, end to end.
@@ -618,19 +623,39 @@ def full_model_grad_check(seed=0, num_points=5, num_nodes=9, feature_dim=4,
     every tensor is compared against central differences: the adaptation
     objective over the target encoder, the supervised objective over every
     other tensor. Forward passes run in eval mode so the function is smooth
-    except at relu kinks.
+    except at relu kinks. A point whose source or target embeddings hold an
+    all-zero (relu-dead) row is skipped for the next draw: that row's cosine
+    pairs sit on the 1e-12 guard, where the objective jumps, so no step can
+    check it. A graph the generator refuses (at 9 nodes, a label draw of a
+    single class) is drawn again at ``seed + 2**32``, then ``seed + 2 *
+    2**32`` and so on. When the graph draws run out the last refusal is
+    raised, and when the point draws do, NumericalError.
     """
     spec = SyntheticSpec(num_nodes=num_nodes, feature_dim=feature_dim,
                          anomaly_rate=0.25, target_homophily=0.7,
                          mean_degree=4.0, seed=seed, name="gradcheck")
-    graph = generate_synthetic(spec)
+    for attempt in range(_GRADCHECK_DRAWS):
+        try:
+            graph = generate_synthetic(replace(spec, seed=seed + attempt * 2 ** 32))
+            break
+        except DataError as e:
+            refusal = e
+    else:
+        raise refusal
     weights = LossWeights()
     reports = {"train": [], "ttt": []}
-    for point in range(num_points):
-        rng = np.random.default_rng(seed * 7919 + point + 1)
+    checked = 0
+    for draw in range(_GRADCHECK_DRAWS * num_points):
+        if checked == num_points:
+            break
+        rng = np.random.default_rng(seed * 7919 + draw + 1)
         bundle = init_bundle(rng, feature_dim, width, width, width, num_layers)
         bundle.target_encoder = init_encoder(rng, width, feature_dim, "target")
-        sample_seed = seed * 104729 + point
+        if not all(forward_embeddings(bundle, graph, domain)[0].values.any(axis=1).all()
+                   for domain in ("source", "target")):
+            continue
+        checked += 1
+        sample_seed = seed * 104729 + draw
 
         def train_objective(_):
             h, _ = forward_embeddings(bundle, graph, "source")
@@ -648,6 +673,10 @@ def full_model_grad_check(seed=0, num_points=5, num_nodes=9, feature_dim=4,
                 reports["ttt"].append(dk.grad_check(ttt_objective, param, step, tol))
             else:
                 reports["train"].append(dk.grad_check(train_objective, param, step, tol))
+    if checked < num_points:
+        raise NumericalError(f"gradient check: {_GRADCHECK_DRAWS * num_points} parameter "
+                             f"draws left fewer than {num_points} points without a "
+                             "relu-dead embedding row")
 
     train_report, ttt_report = (
         dk.GradCheckReport(max_rel_error=max((r.max_rel_error for r in found), default=0.0),

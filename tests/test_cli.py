@@ -528,6 +528,13 @@ class TestGradcheckCommand:
         assert "ttt loss max relative error:" in out
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize("seed", ["2", "6"])
+    def test_passes_at_seeds_that_redraw(self, seed, capsys):
+        # seed 2 draws a point whose embeddings hold a relu-dead row, seed 6
+        # a 9-node graph whose labels are all one class; both are drawn again
+        assert main(["gradcheck", "--seed", seed]) == 0
+        assert capsys.readouterr().out.strip().endswith("PASS")
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_1(self, capsys):

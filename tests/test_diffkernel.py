@@ -5,6 +5,7 @@ the worked-example tests were computed with them (or by hand) and frozen.
 """
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -90,6 +91,55 @@ def ref_spmm(w, x, indptr, indices, g):
     return out, gw, gx
 
 
+def ref_spmm_op(w, x, pattern):
+    """The SpMM tape op that message passing ran before :func:`dk.aggregate`:
+    ``M_w @ x`` on a symmetric pattern, one record."""
+    out = dk._make("spmm", dk._csr(w.values[:, 0], pattern) @ x.values, w, x)
+    if dk._recording(out):
+        xv = x.values if w.requires_grad else None
+        wv = w.values[:, 0] if x.requires_grad else None
+
+        def bwd(g):
+            g = np.ascontiguousarray(g)
+            gw = (None if xv is None else
+                  dk._sampled_dot(g, xv, pattern.rows, pattern.indices).reshape(-1, 1))
+            return gw, None if wv is None else dk._csr(wv[pattern.reverse], pattern) @ g
+
+        dk._record(out, (w, x), bwd)
+    return out
+
+
+def ref_linear2_op(m, h, W, b):
+    """The two-input linear tape op of the layer update before
+    :func:`dk.aggregate`: ``relu([m | h] @ W.T + b)`` through W's column
+    blocks, whole products, one record."""
+    blocks = W.values[:, :m.shape[1]], W.values[:, m.shape[1]:]
+    vals = m.values @ blocks[0].T
+    vals += h.values @ blocks[1].T
+    vals += b.values
+    np.maximum(vals, 0.0, out=vals)
+    out = dk._make("linear", vals, m, h, W, b)
+    if dk._recording(out):
+        mask = vals > 0
+
+        def bwd(g):
+            g *= mask
+            grads = [g @ block if t.requires_grad else None for t, block in zip((m, h), blocks)]
+            grads.append(np.hstack([g.T @ m.values, g.T @ h.values]) if W.requires_grad else None)
+            return grads + [g.sum(axis=0, keepdims=True) if b.requires_grad else None]
+
+        dk._record(out, (m, h, W, b), bwd)
+    return out
+
+
+def spmm_via_aggregate(w, x, pattern, offset=0.0):
+    """``M_w @ x + offset`` as a :func:`dk.aggregate` with ``W = [I | 0]``;
+    an offset that keeps every output positive makes its relu the identity."""
+    k = x.shape[1]
+    W = dk.Tensor(np.hstack([np.eye(k), np.zeros((k, k))]))
+    return dk.aggregate(w, x, W, dk.Tensor(np.full((1, k), offset)), pattern)
+
+
 def ref_pair_cosine(x, indptr, indices, g):
     """Gather -> guarded cosine of paired rows, and its backward."""
     rows = ref_pattern_rows(indptr)
@@ -139,6 +189,20 @@ def random_pattern(rng, n, symmetric, isolated=2, edge_prob=0.4, self_pairs=Fals
     for r in range(n):
         rng.shuffle(indices[indptr[r]:indptr[r + 1]])
     return dk.Pattern(indptr, indices, n, n)
+
+
+def sparse_symmetric_pattern(rng, n, mean_degree, isolated):
+    """Random symmetric pattern with ``reverse`` on n nodes, self-pairs
+    allowed; the first ``isolated`` nodes have no slot. Sparse throughout,
+    so n may be large."""
+    pairs = rng.integers(isolated, n, size=(n * mean_degree // 2, 2))
+    keys = np.unique(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                     pairs[:, 1] * n + pairs[:, 0]]))
+    rows, cols = keys // n, keys % n
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    pattern = dk.Pattern(indptr, cols, n, n)
+    pattern.reverse = np.searchsorted(keys, cols * n + rows)
+    return pattern
 
 
 def numeric_grad(f, point, step=1e-5):
@@ -191,7 +255,7 @@ def test_linear_add_against_numpy():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
-    out = dk.linear([dk.Tensor(a)], dk.Tensor(b.T))
+    out = dk.linear(dk.Tensor(a), dk.Tensor(b.T))
     np.testing.assert_allclose(out.values, a @ b, rtol=0, atol=0)
     c = rng.standard_normal((3, 2))
     assert np.array_equal(dk.add(out, dk.Tensor(c)).values, a @ b + c)
@@ -200,14 +264,19 @@ def test_linear_add_against_numpy():
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("relu", [False, True])
-def test_linear_against_numpy(blocks, bias, relu):
+def test_linear_against_numpy(monkeypatch, blocks, bias, relu):
+    # a float64 input is one product; a float32 input of 2100 rows through
+    # 4 outputs is upcast in two row blocks when the byte budget is 0
+    monkeypatch.setattr(dk, "_BLOCK_BYTES", 0)
     rng = np.random.default_rng(blocks)
-    xs = [rng.standard_normal((5, width)) for width in (3, 2)[:blocks]]
-    w = rng.standard_normal((4, sum(x.shape[1] for x in xs)))
+    x = rng.standard_normal((5, 3)) if blocks == 1 else rng.standard_normal(
+        (2100, 3)).astype(np.float32)
+    assert len(dk._row_blocks(x.shape[0], 3, 4)) == blocks
+    w = rng.standard_normal((4, 3))
     b = rng.standard_normal((1, 4)) if bias else None
-    out = dk.linear([dk.Tensor(x) for x in xs], dk.Tensor(w),
+    out = dk.linear(dk.Tensor._wrap(x, False), dk.Tensor(w),
                     None if b is None else dk.Tensor(b), relu=relu)
-    expected = np.hstack(xs) @ w.T + (0.0 if b is None else b)
+    expected = x.astype(np.float64) @ w.T + (0.0 if b is None else b)
     np.testing.assert_allclose(out.values, np.maximum(expected, 0.0) if relu else expected,
                                rtol=1e-14, atol=1e-14)
 
@@ -227,7 +296,7 @@ def test_linear_float32_input_is_bitwise_the_float64_product(monkeypatch, block_
         for x in (x32, x32.astype(np.float64)):
             W = dk.Tensor(w, requires_grad=True)
             with dk.Tape() as tape:
-                out = dk.linear([dk.Tensor._wrap(x, False)], W, dk.Tensor(b), relu=True)
+                out = dk.linear(dk.Tensor._wrap(x, False), W, dk.Tensor(b), relu=True)
                 loss = dk.sum(out)
             results.append((out.values, tape.backward(loss)[W]))
         (out32, grad32), (out64, grad64) = results
@@ -358,7 +427,7 @@ def test_broadcast_bias_gradient_sums_rows():
     b = dk.Tensor([[1.0, -1.0]], requires_grad=True)
     x = dk.Tensor(np.ones((3, 2)))
     with dk.Tape() as tape:
-        loss = dk.sum(dk.linear([x], dk.Tensor(np.eye(2)), b))
+        loss = dk.sum(dk.linear(x, dk.Tensor(np.eye(2)), b))
     grads = tape.backward(loss)
     assert np.array_equal(grads[b], [[3.0, 3.0]])
 
@@ -368,7 +437,7 @@ def test_linear_relu_zero_preactivation_gets_zero_gradient():
     x = dk.Tensor([[1.0, -1.0]], requires_grad=True)
     w = dk.Tensor([[1.0, 1.0], [1.0, 0.0]], requires_grad=True)
     with dk.Tape() as tape:
-        out = dk.linear([x], w, relu=True)
+        out = dk.linear(x, w, relu=True)
         loss = dk.sum(out)
     assert np.array_equal(out.values, [[0.0, 1.0]])
     grads = tape.backward(loss)
@@ -376,19 +445,18 @@ def test_linear_relu_zero_preactivation_gets_zero_gradient():
     assert np.array_equal(grads[w], [[0.0, 0.0], [1.0, -1.0]])
 
 
-@pytest.mark.parametrize("operand", ["message", "h", "W", "b"])
+@pytest.mark.parametrize("operand", ["h", "W", "b"])
 def test_linear_grad_check_each_operand(operand):
     rng = np.random.default_rng(11)
-    ops = {"message": rng.standard_normal((4, 3)), "h": rng.standard_normal((4, 2)),
-           "W": rng.standard_normal((3, 5)), "b": rng.standard_normal((1, 3))}
+    ops = {"h": rng.standard_normal((4, 2)), "W": rng.standard_normal((3, 2)),
+           "b": rng.standard_normal((1, 3))}
     weights = dk.Tensor(rng.standard_normal((4, 3)))
     point = dk.Tensor(ops[operand], requires_grad=True)
     tensors = {name: dk.Tensor(v) for name, v in ops.items()}
 
     def f(t):
         tensors[operand] = t
-        out = dk.linear([tensors["message"], tensors["h"]], tensors["W"], tensors["b"],
-                        relu=True)
+        out = dk.linear(tensors["h"], tensors["W"], tensors["b"], relu=True)
         return dk.sum(dk.elementwise_mul(out, weights))
 
     report = dk.grad_check(f, point)
@@ -396,14 +464,14 @@ def test_linear_grad_check_each_operand(operand):
 
 
 @pytest.mark.parametrize("inputs, w, b", [
-    ([(4, 3), (4, 2)], (3, 6), None),       # block widths sum to 5, not 6
-    ([(4, 3), (5, 2)], (3, 5), None),       # row counts differ
-    ([(4, 3)], (3, 3), (3, 1)),             # bias is not (1, out)
-    ([], (3, 0), None),                     # no input block
+    ((4, 3), (3, 6), None),             # input width 3, W takes 6
+    ((4, 3), (3, 2), None),             # input width 3, W takes 2
+    ((4, 3), (3, 3), (3, 1)),           # bias is not (1, out)
+    ((4, 0), (3, 1), None),             # empty input, W takes 1
 ])
 def test_linear_rejects_bad_shapes(inputs, w, b):
     with pytest.raises(ShapeError):
-        dk.linear([dk.Tensor(np.ones(shape)) for shape in inputs], dk.Tensor(np.ones(w)),
+        dk.linear(dk.Tensor(np.ones(inputs)), dk.Tensor(np.ones(w)),
                   None if b is None else dk.Tensor(np.ones(b)))
 
 
@@ -430,7 +498,7 @@ def test_backward_releases_forward_intermediates():
     gc.disable()
     try:
         with dk.Tape() as tape:
-            mid = dk.linear([x], dk.Tensor(np.eye(3)), relu=True)
+            mid = dk.linear(x, dk.Tensor(np.eye(3)), relu=True)
             loss = dk.sum(mid)
         ref = weakref.ref(mid.values)
         grads = tape.backward(loss)
@@ -453,7 +521,7 @@ def test_records_keep_no_output_and_no_input_that_a_frozen_weight_would_read():
     try:
         with dk.Tape() as tape:
             x = dk.scalar_mul(leaf, 2.0)
-            out = dk.linear([x], W, relu=True)
+            out = dk.linear(x, W, relu=True)
             refs = [weakref.ref(t) for t in (x, out)]
             refs += [weakref.ref(x.values), weakref.ref(out.values)]
             chain = dk.dropout(out, 0.25, rng, training=True)
@@ -462,7 +530,8 @@ def test_records_keep_no_output_and_no_input_that_a_frozen_weight_would_read():
                 refs.append(weakref.ref(slots))
                 for reduce in (dk.segment_softmax, dk.reverse_min, dk.segment_mean):
                     refs.append(weakref.ref(reduce(slots, pattern)))
-            msg = dk.spmm(slots, chain, pattern)
+            msg = dk.aggregate(slots, chain, dk.Tensor(np.ones((3, 6))), dk.Tensor(np.ones((1, 3))),
+                               pattern)
             refs += [weakref.ref(t) for t in (chain, slots, msg)]
             loss = dk.sum(dk.sigmoid(dk.add(msg, msg)))
             del x, out, chain, slots, msg
@@ -488,8 +557,8 @@ def test_three_layer_composite_matches_finite_differences():
     x = dk.Tensor(rng.standard_normal((4, 3)) * 0.5, requires_grad=True)
 
     def f(t):
-        h1 = dk.linear([dk.elementwise_mul(t, a)], dk.Tensor(np.eye(3)), relu=True)
-        h2 = dk.sigmoid(dk.linear([h1], b))
+        h1 = dk.linear(dk.elementwise_mul(t, a), dk.Tensor(np.eye(3)), relu=True)
+        h2 = dk.sigmoid(dk.linear(h1, b))
         return dk.sum(dk.elementwise_mul(h2, h2))
 
     report = dk.grad_check(f, x, step=1e-5, tol=1e-4)
@@ -510,9 +579,9 @@ def test_segment_softmax_values_and_empty_segment():
 
 def test_segment_sum_and_mean():
     x = dk.Tensor([[1.0], [2.0], [5.0]])
-    # spmm runs on a symmetric pattern: slots (0,0) (0,1) (1,0) (2,2)
+    # aggregate runs on a symmetric pattern: slots (0,0) (0,1) (1,0) (2,2)
     symmetric = mirrored(dk.Pattern([0, 2, 3, 4], [0, 1, 0, 2], 3, 3))
-    sums = dk.spmm(dk.Tensor(np.ones((4, 1))), x, symmetric)
+    sums = spmm_via_aggregate(dk.Tensor(np.ones((4, 1))), x, symmetric)
     np.testing.assert_allclose(sums.values[:, 0], [3.0, 1.0, 5.0])
     pattern = dk.Pattern([0, 2, 2, 3], np.arange(3), 3, 3)
     means = dk.segment_mean(x, pattern)
@@ -560,7 +629,7 @@ def test_pattern_ops_match_gather_scatter_oracle(symmetric):
         a = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
         w = dk.Tensor(rng.standard_normal((slots, 1)), requires_grad=True)
 
-        if symmetric:  # pair_dot and spmm refuse any other pattern
+        if symmetric:  # pair_dot and aggregate refuse any other pattern
             g = rng.standard_normal(slots)
             out, (ga,) = _taped(lambda: dk.pair_dot(a, pattern), [a], g)
             want, want_a, want_b = ref_pair_dot(a.values, a.values, indptr, indices, g)
@@ -568,9 +637,9 @@ def test_pattern_ops_match_gather_scatter_oracle(symmetric):
             np.testing.assert_allclose(ga, want_a + want_b, rtol=1e-12, atol=1e-12)
 
             g = rng.standard_normal((n, d))
-            out, (gw, gx) = _taped(lambda: dk.spmm(w, a, pattern), [w, a], g)
+            out, (gw, gx) = _taped(lambda: spmm_via_aggregate(w, a, pattern, 100.0), [w, a], g)
             want, want_w, want_x = ref_spmm(w.values[:, 0], a.values, indptr, indices, g)
-            np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out, want + 100.0, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(gw[:, 0], want_w, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(gx, want_x, rtol=1e-12, atol=1e-12)
 
@@ -596,7 +665,7 @@ def test_symmetric_fast_path_matches_general_path(seed, n, isolated, edge_prob,
                                                   self_pairs):
     # one random symmetric pattern, once with ``reverse`` (fast path) and once
     # without (general path); edge_prob 0 or isolated >= n gives the empty one.
-    # pair_cosine takes both paths; pair_dot and spmm have only the fast one,
+    # pair_cosine takes both paths; pair_dot and aggregate have only the fast one,
     # so they are held to the gather-scatter oracle.
     rng = np.random.default_rng(seed)
     fast = random_pattern(rng, n, True, isolated=isolated, edge_prob=edge_prob,
@@ -615,9 +684,9 @@ def test_symmetric_fast_path_matches_general_path(seed, n, isolated, edge_prob,
     want, want_a, want_b = ref_pair_dot(x.values, x.values, indptr, indices, g_slot)
     _assert_rel_close(out[:, 0], want)
     _assert_rel_close(gx, want_a + want_b)
-    out, (gw, gx) = _taped(lambda: dk.spmm(w, x, fast), [w, x], g_node)
+    out, (gw, gx) = _taped(lambda: spmm_via_aggregate(w, x, fast, 100.0), [w, x], g_node)
     want, want_w, want_x = ref_spmm(w.values[:, 0], x.values, indptr, indices, g_node)
-    for got, ref in ((out, want), (gw[:, 0], want_w), (gx, want_x)):
+    for got, ref in ((out - 100.0, want), (gw[:, 0], want_w), (gx, want_x)):
         _assert_rel_close(got, ref)
 
 
@@ -650,7 +719,7 @@ def test_symmetric_pattern_halves_sddmms_and_runs_no_csc_product(monkeypatch):
     tape.backward(loss)
     w = dk.Tensor(rng.standard_normal((pattern.indices.size, 1)), requires_grad=True)
     with dk.Tape() as tape:
-        loss = dk.sum(dk.spmm(w, x, pattern))
+        loss = dk.sum(spmm_via_aggregate(w, x, pattern))
     tape.backward(loss)
     # pair_cosine's general path takes the transpose, so the guard is live
     general = dk.Pattern(pattern.indptr, pattern.indices, 8, 8)
@@ -678,11 +747,11 @@ def test_pattern_ops_gradients_match_finite_differences(symmetric):
     x = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
     w = dk.Tensor(rng.standard_normal((pattern.indices.size, 1)), requires_grad=True)
     checks = [(lambda t: slot_loss(dk.pair_cosine(t, pattern)), x)]
-    if symmetric:  # pair_dot, spmm and reverse_min refuse any other pattern
+    if symmetric:  # pair_dot, aggregate and reverse_min refuse any other pattern
         checks += [
             (lambda t: slot_loss(dk.pair_dot(t, pattern)), x),
-            (lambda t: node_loss(dk.spmm(weights, t, pattern)), x),
-            (lambda t: node_loss(dk.spmm(t, other, pattern)), w),
+            (lambda t: node_loss(spmm_via_aggregate(weights, t, pattern, 100.0)), x),
+            (lambda t: node_loss(spmm_via_aggregate(t, other, pattern, 100.0)), w),
         ]
         # values 1 apart keep every pair off the min's tie, where it has a kink
         v = dk.Tensor(rng.permutation(pattern.indices.size).reshape(-1, 1) + 0.5,
@@ -693,20 +762,90 @@ def test_pattern_ops_gradients_match_finite_differences(symmetric):
         assert report.passed, report
 
 
-def test_spmm_skips_gradient_of_frozen_side():
+def test_aggregate_skips_gradient_of_frozen_side():
     x = dk.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     w = dk.Tensor([[0.5], [2.0]])
+    W = dk.Tensor(np.hstack([np.eye(2), np.zeros((2, 2))]))
+    b = dk.Tensor(np.zeros((1, 2)))
     with dk.Tape() as tape:
-        loss = dk.sum(dk.spmm(w, x, mirrored(dk.Pattern([0, 1, 2], [1, 0], 2, 2))))
+        loss = dk.sum(dk.aggregate(w, x, W, b, mirrored(dk.Pattern([0, 1, 2], [1, 0], 2, 2))))
+    (_, ins, bwd), _ = tape._entries
+    assert ins == (None, x.token, None, None)
     grads = tape.backward(loss)
     assert np.array_equal(grads[x], [[2.0, 2.0], [0.5, 0.5]])
-    assert w not in grads
+    assert w not in grads and W not in grads and b not in grads
+
+
+@pytest.mark.parametrize("n, block_bytes, blocks", [
+    (9, None, 1),        # isolated nodes, one block
+    (1001, 0, 9),        # the floor of output values per block: 111 or 112 rows
+    (9001, None, 2),     # the default budget: 4500 or 4501 rows
+])
+@pytest.mark.parametrize("weights", ["attention", "plain"])
+def test_aggregate_is_bitwise_the_spmm_and_two_input_linear(monkeypatch, n, block_bytes,
+                                                            blocks, weights):
+    # Forward and every gradient, for each subset of (w, x, W, b) that
+    # trains, against the SpMM and two-input linear that the layer ran
+    # before; plain mode's 1/degree weights never train.
+    if block_bytes is not None:
+        monkeypatch.setattr(dk, "_BLOCK_BYTES", block_bytes)
+    width = 40
+    assert len(dk._row_blocks(n, width, width)) == blocks
+    rng = np.random.default_rng(n)
+    pattern = sparse_symmetric_pattern(rng, n, mean_degree=8, isolated=2)
+    degrees = np.maximum(np.diff(pattern.indptr), 1)
+    values = {"w": (1.0 / degrees[pattern.rows] if weights == "plain"
+                    else rng.random(pattern.indices.size)).reshape(-1, 1),
+              "x": rng.standard_normal((n, width)),
+              "W": rng.standard_normal((width, 2 * width)) * 0.2,
+              "b": rng.standard_normal((1, width))}
+    g = rng.standard_normal((n, width))
+    for trains in itertools.product([False, True], repeat=4):
+        if weights == "plain" and trains[0]:
+            continue
+        results = []
+        for fused in (True, False):
+            t = {name: dk.Tensor(v, requires_grad=live)
+                 for (name, v), live in zip(values.items(), trains)}
+            with dk.Tape() as tape:
+                if fused:
+                    out = dk.aggregate(t["w"], t["x"], t["W"], t["b"], pattern)
+                else:
+                    out = ref_linear2_op(ref_spmm_op(t["w"], t["x"], pattern), t["x"],
+                                         t["W"], t["b"])
+                loss = dk.sum(dk.elementwise_mul(out, dk.Tensor(g)))
+            grads = tape.backward(loss)
+            results.append([out.values] + [grads[t[name]] for name in values
+                                           if t[name].requires_grad])
+            assert sum(t[name] in grads for name in values) == sum(trains)
+        assert 0.2 < (results[0][0] > 0).mean() < 0.8
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes(), trains
+
+
+@pytest.mark.parametrize("operand", ["w", "x", "W", "b"])
+def test_aggregate_grad_check_each_operand(operand):
+    rng = np.random.default_rng(11)
+    pattern = random_pattern(rng, 6, True)
+    ops = {"w": rng.random((pattern.indices.size, 1)), "x": rng.standard_normal((6, 2)),
+           "W": rng.standard_normal((3, 4)), "b": rng.standard_normal((1, 3))}
+    weights = dk.Tensor(rng.standard_normal((6, 3)))
+    point = dk.Tensor(ops[operand], requires_grad=True)
+    tensors = {name: dk.Tensor(v) for name, v in ops.items()}
+
+    def f(t):
+        tensors[operand] = t
+        out = dk.aggregate(tensors["w"], tensors["x"], tensors["W"], tensors["b"], pattern)
+        return dk.sum(dk.elementwise_mul(out, weights))
+
+    report = dk.grad_check(f, point)
+    assert report.passed, report
 
 
 @pytest.mark.parametrize("op", [
     dk.add, dk.elementwise_mul,
     # a frozen W, as in adaptation, gets no gradient
-    pytest.param(lambda x, w: dk.linear([x], w), id="linear"),
+    pytest.param(lambda x, w: dk.linear(x, w), id="linear"),
 ])
 def test_dense_ops_skip_gradient_of_frozen_side(op):
     frozen = dk.Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -746,7 +885,7 @@ def test_pattern_ops_on_empty_pattern_give_zeros():
     with dk.Tape() as tape:
         dots = dk.pair_dot(x, pattern)
         cos = dk.pair_cosine(x, pattern)
-        msg = dk.spmm(w, x, pattern)
+        msg = spmm_via_aggregate(w, x, pattern)
         loss = dk.add(dk.add(dk.sum(dots), dk.sum(cos)), dk.sum(msg))
     assert dots.shape == cos.shape == (0, 1)
     assert np.array_equal(msg.values, np.zeros((3, 2)))
@@ -772,19 +911,22 @@ def test_pattern_ops_reject_bad_patterns():
         dk.pair_dot(x, mirrored(dk.Pattern([0, 1, 2], [1, 0], 2, 2)))
     with pytest.raises(ShapeError):
         dk.pair_cosine(x, dk.Pattern([0, 1, 2], [0, 1], 2, 2))
-    with pytest.raises(ShapeError, match="spmm"):
-        dk.spmm(dk.Tensor(np.ones((2, 1))), x, diagonal)
-    with pytest.raises(ShapeError, match="spmm"):
-        dk.spmm(dk.Tensor(np.ones((3, 1))), dk.Tensor(np.ones((2, 2))), diagonal)
+    W, b = dk.Tensor(np.ones((5, 4))), dk.Tensor(np.ones((1, 5)))
+    for w, h, W_, b_ in [(np.ones((2, 1)), x, W, b),             # slots
+                         (np.ones((3, 1)), np.ones((2, 2)), W, b),  # nodes
+                         (np.ones((3, 1)), x, np.ones((5, 3)), b),  # W's columns
+                         (np.ones((3, 1)), x, W, np.ones((5, 1)))]:  # bias
+        with pytest.raises(ShapeError, match="aggregate"):
+            dk.aggregate(w, h, W_, b_, diagonal)
     with pytest.raises(ShapeError):
         dk.segment_mean(dk.Tensor(np.ones((2, 1))), dk.Pattern([0, 1, 2, 3], [0, 1, 2], 3, 3))
-    # pair_dot, spmm and reverse_min refuse a pattern without ``reverse``
+    # pair_dot, aggregate and reverse_min refuse a pattern without ``reverse``
     one_way = dk.Pattern([0, 1, 1], [1], 2, 2)
     two = dk.Tensor(np.ones((2, 2)))
     with pytest.raises(ShapeError, match="pair_dot needs a symmetric"):
         dk.pair_dot(two, one_way)
-    with pytest.raises(ShapeError, match="spmm needs a symmetric"):
-        dk.spmm(dk.Tensor(np.ones((1, 1))), two, one_way)
+    with pytest.raises(ShapeError, match="aggregate needs a symmetric"):
+        dk.aggregate(dk.Tensor(np.ones((1, 1))), two, np.ones((1, 4)), np.ones((1, 1)), one_way)
     with pytest.raises(ShapeError, match="symmetric"):
         dk.reverse_min(dk.Tensor(np.ones((2, 1))), dk.Pattern([0, 1, 2], [1, 0], 2, 2))
 

@@ -524,3 +524,26 @@ def test_adaptation_step_peaks_below_13_5_node_rows_per_node():
     assert np.any(grads[bundle.target_encoder.weight] != 0.0)
     rows = peak / (8 * n * w)
     assert rows <= 13.5, rows
+
+
+@pytest.mark.parametrize("nsaw, bound", [(True, 4.0), (False, 3.25)], ids=["nsaw", "plain"])
+def test_eval_forward_never_builds_a_whole_message(nsaw, bound):
+    # tracemalloc over one eval forward on 20k nodes at width 40. When each
+    # layer built its whole (nodes x width) message before the update, the
+    # peak was 5.0 rows of 320 bytes per node with attention and 4.25
+    # without; one message fewer must show.
+    n, w = 20000, 40
+    g = generate_synthetic(SyntheticSpec(num_nodes=n, feature_dim=w, anomaly_rate=0.05,
+                                         target_homophily=0.9, mean_degree=10.0,
+                                         seed=1, name="eval"))
+    bundle = small_bundle(w, width=w, num_layers=2, nsaw_enabled=nsaw)
+    gnn.forward_embeddings(bundle, g, "source")  # caches the pattern's upper slots
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        gnn.forward_embeddings(bundle, g, "source")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    rows = peak / (8 * n * w)
+    assert rows <= bound, rows

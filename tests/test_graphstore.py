@@ -680,6 +680,22 @@ def assert_matches_scalar_loop(spec):
     return error
 
 
+@pytest.mark.parametrize("n, dim, block_bytes", [(500, 3, 8 * 3 * 7), (3000, 128, None)],
+                         ids=["7-row-blocks", "default-blocks"])
+def test_generator_draws_features_in_row_blocks_as_one_draw(monkeypatch, n, dim,
+                                                            block_bytes):
+    # 7-row blocks that 500 nodes are no multiple of, and the default budget
+    # at dim 128: three blocks of at most 1024 rows. Features and edges
+    # must be bitwise those of one whole draw.
+    if block_bytes is not None:
+        monkeypatch.setattr(graphstore, "_DRAW_BLOCK_BYTES", block_bytes)
+    rows = graphstore._DRAW_BLOCK_BYTES // (8 * dim)
+    assert n % rows and n // rows >= 2
+    spec = SyntheticSpec(num_nodes=n, feature_dim=dim, anomaly_rate=0.2,
+                         target_homophily=0.8, mean_degree=6.0, seed=3)
+    assert assert_matches_scalar_loop(spec) is None
+
+
 @st.composite
 def synthetic_specs(draw):
     n = draw(st.one_of(st.integers(2, 12), st.integers(13, 2000)))

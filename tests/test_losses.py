@@ -429,7 +429,7 @@ def test_train_loss_gradient_matches_finite_differences(triangle_iso):
     w_out = dk.Tensor(np.random.default_rng(12).standard_normal((1, 3)))
 
     def f(h):
-        probs = dk.sigmoid(dk.linear([h], w_out))
+        probs = dk.sigmoid(dk.linear(h, w_out))
         return losses.train_loss_parts(probs, h, triangle_iso, w,
                                        np.random.default_rng(42))[0]
 

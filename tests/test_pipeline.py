@@ -12,7 +12,7 @@ from conftest import edit_json, mutate_bytes
 from ttgad import diffkernel as dk
 from ttgad import evaluation, losses, pipeline
 from ttgad.diffkernel import Tensor
-from ttgad.errors import CheckpointError, ConfigError, DataError
+from ttgad.errors import CheckpointError, ConfigError, DataError, NumericalError
 from ttgad.gnn import forward_embeddings, init_bundle, init_encoder, predict
 from ttgad.graphstore import AttributedGraph, SyntheticSpec, build_graph, generate_synthetic
 from ttgad.losses import LossWeights
@@ -846,6 +846,29 @@ def test_full_model_grad_check_smoke():
     assert result.passed
     assert result.train_report.max_rel_error <= 1e-4
     assert result.ttt_report.max_rel_error <= 1e-4
+
+
+def test_full_model_grad_check_skips_points_with_a_relu_dead_row(monkeypatch):
+    # A zeroed last layer makes every embedding row zero, so every draw is
+    # skipped, and once the draws run out the check refuses rather than
+    # report the jump at the cosine guard.
+    real = pipeline.init_bundle
+
+    def dead(*args, **kwargs):
+        bundle = real(*args, **kwargs)
+        bundle.layers[-1].W.values[:] = 0.0
+        return bundle
+
+    monkeypatch.setattr(pipeline, "init_bundle", dead)
+    with pytest.raises(NumericalError, match="relu-dead"):
+        full_model_grad_check(seed=0, num_points=2)
+
+
+def test_full_model_grad_check_gives_up_on_a_graph_no_draw_makes():
+    # redrawing changes only the seed, so a spec refused in itself is
+    # refused at every draw
+    with pytest.raises(DataError, match="num_nodes"):
+        full_model_grad_check(num_nodes=1)
 
 
 # ---------------------------------------------------------------------------

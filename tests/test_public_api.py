@@ -12,7 +12,10 @@ function exists only for its own unit test.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import ttgad
@@ -61,3 +64,31 @@ def test_exported_names_have_a_user_outside_the_unit_tests():
         unused.update(f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                       if name not in used)
     assert not unused, sorted(unused)
+
+
+def test_no_second_blas_is_loaded():
+    # Importing scipy.linalg loads scipy's own OpenBLAS beside numpy's, with
+    # its own thread pool: on 2 CPUs the process then runs 3 threads, and
+    # the benchmark counts a run with more threads than CPUs as a failed
+    # operation. So no code path of a train, adapt and score run may import
+    # it; a fresh interpreter shows what the package itself loads.
+    script = """
+import sys
+import ttgad, ttgad.cli
+from ttgad import evaluation
+from ttgad.graphstore import SyntheticSpec, generate_synthetic
+from ttgad.pipeline import RunConfig, adapt_target, train_source
+graph = generate_synthetic(SyntheticSpec(num_nodes=60, feature_dim=4, anomaly_rate=0.2,
+                                         target_homophily=0.8, mean_degree=4.0, seed=1))
+config = RunConfig(p=4, hidden_dim=4, attn_dim=4, source_epochs=2, ttt_max_epochs=2)
+bundle, centroids, _ = train_source(graph, config)
+adapted, _ = adapt_target(bundle, centroids, graph, config)
+for mode in evaluation.SCORING_MODES:
+    evaluation.score_nodes(adapted, graph, mode)
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.linalg"))
+assert not loaded, loaded
+"""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert run.returncode == 0, run.stderr

@@ -22,31 +22,35 @@ record: matrix product, bias and optional relu together.
 Message passing runs on ops over a :class:`Pattern`: a CSR pattern whose
 slot ``s`` of row ``r`` (``indptr[r] <= s < indptr[r + 1]``) pairs row ``r``
 with column ``indices[s]``. Its owner validates it once; the ops check only
-shapes against it. :func:`pair_dot` is an SDDMM of a tensor with itself,
+shapes against it. :func:`attention` is a layer's attention (a relu
+projection, an SDDMM of it with itself and a softmax over each row's slots),
 :func:`aggregate` a message-passing layer (an SpMM fused with the dense
 transform that reads it, after FusedMM), :func:`pair_cosine` the per-slot
-cosine, :func:`segment_softmax` and :func:`segment_mean` reduce over each
-row's slots, and :func:`reverse_min` takes the min of each slot and its
-mirror. The backward passes of the first three are SpMMs with
-``scipy.sparse.csr_matrix`` plus per-row scalars (and, for the slot weights
-of :func:`aggregate`, an SDDMM), so a pattern op keeps only
-per-slot scalars and per-node rows alive on the tape; per-slot rows exist
-only in bounded chunks inside one call.
+cosine, :func:`segment_mean` the mean over each row's slots, and
+:func:`reverse_min` takes the min of each slot and its mirror. The backward
+passes of the first three are SpMMs with ``scipy.sparse.csr_matrix`` plus
+per-row scalars (and, for the slot weights of :func:`aggregate`, an SDDMM),
+so a pattern op keeps only per-slot scalars and per-node rows alive on the
+tape; per-slot rows exist only in bounded chunks inside one call. A record
+keeps what backward cannot cheaply recompute: :func:`attention` keeps its
+input, weight and output and recomputes the projection, and
+:func:`pair_cosine` and :func:`reverse_min` recompute their per-slot
+denominators and tie shares.
 
-:func:`pair_dot`, :func:`aggregate` and :func:`reverse_min` need a symmetric
-pattern, one whose owner set ``reverse``, and refuse any other; only
-:func:`pair_cosine` also runs on a non-symmetric one, on the CSC view. On a
-symmetric pattern the SDDMMs compute only the slots with ``row <= col`` and
-copy each value to its mirror, and ``M.T`` is ``csr(data[reverse])`` on the
-same pattern, so every backward runs CSR SpMMs only.
+:func:`attention`, :func:`aggregate` and :func:`reverse_min` need a
+symmetric pattern, one whose owner set ``reverse``, and refuse any other;
+only :func:`pair_cosine` also runs on a non-symmetric one, on the CSC view.
+On a symmetric pattern the SDDMMs compute only the slots with ``row <= col``
+and copy each value to its mirror, and ``M.T`` is ``csr(data[reverse])`` on
+the same pattern, so every backward runs CSR SpMMs only.
 Backward computes no gradient for an operand with ``requires_grad=False``.
 
 Design constraints honored throughout:
 
 - all math in float64 (a float32 input is upcast before any arithmetic);
   every op validates that its output is finite;
-- the relu of :func:`linear` and :func:`aggregate` has zero derivative at
-  exactly 0;
+- the relu of :func:`linear`, :func:`attention` and :func:`aggregate` has
+  zero derivative at exactly 0;
 - their bias is the only broadcast; :func:`add` and
   :func:`elementwise_mul` take equal shapes;
 - guarded denominators: cosine uses eps = 1e-12, softmax subtracts the
@@ -66,13 +70,14 @@ __all__ = [
     "Tensor", "Tape", "Gradients",
     "linear", "add", "sigmoid", "elementwise_mul",
     "scalar_mul", "sum", "masked_row_softmax",
-    "Pattern", "segment_softmax", "segment_mean", "reverse_min",
-    "pair_dot", "aggregate", "pair_cosine",
+    "Pattern", "segment_mean", "reverse_min",
+    "attention", "aggregate", "pair_cosine",
     "binary_cross_entropy", "dropout",
     "AdamState", "adam_step", "GradCheckReport", "grad_check",
 ]
 
 COSINE_EPS = 1e-12
+_NORMAL_MIN = np.finfo(np.float64).tiny  # smallest normal float64; 1 / it is finite
 
 _ACTIVE_TAPES = []
 
@@ -376,11 +381,12 @@ class Pattern:
 
     ``reverse`` maps slot (r, c) to slot (c, r); it stays None unless the
     owner proves the pattern symmetric and sets it. int64 arrays are kept
-    as given, not copied, and must not be mutated.
+    as given, not copied, and must not be mutated; :attr:`csr_index` adds
+    the int32 copies that scipy's CSR matrices read.
     """
 
     __slots__ = ("indptr", "indices", "rows", "num_rows", "num_cols", "reverse",
-                 "_upper")
+                 "_upper", "_csr_index")
 
     def __init__(self, indptr, indices, num_rows, num_cols):
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -401,6 +407,7 @@ class Pattern:
         self.num_cols = int(num_cols)
         self.reverse = None
         self._upper = None
+        self._csr_index = None
 
     @property
     def shape(self):
@@ -413,6 +420,19 @@ class Pattern:
         if self._upper is None:
             self._upper = np.flatnonzero(self.rows <= self.indices)
         return self._upper
+
+    @property
+    def csr_index(self):
+        """``(indices, indptr)`` in the index dtype that a scipy CSR matrix of
+        this pattern stores, computed once. scipy downcasts int64 index
+        arrays to int32 when the pattern fits; given int32 arrays, a build
+        neither scans nor copies them."""
+        if self._csr_index is None:
+            dtype = scipy.sparse.get_index_dtype(
+                maxval=max(self.num_rows, self.num_cols, self.indices.size))
+            self._csr_index = (self.indices.astype(dtype, copy=False),
+                               self.indptr.astype(dtype, copy=False))
+        return self._csr_index
 
 
 def _segment_sums(values, indptr):
@@ -437,29 +457,16 @@ def _check_slots(op, x, pattern, width=None):
         raise ShapeError(f"{op}: {x.shape} for {pattern.indices.size} slots")
 
 
-def segment_softmax(x, pattern):
-    """Softmax of a (slots, 1) tensor over each row's slots."""
-    x = _as_tensor(x)
-    _check_slots("segment_softmax", x, pattern, width=1)
+def _segment_softmax(flat, pattern):
+    """Softmax of a per-slot array over each row's slots."""
     indptr, seg = pattern.indptr, pattern.rows
-    flat = x.values[:, 0]
     seg_max = np.full(pattern.num_rows, -np.inf)
     nz = np.diff(indptr) > 0
-    if flat.size and nz.any():
+    if nz.any():
         seg_max[nz] = np.maximum.reduceat(flat, indptr[:-1][nz])
-    e = np.exp(flat - seg_max[seg]) if flat.size else flat.copy()
+    e = np.exp(flat - seg_max[seg])
     denom = _segment_sums(e, indptr)
-    p = (e / denom[seg]) if flat.size else e
-    out = _make("segment_softmax", p.reshape(-1, 1), x)
-
-    def bwd(g):
-        gp = g[:, 0]
-        inner = _segment_sums(p * gp, indptr)
-        return ((p * (gp - inner[seg])).reshape(-1, 1),)
-
-    if _recording(out):
-        _record(out, (x,), bwd)
-    return out
+    return e / denom[seg]
 
 
 def segment_mean(x, pattern):
@@ -471,7 +478,7 @@ def segment_mean(x, pattern):
     out = _make("segment_mean", sums / safe[:, None], x)
     if _recording(out):
         seg, inv = pattern.rows, 1.0 / safe
-        _record(out, (x,), lambda g: (g[seg] * inv[seg][:, None],))
+        _record(out, (x,), lambda g: ((g * inv[:, None])[seg],))
     return out
 
 
@@ -479,7 +486,9 @@ def reverse_min(x, pattern):
     """``min(x[s], x[reverse[s]])`` per slot of a symmetric pattern.
 
     The gradient of each output goes to the smaller of its two slots, split
-    0.5 each on a tie, so the result is exactly symmetric.
+    0.5 each on a tie, so the result is exactly symmetric. The record keeps
+    the input, which in message passing the attention record keeps too, and
+    derives those shares in backward.
     """
     x = _as_tensor(x)
     rev = _reverse("reverse_min", pattern)
@@ -487,26 +496,31 @@ def reverse_min(x, pattern):
     xv = x.values
     mirrored = xv[rev]
     out = _make("reverse_min", np.minimum(xv, mirrored), x)
-    if _recording(out):
+
+    def bwd(g):
+        mirrored = xv[rev]
         # the share of each output's gradient that its own slot takes
         wa = np.where(xv < mirrored, 1.0, np.where(xv == mirrored, 0.5, 0.0))
-        _record(out, (x,), lambda g: (g * wa + (g * (1.0 - wa))[rev],))
+        return (g * wa + (g * (1.0 - wa))[rev],)
+
+    if _recording(out):
+        _record(out, (x,), bwd)
     return out
 
 
 def _csr(data, pattern):
-    return scipy.sparse.csr_matrix((data, pattern.indices, pattern.indptr),
-                                   shape=pattern.shape)
+    indices, indptr = pattern.csr_index
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=pattern.shape)
 
 
 def _csr_rows(data, pattern, lo, hi, order=None):
     """Rows ``lo:hi`` of ``_csr(data if order is None else data[order],
     pattern)``, built from those rows' slots alone."""
-    s0, s1 = pattern.indptr[lo], pattern.indptr[hi]
+    indices, indptr = pattern.csr_index
+    s0, s1 = indptr[lo], indptr[hi]
     values = data[s0:s1] if order is None else data[order[s0:s1]]
-    return scipy.sparse.csr_matrix(
-        (values, pattern.indices[s0:s1], pattern.indptr[lo:hi + 1] - s0),
-        shape=(hi - lo, pattern.num_cols))
+    return scipy.sparse.csr_matrix((values, indices[s0:s1], indptr[lo:hi + 1] - s0),
+                                   shape=(hi - lo, pattern.num_cols))
 
 
 def _sampled_dot(a, b, rows, cols):
@@ -540,19 +554,51 @@ def _self_dot(x, pattern):
                    pattern)
 
 
-def pair_dot(x, pattern):
-    """SDDMM: ``out[s] = x[row(s)] · x[indices[s]]`` on a symmetric pattern,
-    shape (slots, 1); only the ``row <= col`` slots are computed."""
-    x = _as_tensor(x)
-    rev = _reverse("pair_dot", pattern)
+def _relu_product(xv, Uv):
+    z = xv @ Uv.T
+    np.maximum(z, 0.0, out=z)
+    return z
+
+
+def attention(x, U, pattern):
+    """A layer's attention on a symmetric pattern, shape (slots, 1); one tape record.
+
+    With ``z = relu(x @ U.T)``, slot ``s`` scores ``z[row(s)] · z[indices[s]]``
+    (an SDDMM over the ``row <= col`` slots) and the scores are
+    softmax-normalized over each row's slots, so a row without slots has no
+    output. The record keeps ``x``, ``U`` and the output, not ``z``:
+    backward recomputes ``z``, bitwise the forward's, then runs the
+    softmax's backward, one SpMM into ``z``'s gradient, the relu mask
+    ``z > 0`` (zero derivative at exactly 0) and the two products of the
+    projection.
+    """
+    x, U = _as_tensor(x), _as_tensor(U)
+    rev = _reverse("attention", pattern)
     n = x.shape[0]
-    if pattern.shape != (n, n):
-        raise ShapeError(f"pair_dot: {x.shape} over {pattern.shape}")
-    xv = x.values
-    out = _make("pair_dot", _self_dot(xv, pattern).reshape(-1, 1), x)
-    if _recording(out):
-        # M_g @ x + M_g.T @ x is one SpMM of g + g[reverse]
-        _record(out, (x,), lambda g: (_csr(g[:, 0] + g[rev, 0], pattern) @ xv,))
+    if pattern.shape != (n, n) or U.shape[1] != x.shape[1]:
+        raise ShapeError(f"attention: {x.shape} over {pattern.shape} through {U.shape}")
+    xv, Uv = x.values, U.values
+    z = _relu_product(xv, Uv)
+    scores = _self_dot(z, pattern)
+    p = _segment_softmax(scores, pattern)
+    out = _make("attention", p.reshape(-1, 1), x, U)
+    if not _recording(out):
+        return out
+    indptr, seg = pattern.indptr, pattern.rows
+    train_x, train_U = x.requires_grad, U.requires_grad
+
+    def bwd(g):
+        gp = g[:, 0]
+        inner = _segment_sums(p * gp, indptr)
+        g_scores = p * (gp - inner[seg])
+        z = _relu_product(xv, Uv)
+        # M_g @ z + M_g.T @ z is one SpMM of g + g[reverse]
+        gz = _csr(g_scores + g_scores[rev], pattern) @ z
+        gz *= z > 0
+        del z
+        return (gz @ Uv if train_x else None, gz.T @ xv if train_U else None)
+
+    _record(out, (x, U), bwd)
     return out
 
 
@@ -621,7 +667,9 @@ def pair_cosine(x, pattern):
     The pattern is square, with one row of ``x`` per node, but need not be
     symmetric. The denominator is max(|x_r| * |x_c|, 1e-12); a pair under
     the guard gets value dot / 1e-12 (below 1 in magnitude) and exactly zero
-    gradient, so an all-zero row gets exactly zero gradient.
+    gradient, so an all-zero row gets exactly zero gradient. The record
+    keeps the input, its squared norms and norms and the output; backward
+    recomputes the denominators.
     """
     x = _as_tensor(x)
     n = x.shape[0]
@@ -632,28 +680,45 @@ def pair_cosine(x, pattern):
     sq = (xv * xv).sum(axis=1)
     norms = np.sqrt(sq)
     prod = norms[rows] * norms[indices]
-    live = prod >= COSINE_EPS
     denom = np.maximum(prod, COSINE_EPS)
     c = _self_dot(xv, pattern) / denom
     out = _make("pair_cosine", c.reshape(-1, 1), x)
 
     def bwd(g):
         # d c_s / d x_r = x_c / denom_s - c_s x_r / |x_r|^2, and symmetrically
-        # for x_c: SpMMs carry the first terms, bincounts the second.
-        q = np.where(live, g[:, 0] / denom, 0.0)
-        t = np.where(live, g[:, 0] * c, 0.0)
+        # for x_c: SpMMs carry the first terms, bincounts the second. Slots
+        # under the guard get zero; each per-slot array is built in place, so
+        # at most two exist at once beside g.
+        q = norms[rows] * norms[indices]
+        dead = q < COSINE_EPS
+        np.maximum(q, COSINE_EPS, out=q)
+        np.divide(g[:, 0], q, out=q)
+        q[dead] = 0.0
+        if rev is not None:
+            q += q[rev]
+        m = _csr(q, pattern)
+        pulled = m @ xv
         if rev is None:
-            m = _csr(q, pattern)
-            pulled = m @ xv
             pulled += m.T @ xv
+        del q, m
+        t = g[:, 0] * c
+        t[dead] = 0.0
+        if rev is None:
             self_w = (np.bincount(rows, weights=t, minlength=n)
                       + np.bincount(indices, weights=t, minlength=n))
         else:
-            pulled = _csr(q + q[rev], pattern) @ xv
-            self_w = np.bincount(rows, weights=t + t[rev], minlength=n)
-        inv_sq = np.divide(1.0, sq, out=np.zeros(n), where=sq > 0)
-        # in place: backward's peak holds one (n, width) temporary, not two
-        pulled -= xv * (self_w * inv_sq)[:, None]
+            t += t[rev]
+            self_w = np.bincount(rows, weights=t, minlength=n)
+        # a row whose |x|^2 is subnormal (|x| < 1.5e-154) is under the guard
+        # in every slot unless a neighbour's norm passes 6e141, so it has no
+        # self term; the inverse of its |x|^2 would overflow, and inf * 0 is NaN
+        scale = self_w * np.divide(1.0, sq, out=np.zeros(n), where=sq >= _NORMAL_MIN)
+        # in row blocks of _CHUNK_BYTES: the returned array is backward's only
+        # (n, width) temporary
+        step = max(1, _CHUNK_BYTES // (8 * max(xv.shape[1], 1)))
+        for lo in range(0, n, step):
+            block = slice(lo, lo + step)
+            pulled[block] -= xv[block] * scale[block, None]
         return (pulled,)
 
     if _recording(out):

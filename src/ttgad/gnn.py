@@ -8,15 +8,16 @@ bundle draws each of its entries, and both a fresh and a loaded bundle are
 built from named arrays by :func:`assemble_bundle`.
 
 Message passing is sparse-matrix algebra over the graph's
-:class:`diffkernel.Pattern`. Attention scores are an SDDMM
-(:func:`diffkernel.pair_dot`) of the relu-projected embeddings with
-themselves, one score per directed slot, softmax-normalized over each
-node's neighborhood, then symmetrized by :func:`diffkernel.reverse_min`
-against the reverse slot. Each layer is one :func:`diffkernel.aggregate`:
-the SpMM of those slot weights, or of 1/degree in plain mode, with the layer
-input, fused with the layer's dense transform, so the aggregated message is
-added into the output one row block at a time. Entries outside the adjacency
-never exist, so they are exactly zero with exactly zero gradient.
+:class:`diffkernel.Pattern`. A layer's attention is one
+:func:`diffkernel.attention` record: an SDDMM of the relu-projected
+embeddings with themselves, one score per directed slot, softmax-normalized
+over each node's neighborhood. It is symmetrized by
+:func:`diffkernel.reverse_min` against the reverse slot. Each layer is one
+:func:`diffkernel.aggregate`: the SpMM of those slot weights, or of
+1/degree in plain mode, with the layer input, fused with the layer's dense
+transform, so the aggregated message is added into the output one row block
+at a time. Entries outside the adjacency never exist, so they are exactly
+zero with exactly zero gradient.
 """
 
 import itertools
@@ -282,13 +283,11 @@ def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
 def compute_attention(layer, h, graph):
     """Row-softmax attention per directed slot, shape (num_slots, 1).
 
-    Scores are dot products of ``relu(h @ U.T)`` endpoint rows, the
-    projection being one :func:`diffkernel.linear` record, normalized over
-    each node's neighborhood. Rows of isolated nodes simply have no slots.
+    Scores are dot products of ``relu(h @ U.T)`` endpoint rows, normalized
+    over each node's neighborhood, as one :func:`diffkernel.attention`
+    record. Rows of isolated nodes simply have no slots.
     """
-    z = dk.linear(h, layer.U, relu=True)
-    scores = dk.pair_dot(z, graph.pattern)
-    return dk.segment_softmax(scores, graph.pattern)
+    return dk.attention(h, layer.U, graph.pattern)
 
 
 def symmetrize_attention(attention, graph):

@@ -80,6 +80,61 @@ def ref_pair_dot(a, b, indptr, indices, g):
     return out, ga, gb
 
 
+def ref_attention(x, U, indptr, indices, g):
+    """Relu projection -> gather-scatter SDDMM -> per-row softmax, and the
+    backward of that chain for upstream g: (out, grad of x, grad of U)."""
+    z = np.maximum(x @ U.T, 0.0)
+    scores, _, _ = ref_pair_dot(z, z, indptr, indices, np.zeros(indices.size))
+    p, g_scores = np.zeros(indices.size), np.zeros(indices.size)
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        if hi > lo:
+            p[lo:hi] = ref_softmax(scores[lo:hi])
+            g_scores[lo:hi] = p[lo:hi] * (g[lo:hi] - (p[lo:hi] * g[lo:hi]).sum())
+    _, ga, gb = ref_pair_dot(z, z, indptr, indices, g_scores)
+    gz = (ga + gb) * (z > 0)
+    return p, gz @ U, gz.T @ x
+
+
+def ref_pair_dot_op(x, pattern):
+    """The SDDMM tape op of attention before :func:`dk.attention`:
+    ``x[row(s)] · x[indices[s]]`` on a symmetric pattern, one record."""
+    xv = x.values
+    out = dk._make("pair_dot", dk._self_dot(xv, pattern).reshape(-1, 1), x)
+    if dk._recording(out):
+        rev = pattern.reverse
+        dk._record(out, (x,), lambda g: (dk._csr(g[:, 0] + g[rev, 0], pattern) @ xv,))
+    return out
+
+
+def ref_segment_softmax_op(x, pattern):
+    """The per-row softmax tape op of attention before :func:`dk.attention`."""
+    indptr, seg = pattern.indptr, pattern.rows
+    flat = x.values[:, 0]
+    seg_max = np.full(pattern.num_rows, -np.inf)
+    nz = np.diff(indptr) > 0
+    if flat.size and nz.any():
+        seg_max[nz] = np.maximum.reduceat(flat, indptr[:-1][nz])
+    e = np.exp(flat - seg_max[seg]) if flat.size else flat.copy()
+    denom = dk._segment_sums(e, indptr)
+    p = (e / denom[seg]) if flat.size else e
+    out = dk._make("segment_softmax", p.reshape(-1, 1), x)
+    if dk._recording(out):
+        def bwd(g):
+            gp = g[:, 0]
+            inner = dk._segment_sums(p * gp, indptr)
+            return ((p * (gp - inner[seg])).reshape(-1, 1),)
+
+        dk._record(out, (x,), bwd)
+    return out
+
+
+def ref_attention_ops(x, U, pattern):
+    """Attention as the three records it ran as before :func:`dk.attention`:
+    a relu linear, the SDDMM and the per-row softmax."""
+    z = dk.linear(x, U, relu=True)
+    return ref_segment_softmax_op(ref_pair_dot_op(z, pattern), pattern)
+
+
 def ref_spmm(w, x, indptr, indices, g):
     """Gather -> weight -> segment sum, and its backward for upstream g."""
     rows = ref_pattern_rows(indptr)
@@ -525,10 +580,11 @@ def test_records_keep_no_output_and_no_input_that_a_frozen_weight_would_read():
             refs = [weakref.ref(t) for t in (x, out)]
             refs += [weakref.ref(x.values), weakref.ref(out.values)]
             chain = dk.dropout(out, 0.25, rng, training=True)
-            for op in (dk.pair_dot, dk.pair_cosine):
+            U = dk.Tensor(np.eye(3))
+            for op in (lambda t, p: dk.attention(t, U, p), dk.pair_cosine):
                 slots = op(chain, pattern)
                 refs.append(weakref.ref(slots))
-                for reduce in (dk.segment_softmax, dk.reverse_min, dk.segment_mean):
+                for reduce in (dk.reverse_min, dk.segment_mean):
                     refs.append(weakref.ref(reduce(slots, pattern)))
             msg = dk.aggregate(slots, chain, dk.Tensor(np.ones((3, 6))), dk.Tensor(np.ones((1, 3))),
                                pattern)
@@ -569,12 +625,19 @@ def test_three_layer_composite_matches_finite_differences():
 # Segment ops
 
 
+# Slots (0, 0) (0, 2) (2, 0) (2, 2) (3, 3) on four nodes, node 1 without
+# slots. Through an identity U, rows 0 and 2 of this x score each other 0 and
+# themselves 1, so row 0's slots softmax [1, 0] and node 3's lone slot is 1.
+SOFTMAX_PATTERN = ([0, 2, 2, 4, 5], [0, 2, 0, 2, 3], 4, 4)
+SOFTMAX_X = [[1.0, 0.0], [5.0, 5.0], [0.0, 1.0], [1.0, 0.0]]
+
+
 def test_segment_softmax_values_and_empty_segment():
-    x = dk.Tensor([[1.0], [0.0], [2.0]])
-    out = dk.segment_softmax(x, dk.Pattern([0, 2, 2, 3], [0, 1, 2], 3, 3))
+    x = dk.Tensor(SOFTMAX_X)
+    out = dk.attention(x, dk.Tensor(np.eye(2)), mirrored(dk.Pattern(*SOFTMAX_PATTERN)))
     np.testing.assert_allclose(out.values[:2, 0], ref_softmax([1.0, 0.0]),
                                rtol=1e-15)
-    assert out.values[2, 0] == 1.0
+    assert out.values[4, 0] == 1.0
 
 
 def test_segment_sum_and_mean():
@@ -591,16 +654,19 @@ def test_segment_sum_and_mean():
 def test_segment_ops_gradients():
     pattern = dk.Pattern([0, 2, 2, 3], [0, 1, 2], 3, 3)
     x = dk.Tensor([[1.0], [0.5], [2.0]], requires_grad=True)
+    symmetric = mirrored(dk.Pattern(*SOFTMAX_PATTERN))
+    # every entry well above 0, so the relu of the projection has no kink nearby
+    h = dk.Tensor(np.array(SOFTMAX_X) + 0.25, requires_grad=True)
 
     def f_softmax(t):
-        out = dk.segment_softmax(t, pattern)
-        w = dk.Tensor([[1.0], [3.0], [2.0]])
+        out = dk.attention(t, dk.Tensor(np.eye(2)), symmetric)
+        w = dk.Tensor([[1.0], [3.0], [2.0], [0.5], [1.5]])
         return dk.sum(dk.elementwise_mul(out, w))
 
     def f_mean(t):
         return dk.sum(dk.segment_mean(t, pattern))
 
-    assert dk.grad_check(f_softmax, x).passed
+    assert dk.grad_check(f_softmax, h).passed
     assert dk.grad_check(f_mean, x).passed
 
 
@@ -629,12 +695,14 @@ def test_pattern_ops_match_gather_scatter_oracle(symmetric):
         a = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
         w = dk.Tensor(rng.standard_normal((slots, 1)), requires_grad=True)
 
-        if symmetric:  # pair_dot and aggregate refuse any other pattern
+        if symmetric:  # attention and aggregate refuse any other pattern
             g = rng.standard_normal(slots)
-            out, (ga,) = _taped(lambda: dk.pair_dot(a, pattern), [a], g)
-            want, want_a, want_b = ref_pair_dot(a.values, a.values, indptr, indices, g)
+            U = dk.Tensor(rng.standard_normal((3, d)), requires_grad=True)
+            out, (ga, gU) = _taped(lambda: dk.attention(a, U, pattern), [a, U], g)
+            want, want_a, want_U = ref_attention(a.values, U.values, indptr, indices, g)
             np.testing.assert_allclose(out[:, 0], want, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(ga, want_a + want_b, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(ga, want_a, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gU, want_U, rtol=1e-12, atol=1e-12)
 
             g = rng.standard_normal((n, d))
             out, (gw, gx) = _taped(lambda: spmm_via_aggregate(w, a, pattern, 100.0), [w, a], g)
@@ -665,8 +733,10 @@ def test_symmetric_fast_path_matches_general_path(seed, n, isolated, edge_prob,
                                                   self_pairs):
     # one random symmetric pattern, once with ``reverse`` (fast path) and once
     # without (general path); edge_prob 0 or isolated >= n gives the empty one.
-    # pair_cosine takes both paths; pair_dot and aggregate have only the fast one,
-    # so they are held to the gather-scatter oracle.
+    # pair_cosine takes both paths; attention and aggregate have only the fast
+    # one, so they are held to the gather-scatter oracle. Attention's
+    # gradients cancel within each softmax, far below the terms they sum, so
+    # they are held bitwise to the three records it replaced instead.
     rng = np.random.default_rng(seed)
     fast = random_pattern(rng, n, True, isolated=isolated, edge_prob=edge_prob,
                           self_pairs=self_pairs)
@@ -680,10 +750,13 @@ def test_symmetric_fast_path_matches_general_path(seed, n, isolated, edge_prob,
     out_g, (gx_g,) = _taped(lambda: dk.pair_cosine(x, general), [x], g_slot)
     assert np.array_equal(out_f, out_g)
     _assert_rel_close(gx_f, gx_g)
-    out, (gx,) = _taped(lambda: dk.pair_dot(x, fast), [x], g_slot)
-    want, want_a, want_b = ref_pair_dot(x.values, x.values, indptr, indices, g_slot)
-    _assert_rel_close(out[:, 0], want)
-    _assert_rel_close(gx, want_a + want_b)
+    U = dk.Tensor(rng.standard_normal((2, d)), requires_grad=True)
+    got = _taped(lambda: dk.attention(x, U, fast), [x, U], g_slot)
+    want = _taped(lambda: ref_attention_ops(x, U, fast), [x, U], g_slot)
+    for a, b in zip([got[0], *got[1]], [want[0], *want[1]]):
+        assert a.tobytes() == b.tobytes()
+    _assert_rel_close(got[0][:, 0], ref_attention(x.values, U.values, indptr, indices,
+                                                  g_slot)[0])
     out, (gw, gx) = _taped(lambda: spmm_via_aggregate(w, x, fast, 100.0), [w, x], g_node)
     want, want_w, want_x = ref_spmm(w.values[:, 0], x.values, indptr, indices, g_node)
     for got, ref in ((out - 100.0, want), (gw[:, 0], want_w), (gx, want_x)):
@@ -709,9 +782,9 @@ def test_symmetric_pattern_halves_sddmms_and_runs_no_csc_product(monkeypatch):
     monkeypatch.setattr(scipy.sparse.csr_matrix, "transpose", no_transpose)
     x = dk.Tensor(rng.standard_normal((8, 3)), requires_grad=True)
     with dk.Tape() as tape:
-        dots = dk.pair_dot(x, pattern)
+        att = dk.attention(x, dk.Tensor(np.eye(3)), pattern)
         cos = dk.pair_cosine(x, pattern)
-        loss = dk.add(dk.sum(dots), dk.sum(cos))
+        loss = dk.add(dk.sum(dk.elementwise_mul(att, att)), dk.sum(cos))
     assert len(seen) == 2
     for rows, cols in seen:
         assert np.array_equal(rows, pattern.rows[upper])
@@ -746,10 +819,12 @@ def test_pattern_ops_gradients_match_finite_differences(symmetric):
 
     x = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
     w = dk.Tensor(rng.standard_normal((pattern.indices.size, 1)), requires_grad=True)
+    U = dk.Tensor(rng.standard_normal((2, d)), requires_grad=True)
     checks = [(lambda t: slot_loss(dk.pair_cosine(t, pattern)), x)]
-    if symmetric:  # pair_dot, aggregate and reverse_min refuse any other pattern
+    if symmetric:  # attention, aggregate and reverse_min refuse any other pattern
         checks += [
-            (lambda t: slot_loss(dk.pair_dot(t, pattern)), x),
+            (lambda t: slot_loss(dk.attention(t, dk.Tensor(U.values), pattern)), x),
+            (lambda t: slot_loss(dk.attention(dk.Tensor(x.values), t, pattern)), U),
             (lambda t: node_loss(spmm_via_aggregate(weights, t, pattern, 100.0)), x),
             (lambda t: node_loss(spmm_via_aggregate(t, other, pattern, 100.0)), w),
         ]
@@ -842,6 +917,62 @@ def test_aggregate_grad_check_each_operand(operand):
     assert report.passed, report
 
 
+@pytest.mark.parametrize("n", [9, 3001])
+def test_attention_is_bitwise_the_linear_sddmm_and_softmax(n):
+    # Forward and every gradient, for each subset of (x, U) that trains,
+    # against the relu linear, SDDMM and softmax records that attention ran
+    # as before. Two nodes have no slot; five have an all-zero (relu-dead)
+    # projection, one of them through a zero input row.
+    width, attn = 40, 24
+    rng = np.random.default_rng(n)
+    pattern = sparse_symmetric_pattern(rng, n, mean_degree=8, isolated=2)
+    x = rng.standard_normal((n, width))
+    U = rng.standard_normal((attn, width)) * 0.3
+    U[:, -1] = np.abs(U[:, -1]) + 0.1
+    x[2:7] = 0.0
+    x[2:6, -1] = -0.5 - rng.random(4)  # x U^T < 0
+    z = np.maximum(x @ U.T, 0.0)
+    assert np.all(z[2:7] == 0.0) and 0.2 < (z[7:] > 0).mean() < 0.8
+    g = rng.standard_normal((pattern.indices.size, 1))
+    for trains in itertools.product([False, True], repeat=2):
+        results = []
+        for op in (dk.attention, ref_attention_ops):
+            t = [dk.Tensor(v, requires_grad=live) for v, live in zip((x, U), trains)]
+            with dk.Tape() as tape:
+                out = op(*t, pattern)
+                loss = dk.sum(dk.elementwise_mul(out, dk.Tensor(g)))
+            assert len(tape._entries) == (2 + (3 if op is ref_attention_ops else 1)
+                                          if any(trains) else 0)
+            if any(trains):
+                grads = tape.backward(loss)
+                results.append([out.values] + [grads[v] for v in t if v.requires_grad])
+            else:
+                results.append([out.values])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes(), trains
+
+
+@pytest.mark.parametrize("operand", ["x", "U"])
+def test_attention_grad_check_each_operand(operand):
+    rng = np.random.default_rng(11)
+    pattern = random_pattern(rng, 6, True, self_pairs=True)
+    ops = {"x": rng.standard_normal((6, 3)), "U": rng.standard_normal((2, 3))}
+    ops["U"][:, -1] = np.abs(ops["U"][:, -1]) + 0.1
+    ops["x"][:2] = [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0]]  # no slots, relu-dead
+    ops["x"][2] = [0.0, 0.0, -1.0]  # slots, relu-dead
+    weights = dk.Tensor(rng.standard_normal((pattern.indices.size, 1)))
+    point = dk.Tensor(ops[operand], requires_grad=True)
+    tensors = {name: dk.Tensor(v) for name, v in ops.items()}
+
+    def f(t):
+        tensors[operand] = t
+        return dk.sum(dk.elementwise_mul(dk.attention(tensors["x"], tensors["U"], pattern),
+                                         weights))
+
+    report = dk.grad_check(f, point)
+    assert report.passed, report
+
+
 @pytest.mark.parametrize("op", [
     dk.add, dk.elementwise_mul,
     # a frozen W, as in adaptation, gets no gradient
@@ -863,15 +994,17 @@ def test_dense_ops_skip_gradient_of_frozen_side(op):
 
 def test_pair_cosine_zero_row_and_guarded_pair_get_exact_zero_gradient():
     # node 0 is all zero; nodes 2 and 3 are tiny, so their product falls
-    # under the 1e-12 guard; nodes 1 and 4 form an ordinary pair.
-    x = dk.Tensor([[0.0, 0.0], [1.0, 2.0], [1e-7, 0.0], [1e-7, 1e-7], [2.0, -1.0]],
-                  requires_grad=True)
-    pattern = dk.Pattern([0, 2, 3, 4, 4, 5], [1, 4, 0, 3, 1], 5, 5)
+    # under the 1e-12 guard; nodes 1 and 4 form an ordinary pair; node 5's
+    # squared norm is subnormal, so its inverse would overflow.
+    x = dk.Tensor([[0.0, 0.0], [1.0, 2.0], [1e-7, 0.0], [1e-7, 1e-7], [2.0, -1.0],
+                   [1e-160, 0.0]], requires_grad=True)
+    pattern = dk.Pattern([0, 2, 3, 4, 4, 5, 6], [1, 4, 0, 3, 1, 1], 6, 6)
     with dk.Tape() as tape:
         out = dk.pair_cosine(x, pattern)
-        loss = dk.sum(dk.elementwise_mul(out, dk.Tensor([[1.0], [2.0], [3.0], [4.0], [5.0]])))
+        weights = dk.Tensor([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
+        loss = dk.sum(dk.elementwise_mul(out, weights))
     grads = tape.backward(loss)
-    assert np.array_equal(grads[x][[0, 2, 3]], np.zeros((3, 2)))
+    assert np.array_equal(grads[x][[0, 2, 3, 5]], np.zeros((4, 2)))
     assert np.all(grads[x][[1, 4]] != 0.0)
     # a guarded value is dot / 1e-12: 0 with a zero row, 1e-14 / 1e-12 here
     assert np.array_equal(out.values[:3, 0], [0.0, 0.0, 0.0])
@@ -883,15 +1016,42 @@ def test_pattern_ops_on_empty_pattern_give_zeros():
     pattern = mirrored(dk.Pattern(np.zeros(4), np.zeros(0), 3, 3))
     w = dk.Tensor(np.zeros((0, 1)), requires_grad=True)
     with dk.Tape() as tape:
-        dots = dk.pair_dot(x, pattern)
+        att = dk.attention(x, dk.Tensor(np.eye(2)), pattern)
         cos = dk.pair_cosine(x, pattern)
         msg = spmm_via_aggregate(w, x, pattern)
-        loss = dk.add(dk.add(dk.sum(dots), dk.sum(cos)), dk.sum(msg))
-    assert dots.shape == cos.shape == (0, 1)
+        loss = dk.add(dk.add(dk.sum(att), dk.sum(cos)), dk.sum(msg))
+    assert att.shape == cos.shape == (0, 1)
     assert np.array_equal(msg.values, np.zeros((3, 2)))
     grads = tape.backward(loss)
     assert np.array_equal(grads[x], np.zeros((3, 2)))
     assert grads[w].shape == (0, 1)
+
+
+def test_csr_builds_reuse_the_patterns_index_arrays(monkeypatch):
+    # scipy stores a pattern that fits in int32 with int32 indices; the
+    # pattern makes that copy once, and every build is handed int32 arrays,
+    # which scipy neither scans nor converts
+    rng = np.random.default_rng(2)
+    pattern = sparse_symmetric_pattern(rng, 50, mean_degree=6, isolated=2)
+    indices, indptr = pattern.csr_index
+    assert indices.dtype == indptr.dtype == np.int32
+    assert pattern.csr_index[0] is indices
+    real_csr_matrix = scipy.sparse.csr_matrix
+    handed = []
+
+    def recording(arg, shape):
+        handed.append((arg[1].dtype, arg[2].dtype))
+        return real_csr_matrix(arg, shape=shape)
+
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", recording)
+    data = rng.random(pattern.indices.size)
+    whole = dk._csr(data, pattern)
+    rows = dk._csr_rows(data, pattern, 10, 30, order=pattern.reverse)
+    assert handed == [(np.int32, np.int32)] * 2
+    assert np.shares_memory(whole.indices, indices)
+    want = real_csr_matrix((data[pattern.reverse], pattern.indices, pattern.indptr),
+                           shape=pattern.shape)
+    assert (rows != want[10:30]).nnz == 0
 
 
 def test_pattern_ops_reject_bad_patterns():
@@ -907,8 +1067,10 @@ def test_pattern_ops_reject_bad_patterns():
     # the ops check shapes against it
     x = dk.Tensor(np.ones((3, 2)))
     diagonal = mirrored(dk.Pattern([0, 1, 2, 3], [0, 1, 2], 3, 3))
-    with pytest.raises(ShapeError, match="pair_dot"):
-        dk.pair_dot(x, mirrored(dk.Pattern([0, 1, 2], [1, 0], 2, 2)))
+    with pytest.raises(ShapeError, match="attention"):
+        dk.attention(x, np.eye(2), mirrored(dk.Pattern([0, 1, 2], [1, 0], 2, 2)))
+    with pytest.raises(ShapeError, match="attention"):
+        dk.attention(x, np.eye(3), diagonal)
     with pytest.raises(ShapeError):
         dk.pair_cosine(x, dk.Pattern([0, 1, 2], [0, 1], 2, 2))
     W, b = dk.Tensor(np.ones((5, 4))), dk.Tensor(np.ones((1, 5)))
@@ -920,11 +1082,11 @@ def test_pattern_ops_reject_bad_patterns():
             dk.aggregate(w, h, W_, b_, diagonal)
     with pytest.raises(ShapeError):
         dk.segment_mean(dk.Tensor(np.ones((2, 1))), dk.Pattern([0, 1, 2, 3], [0, 1, 2], 3, 3))
-    # pair_dot, aggregate and reverse_min refuse a pattern without ``reverse``
+    # attention, aggregate and reverse_min refuse a pattern without ``reverse``
     one_way = dk.Pattern([0, 1, 1], [1], 2, 2)
     two = dk.Tensor(np.ones((2, 2)))
-    with pytest.raises(ShapeError, match="pair_dot needs a symmetric"):
-        dk.pair_dot(two, one_way)
+    with pytest.raises(ShapeError, match="attention needs a symmetric"):
+        dk.attention(two, np.eye(2), one_way)
     with pytest.raises(ShapeError, match="aggregate needs a symmetric"):
         dk.aggregate(dk.Tensor(np.ones((1, 1))), two, np.ones((1, 4)), np.ones((1, 1)), one_way)
     with pytest.raises(ShapeError, match="symmetric"):
@@ -935,11 +1097,25 @@ def test_pattern_ops_reject_bad_patterns():
 @given(st.lists(st.lists(st.floats(-20, 20), min_size=1, max_size=6),
                 min_size=1, max_size=6))
 def test_segment_softmax_segments_sum_to_one(segments):
-    flat = [v for seg in segments for v in seg]
-    indptr = np.cumsum([0] + [len(seg) for seg in segments])
-    pattern = dk.Pattern(indptr, np.zeros(len(flat)), len(segments), 1)
-    out = dk.segment_softmax(dk.Tensor(np.array(flat).reshape(-1, 1)), pattern)
-    for i in range(len(segments)):
+    # one hub node per segment, z = (1, 0), joined to one leaf per value,
+    # z = (20 + v, 0): the hub's slots score 20 + v (softmax ignores the
+    # shift), and each leaf's one slot scores its hub.
+    sizes = [len(seg) for seg in segments]
+    hubs = np.cumsum([0] + [1 + k for k in sizes[:-1]])
+    n = sum(sizes) + len(sizes)
+    x = np.zeros((n, 2))
+    x[hubs, 0] = 1.0
+    neighbours = [[] for _ in range(n)]
+    for hub, seg in zip(hubs, segments):
+        leaves = hub + 1 + np.arange(len(seg))
+        x[leaves, 0] = 20.0 + np.array(seg)
+        neighbours[hub] = list(leaves)
+        for leaf in leaves:
+            neighbours[leaf] = [hub]
+    indptr = np.cumsum([0] + [len(nb) for nb in neighbours])
+    pattern = mirrored(dk.Pattern(indptr, [c for nb in neighbours for c in nb], n, n))
+    out = dk.attention(dk.Tensor(x), dk.Tensor(np.eye(2)), pattern)
+    for i in range(n):
         total = out.values[indptr[i]:indptr[i + 1], 0].sum()
         assert abs(total - 1.0) < 1e-9
 

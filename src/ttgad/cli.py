@@ -223,8 +223,6 @@ def _cmd_exp_homophily(args):
         levels = [float(part) for part in args.levels.split(",") if part.strip()]
     except ValueError as e:
         raise ConfigError(f"invalid --levels: {e}") from e
-    if not levels or any(not 0.0 <= lv <= 1.0 for lv in levels):
-        raise ConfigError("--levels must be homophily values in [0, 1]")
     bundle = centroids = None
     if args.checkpoint is not None:
         loaded = load_checkpoint(args.checkpoint)

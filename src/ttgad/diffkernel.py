@@ -49,6 +49,8 @@ Design constraints honored throughout:
 
 - all math in float64 (a float32 input is upcast before any arithmetic);
   every op validates that its output is finite;
+- bitwise reproducible at a fixed numpy/BLAS build and thread count only;
+  README's tolerance contract bounds what row blocks and threads move;
 - the relu of :func:`linear`, :func:`attention` and :func:`aggregate` has
   zero derivative at exactly 0;
 - their bias is the only broadcast; :func:`add` and
@@ -221,23 +223,14 @@ _CHUNK_BYTES = 1 << 18
 
 
 # Products of a dense operand with a weight run in row blocks of about
-# _BLOCK_BYTES of float64 operand (a float32 input of linear is upcast one
-# block at a time, aggregate's message exists one block at a time), each
-# holding at least _BLOCK_MIN_OUT output values. BLAS picks its kernel by the
-# product's shape, and a short block can get one that sums in another order
-# (OpenBLAS takes gemv for one row and a small-matrix kernel for a few), so
-# long blocks keep every row bitwise the whole product's. A one-column
-# product is a gemv whose rows depend on how its threads split the whole, so
-# it is one block.
+# _BLOCK_BYTES of float64 operand: a float32 input of linear is upcast one
+# block at a time, and aggregate's message exists one block at a time.
 _BLOCK_BYTES = 4 * _CHUNK_BYTES
-_BLOCK_MIN_OUT = 1 << 12
 
 
-def _row_blocks(n, cols, width):
-    """``(lo, hi)`` row blocks for ``(n, cols) @ (cols, width)``; see _BLOCK_BYTES."""
-    if width == 1:
-        return [(0, n)]
-    rows = max(_BLOCK_BYTES // (8 * max(cols, 1)), -(-_BLOCK_MIN_OUT // max(width, 1)), 2)
+def _row_blocks(n, cols):
+    """``(lo, hi)`` row blocks of an ``(n, cols)`` operand; see _BLOCK_BYTES."""
+    rows = max(_BLOCK_BYTES // (8 * max(cols, 1)), 1)
     count = max(1, n // rows)  # so every block has between rows and 2 * rows rows
     bounds = [n * i // count for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -247,20 +240,19 @@ def linear(x, W, b=None, relu=False):
     """``x @ W.T + b``, then relu if asked; one tape record.
 
     ``b`` is (1, out). The relu mask is ``out > 0``, so the derivative at
-    exactly 0 is 0. A frozen ``x`` may hold float32 values: it is upcast in
-    row blocks for the product, and once, whole, for ``W``'s gradient, whose
-    sum over rows must not be split.
+    exactly 0 is 0. Both the product and ``W``'s gradient run over row
+    blocks of ``x``, upcast one block at a time, so a frozen ``x`` may hold
+    float32 values and no float64 copy of it is made.
     """
     x, W = _as_tensor(x), _as_tensor(W)
     bias = [] if b is None else [_as_tensor(b)]
     if x.shape[1] != W.shape[1] or any(t.shape != (1, W.shape[0]) for t in bias):
         raise ShapeError(f"linear: {x.shape} through {W.shape} + {[t.shape for t in bias]}")
-    if x.values.dtype == np.float64:
-        vals = x.values @ W.values.T
-    else:  # upcast one row block at a time, so no float64 copy of x exists
-        vals = np.empty((x.shape[0], W.shape[0]))
-        for lo, hi in _row_blocks(*x.shape, W.shape[0]):
-            np.matmul(x.values[lo:hi].astype(np.float64), W.values.T, out=vals[lo:hi])
+    blocks = _row_blocks(*x.shape)
+    vals = np.empty((x.shape[0], W.shape[0]))
+    for lo, hi in blocks:
+        np.matmul(x.values[lo:hi].astype(np.float64, copy=False), W.values.T,
+                  out=vals[lo:hi])
     for t in bias:
         vals += t.values
     if relu:
@@ -272,15 +264,19 @@ def linear(x, W, b=None, relu=False):
     mask = vals > 0 if relu else None
     wv = W.values if x.requires_grad else None
     xv = x.values if W.requires_grad else None
+    w_shape = W.shape
     bias_trains = [t.requires_grad for t in bias]
 
     def bwd(g):
         if mask is not None:
             g *= mask
-        grads = [None if wv is None else g @ wv,
-                 None if xv is None else g.T @ xv.astype(np.float64, copy=False)]
-        return grads + [g.sum(axis=0, keepdims=True) if live else None
-                        for live in bias_trains]
+        gW = None
+        if xv is not None:
+            gW = np.zeros(w_shape)
+            for lo, hi in blocks:
+                gW += g[lo:hi].T @ xv[lo:hi].astype(np.float64, copy=False)
+        return [None if wv is None else g @ wv, gW] + [
+            g.sum(axis=0, keepdims=True) if live else None for live in bias_trains]
 
     _record(out, (x, W, *bias), bwd)
     return out
@@ -610,9 +606,9 @@ def aggregate(w, x, W, b, pattern):
     zero), ``W`` is (out, 2 * width) and ``b`` is (1, out). ``W``'s left
     column block meets the message ``M_w @ x`` and its right block ``x``.
     The output starts as ``x @ W_x.T``, and the message's product is added
-    one row block of :func:`_row_blocks` at a time, so every row is bitwise
-    the sum of the two whole products and the (nodes, width) message exists
-    only when ``W`` trains, since its gradient reads the message whole.
+    one row block of :func:`_row_blocks` at a time, so the (nodes, width)
+    message exists only when ``W`` trains, since its gradient reads the
+    message whole.
     Backward adds ``M_w.T``'s share of ``x``'s gradient in the same row
     blocks, after the dense share, as the unfused ops accumulated them.
     """
@@ -627,7 +623,7 @@ def aggregate(w, x, W, b, pattern):
     W_m, W_x = W.values[:, :k], W.values[:, k:]
     message = _csr(wv, pattern) @ xv if _ACTIVE_TAPES and W.requires_grad else None
     vals = xv @ W_x.T
-    blocks = _row_blocks(n, k, W.shape[0])
+    blocks = _row_blocks(n, k)
     buf = np.empty((max(hi - lo for lo, hi in blocks), W.shape[0]))
     for lo, hi in blocks:
         block = _csr_rows(wv, pattern, lo, hi) @ xv if message is None else message[lo:hi]

@@ -106,6 +106,8 @@ def homophily_sweep(levels=DEFAULT_LEVELS, seeds=5, num_nodes=400,
     if seeds < 1:  # no seeds has no median
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
     levels = [float(lv) for lv in levels]
+    if not levels or not all(0.0 <= lv <= 1.0 for lv in levels):  # NaN lies in no range
+        raise ConfigError(f"levels must be homophily values in [0, 1], got {levels}")
     if len(set(levels)) != len(levels):  # a repeat would count its runs twice
         raise ConfigError(f"levels must not repeat, got {levels}")
     shared = bundle is not None

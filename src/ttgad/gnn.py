@@ -53,22 +53,17 @@ class ProjectionEncoder:
     domain: str
 
     def project(self, features):
-        """Map raw node features into the shared embedding space."""
-        if np.ndim(features) == 2:
-            # A read-only view: a forward reads the features and never
-            # needs its own copy of them. float32 features stay float32 for
-            # dk.linear to upcast block by block; the identity encoder's
-            # output is a layer input, so it is upcast once.
-            values = np.asarray(features)
-            keep = values.dtype == np.float32 and self.weight is not None
-            values = np.ascontiguousarray(
-                values, dtype=np.float32 if keep else np.float64).view()
-            values.flags.writeable = False
-            x = dk.Tensor._wrap(values, False)
-        else:
-            x = dk.Tensor(features)
+        """Map raw node features into the shared embedding space.
+
+        The identity encoder upcasts them whole, since its output is a layer
+        input; any other hands float32 to :func:`diffkernel.linear` through
+        a read-only view, as a forward never needs its own copy of them.
+        """
         if self.weight is None:
-            return x
+            return dk.Tensor(features)
+        values = np.ascontiguousarray(features, dtype=np.float32).view()
+        values.flags.writeable = False
+        x = dk.Tensor._wrap(values, False)
         if self.weight.shape[1] != x.shape[1]:
             raise ShapeError(
                 f"{self.domain} encoder expects feature_dim {self.weight.shape[1]}, "

@@ -3,10 +3,10 @@
 Graphs are undirected, simple (no self-loops, no parallel edges), stored as
 CSR over directed slots: every undirected edge {u, v} appears as two slots
 (u -> v) and (v -> u). Column indices are sorted within each row. Features
-stay in memory at the precision they arrive in: float32 features (generated
-or loaded, since the disk format stores float32) stay float32, and any
-other features are held as float64. Only the encoder's projection reads
-them, and it upcasts float32 rows to float64 a block at a time.
+are held as float32, the precision of the disk format, whatever dtype they
+arrive in; a value that is not finite as float32 is refused when the graph
+is built. Only the encoder's projection reads them, and it upcasts them to
+float64 a block of rows at a time.
 
 Disk layout of a graph bundle directory:
 
@@ -24,6 +24,7 @@ import os
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -55,18 +56,19 @@ class AttributedGraph:
     is the graph's one :class:`diffkernel.Pattern`; ``indptr``, ``indices``,
     ``slot_src`` (each directed slot's source node) and ``reverse_slot``
     (the permutation from slot u -> v to slot v -> u) are its arrays.
-    ``features`` is C-contiguous: float32 when given float32, else float64.
+    ``features`` is C-contiguous float32, converted once from any real
+    dtype; ids and labels must be whole numbers.
     """
 
     def __init__(self, name, num_nodes, indptr, indices, features, labels=None):
         self.name = str(name)
-        self.num_nodes = int(num_nodes)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        features = np.asarray(features)
-        self.features = np.ascontiguousarray(
-            features, dtype=np.float32 if features.dtype == np.float32 else np.float64)
-        self.labels = None if labels is None else np.ascontiguousarray(labels, dtype=np.int64)
+        self.num_nodes = int(_whole("num_nodes", num_nodes))
+        self.indptr = _whole("indptr", indptr)
+        self.indices = _whole("indices", indices)
+        features = _numeric("features", features)
+        with np.errstate(over="ignore"):  # beyond float32's range is inf, counted below
+            self.features = np.ascontiguousarray(features, dtype=np.float32)
+        self.labels = None if labels is None else _whole("labels", labels)
         self._validate()
 
     def _validate(self):
@@ -80,8 +82,10 @@ class AttributedGraph:
         self.slot_src = self.pattern.rows
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise DataError("features must be a (num_nodes, feature_dim) matrix")
-        if not np.all(np.isfinite(self.features)):
-            raise DataError("features must be finite")
+        bad = self.features.size - np.count_nonzero(np.isfinite(self.features))
+        if bad:
+            raise DataError(f"features must be finite as float32: {bad} value(s) are "
+                            "non-finite or beyond its range")
         if self.labels is not None:
             if self.labels.shape != (n,):
                 raise DataError("labels must have one entry per node")
@@ -157,14 +161,33 @@ class AttributedGraph:
                 f"edges={self.num_edges}, dim={self.feature_dim}, {lab})")
 
 
+def _numeric(what, values):
+    """``values`` as an array of bool, integer or float dtype, or DataError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as e:  # ragged nesting
+        raise DataError(f"{what}: {e}") from e
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def _whole(what, values):
+    """``values`` as C-contiguous int64; a value it would truncate is refused."""
+    arr = _numeric(what, values)
+    if arr.dtype.kind == "f" and not np.all((np.trunc(arr) == arr) & (np.abs(arr) < 2.0 ** 63)):
+        raise DataError(f"{what} must be whole numbers")
+    return np.asarray(arr, dtype=np.int64, order="C")
+
+
 def build_graph(name, num_nodes, edges, features, labels=None):
     """Build a validated graph from an arbitrary edge list.
 
     Accepts either orientation per edge, drops self-loops (with a warning),
     deduplicates, mirrors every edge, and sorts rows.
     """
-    n = int(num_nodes)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n = int(_whole("num_nodes", num_nodes))
+    edges = _whole("edge ids", edges).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise DataError("node id out of range in edge list")
     loops = edges[:, 0] == edges[:, 1]
@@ -202,15 +225,8 @@ def _id_text(ids, seps):
 def save_graph(graph, path):
     """Write a graph bundle directory; returns the directory path.
 
-    Features are written as float32. Float64 features beyond float32's
-    range raise :class:`DataError` before any file is written.
+    Features are written as the graph holds them, float32.
     """
-    with np.errstate(over="ignore"):
-        features = np.ascontiguousarray(graph.features, dtype="<f4")
-    overflow = np.count_nonzero(np.isinf(features))  # the graph's are finite
-    if overflow:
-        raise DataError(f"save_graph: {overflow} feature value(s) lie beyond float32's "
-                        "range and cannot be stored")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -221,7 +237,7 @@ def save_graph(graph, path):
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     (out / "edges.tsv").write_bytes(_id_text(graph.undirected_edges, b"\t\n"))
-    features.tofile(out / "features.bin")
+    np.ascontiguousarray(graph.features, dtype="<f4").tofile(out / "features.bin")
     if graph.labels is not None:
         (out / "labels.tsv").write_bytes(_id_text(graph.labels, b"\n"))
     return out
@@ -464,6 +480,13 @@ _DRAW_BLOCK_BYTES = 1 << 20
 
 
 def _validate_spec(spec):
+    for name, kind in (("num_nodes", Integral), ("feature_dim", Integral), ("seed", Integral),
+                       ("anomaly_rate", Real), ("target_homophily", Real),
+                       ("mean_degree", Real), ("noise_scale", Real)):
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, kind):  # as RunConfig's fields
+            raise DataError(f"{name} must be {'an integer' if kind is Integral else 'a number'}"
+                            f", got {value!r}")
     if spec.num_nodes < 2:
         raise DataError("num_nodes must be at least 2")
     if spec.feature_dim < 1:

@@ -480,6 +480,24 @@ class TestExperimentCommands:
         with pytest.raises(ConfigError, match="must not repeat"):
             experiments.homophily_sweep(levels=(0.5, 0.5), seeds=1)
 
+    @pytest.mark.parametrize("levels", [[], [0.5, 1.5], [float("nan")], [-0.1]],
+                             ids=["empty", "above", "nan", "below"])
+    def test_homophily_sweep_refuses_levels_before_any_fit(self, levels, monkeypatch):
+        from ttgad import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        for name in ("generate_synthetic", "train_source", "adapt_target"):
+            monkeypatch.setattr(experiments, name, never)
+        with pytest.raises(ConfigError, match=r"levels must be homophily values in \[0, 1\]"):
+            experiments.homophily_sweep(levels=levels, seeds=2)
+
+    def test_homophily_levels_out_of_range_exit_1(self, capsys):
+        assert main(["exp-homophily", "--auto-train", "--levels", "0.5,1.5"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "[0, 1]" in err and not out
+
     @pytest.mark.parametrize("seeds", [0, -1])
     def test_adaptation_benefit_refuses_no_seeds(self, seeds, monkeypatch):
         from ttgad import experiments

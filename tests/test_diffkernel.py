@@ -320,13 +320,13 @@ def test_linear_add_against_numpy():
 @pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("relu", [False, True])
 def test_linear_against_numpy(monkeypatch, blocks, bias, relu):
-    # a float64 input is one product; a float32 input of 2100 rows through
-    # 4 outputs is upcast in two row blocks when the byte budget is 0
-    monkeypatch.setattr(dk, "_BLOCK_BYTES", 0)
+    # at a budget of 1000 rows of width 3, a 5-row float64 input is one
+    # block and a float32 input of 2100 rows is upcast in two
+    monkeypatch.setattr(dk, "_BLOCK_BYTES", 1000 * 8 * 3)
     rng = np.random.default_rng(blocks)
     x = rng.standard_normal((5, 3)) if blocks == 1 else rng.standard_normal(
         (2100, 3)).astype(np.float32)
-    assert len(dk._row_blocks(x.shape[0], 3, 4)) == blocks
+    assert len(dk._row_blocks(x.shape[0], 3)) == blocks
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal((1, 4)) if bias else None
     out = dk.linear(dk.Tensor._wrap(x, False), dk.Tensor(w),
@@ -339,9 +339,8 @@ def test_linear_against_numpy(monkeypatch, blocks, bias, relu):
 @pytest.mark.parametrize("block_bytes", [0, dk._BLOCK_BYTES], ids=["floor", "default"])
 def test_linear_float32_input_is_bitwise_the_float64_product(monkeypatch, block_bytes):
     # A frozen float32 input is upcast in row blocks, here at row counts no
-    # block length divides; with no byte budget only the floor of output
-    # values per block is left. Output and W's gradient must match the
-    # float64 input's bitwise.
+    # block length divides; with no byte budget each block is one row.
+    # Output and W's gradient must match the float64 input's bitwise.
     monkeypatch.setattr(dk, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(0)
     for n, d, p in [(9001, 32, 40), (5003, 128, 6), (4099, 3, 16), (6007, 64, 1), (1, 5, 4)]:
@@ -853,7 +852,7 @@ def test_aggregate_skips_gradient_of_frozen_side():
 
 @pytest.mark.parametrize("n, block_bytes, blocks", [
     (9, None, 1),        # isolated nodes, one block
-    (1001, 0, 9),        # the floor of output values per block: 111 or 112 rows
+    pytest.param(1001, 111 * 8 * 40, 9, id="1001-0-9"),  # 111 or 112 rows
     (9001, None, 2),     # the default budget: 4500 or 4501 rows
 ])
 @pytest.mark.parametrize("weights", ["attention", "plain"])
@@ -865,7 +864,7 @@ def test_aggregate_is_bitwise_the_spmm_and_two_input_linear(monkeypatch, n, bloc
     if block_bytes is not None:
         monkeypatch.setattr(dk, "_BLOCK_BYTES", block_bytes)
     width = 40
-    assert len(dk._row_blocks(n, width, width)) == blocks
+    assert len(dk._row_blocks(n, width)) == blocks
     rng = np.random.default_rng(n)
     pattern = sparse_symmetric_pattern(rng, n, mean_degree=8, isolated=2)
     degrees = np.maximum(np.diff(pattern.indptr), 1)

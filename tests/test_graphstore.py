@@ -5,6 +5,7 @@ import json
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,8 @@ def test_features_stored_as_float32(tmp_path):
 
 
 def test_features_keep_the_precision_they_arrive_in(tmp_path):
+    # every graph holds float32 features, the disk precision, whatever
+    # dtype they arrive in
     spec = SyntheticSpec(num_nodes=30, feature_dim=3, anomaly_rate=0.2,
                          target_homophily=0.8, mean_degree=4, seed=1)
     generated = generate_synthetic(spec)
@@ -202,7 +205,7 @@ def test_features_keep_the_precision_they_arrive_in(tmp_path):
     wide = generated.features.astype(np.float64)
     twin = build_graph(generated.name, 30, generated.undirected_edges, wide,
                        generated.labels)
-    assert twin.features.dtype == np.float64 and graphs_equal(twin, generated)
+    assert twin.features.dtype == np.float32 and graphs_equal(twin, generated)
     save_graph(twin, tmp_path / "twin")
     assert (tmp_path / "twin" / "features.bin").read_bytes() \
         == (tmp_path / "gen" / "features.bin").read_bytes()
@@ -210,21 +213,50 @@ def test_features_keep_the_precision_they_arrive_in(tmp_path):
     strided = np.asfortranarray(generated.features)
     kept = build_graph("g", 30, generated.undirected_edges, strided)
     assert kept.features.dtype == np.float32 and kept.features.flags.c_contiguous
-    for other in (np.float16, np.int64):
+    for other in (np.float16, np.float64, np.int64, bool):
         assert build_graph("g", 2, [(0, 1)], np.ones((2, 2), dtype=other)).features.dtype \
-            == np.float64
+            == np.float32
 
 
 def test_save_graph_refuses_features_beyond_float32_range(tmp_path):
+    # the refusal comes when the graph is built, so no such graph reaches
+    # save_graph
     feats = np.array([[1e39, 0.5], [-1e39, 3.0e38]])
-    g = build_graph("g", 2, [(0, 1)], feats)
-    with pytest.raises(DataError, match="2 feature value"):
-        save_graph(g, tmp_path / "g")
-    assert not (tmp_path / "g").exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing cast stays silent
+        with pytest.raises(DataError, match="2 value"):
+            build_graph("g", 2, [(0, 1)], feats)
     fits = build_graph("g", 2, [(0, 1)], np.array([[3.0e38, -3.4e38], [1e-40, 0.5]]))
     save_graph(fits, tmp_path / "fits")
     back = load_graph(tmp_path / "fits")
-    np.testing.assert_array_equal(back.features, fits.features.astype(np.float32))
+    np.testing.assert_array_equal(back.features, fits.features)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"edges": [(1.9, 0)]}, "edge ids must be whole numbers"),
+    ({"edges": [(1.0, float("nan"))]}, "edge ids must be whole numbers"),
+    ({"edges": [(1e30, 0)]}, "edge ids must be whole numbers"),
+    ({"edges": [("1", "0")]}, "edge ids must be real numbers"),
+    ({"num_nodes": 3.5}, "num_nodes must be whole numbers"),
+    ({"labels": [0.7, 1, 0]}, "labels must be whole numbers"),
+    ({"labels": ["0", "1", "0"]}, "labels must be real numbers"),
+    ({"features": np.ones((3, 2)) + 1j}, "features must be real numbers"),
+    ({"features": [["a", "b"]] * 3}, "features must be real numbers"),
+    ({"features": [[1.0, 2.0], [3.0], [4.0, 5.0]]}, "features: "),
+    ({"features": [[np.inf, 0.0], [np.nan, 1.0], [2.0, 3.0]]}, "2 value"),
+], ids=["fraction-id", "nan-id", "huge-id", "string-id", "fraction-num-nodes",
+        "fraction-label", "string-label", "complex-feature", "string-feature",
+        "ragged-features", "nonfinite-features"])
+def test_build_graph_refuses_values_it_would_change(change, message):
+    # no count, id or label is truncated and no feature loses a part: each
+    # is refused, with no warning on the way
+    args = {"num_nodes": 3, "edges": [(1, 0)], "features": np.ones((3, 2)), "labels": None}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message):
+            build_graph("g", **{**args, **change})
+    whole = build_graph("g", 3.0, [(1.0, 0.0)], np.ones((3, 2), dtype=int), [0.0, 1.0, 0.0])
+    assert whole.undirected_edges.tolist() == [[0, 1]] and whole.labels.tolist() == [0, 1, 0]
 
 
 def test_generate_refuses_spec_past_physical_memory():
@@ -560,6 +592,24 @@ def test_generate_synthetic_validates_spec():
             generate_synthetic(SyntheticSpec(num_nodes=40, feature_dim=2,
                                              anomaly_rate=0.2, target_homophily=0.5,
                                              mean_degree=4.0, noise_scale=noise))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_nodes", 10.5), ("num_nodes", 50.0), ("feature_dim", 2.5), ("seed", 1.5),
+    ("seed", "a"), ("seed", True), ("anomaly_rate", "0.2"), ("mean_degree", None),
+])
+def test_generate_synthetic_refuses_spec_fields_of_the_wrong_type(field, value, monkeypatch):
+    spec = SyntheticSpec(num_nodes=50, feature_dim=2, anomaly_rate=0.2,
+                         target_homophily=0.5, seed=1)
+    # numpy scalars are numbers too
+    generate_synthetic(replace(spec, num_nodes=np.int64(50), anomaly_rate=np.float32(0.2)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("drawing started before the refusal")
+
+    monkeypatch.setattr(graphstore.np.random, "default_rng", never)
+    with pytest.raises(DataError, match=f"{field} must be"):
+        generate_synthetic(replace(spec, **{field: value}))
 
 
 def test_generate_synthetic_infeasible_mix():

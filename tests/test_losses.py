@@ -114,8 +114,9 @@ def test_affinity_is_scale_invariant(scale, seed):
     rng = np.random.default_rng(seed)
     g = build_graph("s", 4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                     rng.standard_normal((4, 3)))
-    base = losses.affinity_scores(dk.Tensor(g.features), g).values()
-    scaled = losses.affinity_scores(dk.Tensor(scale * g.features), g).values()
+    x = g.features.astype(np.float64)  # scaled in float64, not in float32
+    base = losses.affinity_scores(dk.Tensor(x), g).values()
+    scaled = losses.affinity_scores(dk.Tensor(scale * x), g).values()
     np.testing.assert_allclose(scaled, base, atol=1e-9)
 
 

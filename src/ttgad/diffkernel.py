@@ -23,23 +23,22 @@ Message passing runs on ops over a :class:`Pattern`: a CSR pattern whose
 slot ``s`` of row ``r`` (``indptr[r] <= s < indptr[r + 1]``) pairs row ``r``
 with column ``indices[s]``. Its owner validates it once; the ops check only
 shapes against it. :func:`attention` is a layer's attention (a relu
-projection, an SDDMM of it with itself and a softmax over each row's slots),
-:func:`aggregate` a message-passing layer (an SpMM fused with the dense
-transform that reads it, after FusedMM), :func:`pair_cosine` the per-slot
-cosine, :func:`segment_mean` the mean over each row's slots, and
-:func:`reverse_min` takes the min of each slot and its mirror. The backward
-passes of the first three are SpMMs with ``scipy.sparse.csr_matrix`` plus
-per-row scalars (and, for the slot weights of :func:`aggregate`, an SDDMM),
-so a pattern op keeps only per-slot scalars and per-node rows alive on the
-tape; per-slot rows exist only in bounded chunks inside one call. A record
-keeps what backward cannot cheaply recompute: :func:`attention` keeps its
-input, weight and output and recomputes the projection, and
-:func:`pair_cosine` and :func:`reverse_min` recompute their per-slot
-denominators and tie shares.
+projection, an SDDMM of it with itself, a softmax over each row's slots and
+the min of each slot and its mirror), :func:`aggregate` a message-passing
+layer (an SpMM fused with the dense transform that reads it, after FusedMM),
+:func:`pair_cosine` the per-slot cosine and :func:`segment_mean` the mean
+over each row's slots. The backward passes of the first three are SpMMs
+with ``scipy.sparse.csr_matrix`` plus per-row scalars (and, for the slot
+weights of :func:`aggregate`, an SDDMM), so a pattern op keeps only
+per-slot scalars and per-node rows alive on the tape; per-slot rows exist
+only in bounded chunks inside one call. A record keeps what backward cannot
+cheaply recompute: :func:`attention` keeps its input, weight and softmax
+and recomputes the projection and the min's tie shares, and
+:func:`pair_cosine` recomputes its per-slot denominators.
 
-:func:`attention`, :func:`aggregate` and :func:`reverse_min` need a
-symmetric pattern, one whose owner set ``reverse``, and refuse any other;
-only :func:`pair_cosine` also runs on a non-symmetric one, on the CSC view.
+:func:`attention` and :func:`aggregate` need a symmetric pattern, one whose
+owner set ``reverse``, and refuse any other; only :func:`pair_cosine` also
+runs on a non-symmetric one, on the CSC view.
 On a symmetric pattern the SDDMMs compute only the slots with ``row <= col``
 and copy each value to its mirror, and ``M.T`` is ``csr(data[reverse])`` on
 the same pattern, so every backward runs CSR SpMMs only.
@@ -72,7 +71,7 @@ __all__ = [
     "Tensor", "Tape", "Gradients",
     "linear", "add", "sigmoid", "elementwise_mul",
     "scalar_mul", "sum", "masked_row_softmax",
-    "Pattern", "segment_mean", "reverse_min",
+    "Pattern", "segment_mean",
     "attention", "aggregate", "pair_cosine",
     "binary_cross_entropy", "dropout",
     "AdamState", "adam_step", "GradCheckReport", "grad_check",
@@ -368,8 +367,8 @@ def masked_row_softmax(scores, mask):
 
 
 # ---------------------------------------------------------------------------
-# Sparse pattern ops over a CSR Pattern: segment reductions, the reverse-slot
-# min, SDDMM, the fused message-passing layer and pair cosine
+# Sparse pattern ops over a CSR Pattern: segment reductions, attention, the
+# fused message-passing layer and pair cosine
 
 
 class Pattern:
@@ -478,32 +477,6 @@ def segment_mean(x, pattern):
     return out
 
 
-def reverse_min(x, pattern):
-    """``min(x[s], x[reverse[s]])`` per slot of a symmetric pattern.
-
-    The gradient of each output goes to the smaller of its two slots, split
-    0.5 each on a tie, so the result is exactly symmetric. The record keeps
-    the input, which in message passing the attention record keeps too, and
-    derives those shares in backward.
-    """
-    x = _as_tensor(x)
-    rev = _reverse("reverse_min", pattern)
-    _check_slots("reverse_min", x, pattern)
-    xv = x.values
-    mirrored = xv[rev]
-    out = _make("reverse_min", np.minimum(xv, mirrored), x)
-
-    def bwd(g):
-        mirrored = xv[rev]
-        # the share of each output's gradient that its own slot takes
-        wa = np.where(xv < mirrored, 1.0, np.where(xv == mirrored, 0.5, 0.0))
-        return (g * wa + (g * (1.0 - wa))[rev],)
-
-    if _recording(out):
-        _record(out, (x,), bwd)
-    return out
-
-
 def _csr(data, pattern):
     indices, indptr = pattern.csr_index
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=pattern.shape)
@@ -557,16 +530,19 @@ def _relu_product(xv, Uv):
 
 
 def attention(x, U, pattern):
-    """A layer's attention on a symmetric pattern, shape (slots, 1); one tape record.
+    """A layer's attention on a symmetric pattern: ``(pre, weights)``, one tape record.
 
     With ``z = relu(x @ U.T)``, slot ``s`` scores ``z[row(s)] · z[indices[s]]``
-    (an SDDMM over the ``row <= col`` slots) and the scores are
-    softmax-normalized over each row's slots, so a row without slots has no
-    output. The record keeps ``x``, ``U`` and the output, not ``z``:
-    backward recomputes ``z``, bitwise the forward's, then runs the
-    softmax's backward, one SpMM into ``z``'s gradient, the relu mask
-    ``z > 0`` (zero derivative at exactly 0) and the two products of the
-    projection.
+    (an SDDMM over the ``row <= col`` slots), and ``pre`` is the softmax of
+    the scores over each row's slots, so a row without slots has no output.
+    ``weights`` is ``min(pre[s], pre[reverse[s]])``: exactly symmetric, not
+    renormalized, and the record's output. Both are (slots, 1); ``pre`` is
+    frozen and read-only, for inspection, and carries no gradient.
+    The record keeps ``x``, ``U`` and ``pre``, not ``z``. Backward gives each
+    weight's gradient to the smaller of its two slots, 0.5 each on a tie,
+    recomputes ``z``, bitwise the forward's, then runs the softmax's
+    backward, one SpMM into ``z``'s gradient, the relu mask ``z > 0`` (zero
+    derivative at exactly 0) and the two products of the projection.
     """
     x, U = _as_tensor(x), _as_tensor(U)
     rev = _reverse("attention", pattern)
@@ -577,14 +553,26 @@ def attention(x, U, pattern):
     z = _relu_product(xv, Uv)
     scores = _self_dot(z, pattern)
     p = _segment_softmax(scores, pattern)
-    out = _make("attention", p.reshape(-1, 1), x, U)
+    p.flags.writeable = False
+    pre = Tensor._wrap(p.reshape(-1, 1), False)
+    # p lies in [0, 1] or is NaN, which the min keeps: one scan checks both
+    out = _make("attention", np.minimum(p, p[rev]).reshape(-1, 1), x, U)
     if not _recording(out):
-        return out
+        return pre, out
     indptr, seg = pattern.indptr, pattern.rows
     train_x, train_U = x.requires_grad, U.requires_grad
 
     def bwd(g):
+        mirrored = p[rev]
+        # the share of each weight's gradient that its own slot takes
+        own = np.where(p < mirrored, 1.0, np.where(p == mirrored, 0.5, 0.0))
+        del mirrored
+        # the softmax's gradient, built in g: no per-slot array joins it
         gp = g[:, 0]
+        to_mirror = (gp * (1.0 - own))[rev]
+        gp *= own
+        gp += to_mirror
+        del own, to_mirror
         inner = _segment_sums(p * gp, indptr)
         g_scores = p * (gp - inner[seg])
         z = _relu_product(xv, Uv)
@@ -595,7 +583,7 @@ def attention(x, U, pattern):
         return (gz @ Uv if train_x else None, gz.T @ xv if train_U else None)
 
     _record(out, (x, U), bwd)
-    return out
+    return pre, out
 
 
 def aggregate(w, x, W, b, pattern):

@@ -11,13 +11,13 @@ Message passing is sparse-matrix algebra over the graph's
 :class:`diffkernel.Pattern`. A layer's attention is one
 :func:`diffkernel.attention` record: an SDDMM of the relu-projected
 embeddings with themselves, one score per directed slot, softmax-normalized
-over each node's neighborhood. It is symmetrized by
-:func:`diffkernel.reverse_min` against the reverse slot. Each layer is one
-:func:`diffkernel.aggregate`: the SpMM of those slot weights, or of
-1/degree in plain mode, with the layer input, fused with the layer's dense
-transform, so the aggregated message is added into the output one row block
-at a time. Entries outside the adjacency never exist, so they are exactly
-zero with exactly zero gradient.
+over each node's neighborhood and symmetrized by the min with the reverse
+slot. It returns the softmax too, which :class:`LayerAttention` keeps for
+inspection. Each layer is one :func:`diffkernel.aggregate`: the SpMM of
+those slot weights, or of 1/degree in plain mode, with the layer input,
+fused with the layer's dense transform, so the aggregated message is added
+into the output one row block at a time. Entries outside the adjacency
+never exist, so they are exactly zero with exactly zero gradient.
 """
 
 import itertools
@@ -34,7 +34,6 @@ from .graphstore import AttributedGraph
 __all__ = [
     "ProjectionEncoder", "NsawLayer", "PredictorHead", "ModelBundle",
     "LayerAttention", "AttentionMatrices",
-    "compute_attention", "symmetrize_attention",
     "nsaw_layer_forward", "forward_embeddings", "predict",
     "init_encoder", "init_bundle", "assemble_bundle",
     "parameter_shapes",
@@ -275,21 +274,6 @@ def parameter_shapes(feature_dim, p, hidden_dim, attn_dim, num_layers,
 # Forward passes
 
 
-def compute_attention(layer, h, graph):
-    """Row-softmax attention per directed slot, shape (num_slots, 1).
-
-    Scores are dot products of ``relu(h @ U.T)`` endpoint rows, normalized
-    over each node's neighborhood, as one :func:`diffkernel.attention`
-    record. Rows of isolated nodes simply have no slots.
-    """
-    return dk.attention(h, layer.U, graph.pattern)
-
-
-def symmetrize_attention(attention, graph):
-    """min(A[u,v], A[v,u]) per slot; exactly symmetric, no renormalization."""
-    return dk.reverse_min(attention, graph.pattern)
-
-
 def nsaw_layer_forward(layer, h, graph, weights):
     """One layer, ``relu([message | h] @ W.T + b)``, as one :func:`diffkernel.aggregate`.
 
@@ -324,8 +308,7 @@ def forward_embeddings(bundle, graph, domain, training=False, rng=None,
     for layer in bundle.layers:
         x = dk.dropout(h, dropout_rate, rng, training)
         if bundle.nsaw_enabled:
-            pre = compute_attention(layer, x, graph)
-            weights = symmetrize_attention(pre, graph)
+            pre, weights = dk.attention(x, layer.U, graph.pattern)
             attentions.layers.append(LayerAttention(pre_sym=pre, sym=weights, graph=graph))
         h = nsaw_layer_forward(layer, x, graph, weights)
     return h, attentions

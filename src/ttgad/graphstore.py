@@ -495,10 +495,9 @@ def _validate_spec(spec):
         raise DataError("anomaly_rate must lie in (0, 0.5)")
     if not (0.0 <= spec.target_homophily <= 1.0):
         raise DataError("target_homophily must lie in [0, 1]")
-    if not spec.mean_degree >= 0:
-        raise DataError("mean_degree must be non-negative")
-    if spec.noise_scale < 0:
-        raise DataError("noise_scale must be non-negative")
+    for name in ("mean_degree", "noise_scale"):
+        if not 0 <= getattr(spec, name) < math.inf:
+            raise DataError(f"{name} must be finite and non-negative, got {getattr(spec, name)}")
     if spec.seed < 0:
         raise DataError("seed must be non-negative")
     # Generation holds the float32 features, one float64 row block of the

@@ -19,6 +19,7 @@ rows turn ranks into node ids. Cosine gradients return to the nodes as
 SpMMs, with no per-pair embedding copies kept for backward.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,13 +50,15 @@ class LossWeights:
 
     def validate(self):
         for name in ("self_weight", "nonneighbor_weight", "class_reg_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative, "
+                                  f"got {getattr(self, name)}")
         if isinstance(self.anomaly_weight, str):
             if self.anomaly_weight != "auto":
                 raise ConfigError("anomaly_weight must be a number or 'auto'")
-        elif self.anomaly_weight < 1:
-            raise ConfigError("anomaly_weight must be at least 1")
+        elif not 1 <= self.anomaly_weight < math.inf:
+            raise ConfigError(f"anomaly_weight must be finite and at least 1, "
+                              f"got {self.anomaly_weight}")
         if self.neg_samples_k < 1:
             raise ConfigError("neg_samples_k must be at least 1")
         return self
@@ -244,4 +247,5 @@ def ttt_loss(h, graph, weights, rng):
     Isolated nodes contribute zero affinity; with ``nonneighbor_weight`` 0
     no non-neighbors are drawn.
     """
+    weights.validate()
     return _self_supervised(h, graph, weights, rng)[0]

@@ -6,6 +6,7 @@ and is the reference the sparse implementation is checked against.
 """
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -211,7 +212,7 @@ def test_attention_rows_sum_to_one(triangle_iso):
     bundle = small_bundle(triangle_iso.feature_dim, seed=2)
     layer = bundle.layers[0]
     h = bundle.source_encoder.project(triangle_iso.features)
-    att = gnn.compute_attention(layer, h, triangle_iso)
+    att, _ = dk.attention(h, layer.U, triangle_iso.pattern)
     sums = np.add.reduceat(att.values[:, 0], triangle_iso.indptr[:-1][
         np.diff(triangle_iso.indptr) > 0])
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -219,10 +220,14 @@ def test_attention_rows_sum_to_one(triangle_iso):
 
 
 def test_symmetrize_takes_pairwise_minimum(path3):
-    # Slots are (0->1, 1->0, 1->2, 2->1); min(0.8, 0.2) = 0.2 per pair.
-    att = dk.Tensor(np.array([[0.8], [0.2], [0.6], [0.7]]))
-    sym = gnn.symmetrize_attention(att, path3)
-    np.testing.assert_array_equal(sym.values[:, 0], [0.2, 0.2, 0.6, 0.6])
+    # Slots are (0->1, 1->0, 1->2, 2->1). The end nodes' lone slots softmax
+    # to 1; through U = [1, 0], node 1 scores node 0 at 1 and node 2 at 0,
+    # so its slots softmax to e / (1 + e) and 1 / (1 + e), the pair minima.
+    pre, sym = dk.attention(dk.Tensor(path3.features), dk.Tensor([[1.0, 0.0]]), path3.pattern)
+    p = pre.values[:, 0]
+    np.testing.assert_allclose(p, [1.0, math.e / (1 + math.e), 1 / (1 + math.e), 1.0],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(sym.values[:, 0], [p[1], p[1], p[2], p[2]])
 
 
 def test_symmetrized_attention_is_exactly_symmetric():
@@ -230,8 +235,7 @@ def test_symmetrized_attention_is_exactly_symmetric():
     g = random_graph(rng, 12)
     bundle = small_bundle(g.feature_dim, seed=3)
     h = bundle.source_encoder.project(g.features)
-    pre = gnn.compute_attention(bundle.layers[0], h, g)
-    sym = gnn.symmetrize_attention(pre, g)
+    pre, sym = dk.attention(h, bundle.layers[0].U, g.pattern)
     flat = sym.values[:, 0]
     assert np.array_equal(flat, flat[g.reverse_slot])
     assert np.all(flat <= pre.values[:, 0] + 0.0)
@@ -243,8 +247,7 @@ def test_attention_matches_dense_reference():
     bundle = small_bundle(g.feature_dim, seed=8)
     layer = bundle.layers[0]
     h = bundle.source_encoder.project(g.features)
-    pre = gnn.compute_attention(layer, h, g)
-    sym = gnn.symmetrize_attention(pre, g)
+    pre, sym = dk.attention(h, layer.U, g.pattern)
     a_ref, sym_ref = dense_attention(layer, h.values, dense_adjacency(g))
     dense_pre = np.zeros_like(a_ref)
     dense_sym = np.zeros_like(a_ref)
@@ -263,8 +266,7 @@ def test_masked_attention_entries_get_zero_gradient():
     point = bundle.layers[0].U
     with dk.Tape() as tape:
         h = bundle.source_encoder.project(g.features)
-        pre = gnn.compute_attention(bundle.layers[0], h, g)
-        sym = gnn.symmetrize_attention(pre, g)
+        _, sym = dk.attention(h, bundle.layers[0].U, g.pattern)
         loss = dk.sum(sym)
     grads = tape.backward(loss)
     assert grads[point].shape == point.values.shape

@@ -583,12 +583,13 @@ def test_generate_synthetic_validates_spec():
         generate_synthetic(SyntheticSpec(num_nodes=10, feature_dim=2,
                                          anomaly_rate=0.2,
                                          target_homophily=0.5, seed=-3))
-    with pytest.raises(DataError, match="mean_degree"):
-        generate_synthetic(SyntheticSpec(num_nodes=10, feature_dim=2,
-                                         anomaly_rate=0.2, target_homophily=0.5,
-                                         mean_degree=float("nan")))
+    for degree in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="mean_degree must be finite"):
+            generate_synthetic(SyntheticSpec(num_nodes=10, feature_dim=2,
+                                             anomaly_rate=0.2, target_homophily=0.5,
+                                             mean_degree=degree))
     for noise in (float("nan"), float("inf")):
-        with pytest.raises(DataError, match="features must be finite"):
+        with pytest.raises(DataError, match="noise_scale must be finite"):
             generate_synthetic(SyntheticSpec(num_nodes=40, feature_dim=2,
                                              anomaly_rate=0.2, target_homophily=0.5,
                                              mean_degree=4.0, noise_scale=noise))

@@ -48,7 +48,7 @@ def test_loss_weights_defaults_validate():
     assert w.neg_samples_k == 5
 
 
-def test_loss_weights_rejects_bad_values():
+def test_loss_weights_rejects_bad_values(path3):
     with pytest.raises(ConfigError, match="at least 1"):
         losses.LossWeights(anomaly_weight=0.5).validate()
     with pytest.raises(ConfigError, match="anomaly_weight"):
@@ -57,6 +57,16 @@ def test_loss_weights_rejects_bad_values():
         losses.LossWeights(self_weight=-0.1).validate()
     with pytest.raises(ConfigError, match="neg_samples_k"):
         losses.LossWeights(neg_samples_k=0).validate()
+    for name in ("self_weight", "nonneighbor_weight", "class_reg_weight", "anomaly_weight"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                losses.LossWeights(**{name: value}).validate()
+    # the adaptation objective validates its weights too, as the source one does
+    h = dk.Tensor(path3.features)
+    for bad in (losses.LossWeights(nonneighbor_weight=-1.0),
+                losses.LossWeights(self_weight=float("nan"))):
+        with pytest.raises(ConfigError, match="must be finite and non-negative"):
+            losses.ttt_loss(h, path3, bad, np.random.default_rng(0))
     losses.LossWeights(anomaly_weight="auto").validate()
     losses.LossWeights(anomaly_weight=1).validate()
 

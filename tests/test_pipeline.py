@@ -382,8 +382,10 @@ def test_graph_features_untouched_by_training_and_adaptation():
 # in both modes, every parameter of the adapted model, and each adaptation
 # epoch's loss and selection score, which read the weights after each step.
 CONTRACT_RUN = """
+import itertools
 import sys
 import numpy as np
+import ttgad.pipeline
 from ttgad import evaluation
 from ttgad.graphstore import SyntheticSpec, generate_synthetic
 from ttgad.pipeline import RunConfig, adapt_target, train_source
@@ -403,6 +405,13 @@ arrays = {f"{model}.{mode}": evaluation.score_nodes(m, g, mode=mode).scores
 arrays.update((name, t.values) for name, t in adapted.parameter_items())
 arrays.update((key, np.array([e[key] for e in trace.to_dict()["epochs"]]))
               for key in ("loss", "score"))
+# The selector may keep the fresh encoder; under a rising score it keeps the
+# last epoch, so the trained weights are compared too.
+rising = itertools.count()
+ttgad.pipeline.early_stop_score = lambda values, centroids: float(next(rising))
+trained, trained_trace = adapt_target(bundle, centroids, target, config)
+assert trained_trace.chosen_epoch == config.ttt_max_epochs, trained_trace.chosen_epoch
+arrays["trained.target_encoder.weight"] = trained.target_encoder.weight.values
 np.savez(sys.argv[1], **arrays)
 """
 
@@ -411,7 +420,8 @@ def test_results_agree_within_1e_9_across_blas_thread_counts(tmp_path):
     # README's tolerance contract: a run is bitwise reproducible only at a
     # fixed BLAS thread count (criterion 10). Across thread counts, here 1
     # and 2 OpenBLAS threads on graphs large enough for it to thread, every
-    # score and parameter agrees within 1e-9 of its array's largest magnitude.
+    # score and parameter agrees within 1e-9 of its array's largest magnitude,
+    # the target encoder of a run that kept its last epoch included.
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
@@ -422,6 +432,8 @@ def test_results_agree_within_1e_9_across_blas_thread_counts(tmp_path):
             runs.append(dict(arrays))
     one, two = runs
     assert one.keys() == two.keys() and one["loss"].shape == (2,)
+    assert not np.array_equal(one["trained.target_encoder.weight"],
+                              one["target_encoder.weight"])
     for name, values in one.items():
         scale = np.abs(values).max()
         assert np.abs(two[name] - values).max() <= 1e-9 * scale, name

@@ -188,6 +188,7 @@ class Tape:
                     acc = store.setdefault(token, grad)
                     if acc is not grad:
                         acc += grad
+            acc = grad = None  # else one added into its accumulator lives through the next bwd
         return Gradients(store)
 
 

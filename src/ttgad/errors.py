@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the field type check of
+its config dataclasses.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
 DataError and ShapeError -> 2, NumericalError -> 3, any other
 TtgadError -> 1.
 """
+
+import numbers
+import sys
+from dataclasses import fields
 
 
 class TtgadError(Exception):
@@ -32,3 +37,28 @@ class NumericalError(TtgadError):
 
 class ShapeError(TtgadError, ValueError):
     """Operands with incompatible shapes were passed to a kernel op."""
+
+
+_ABSTRACT_TYPES = {int: numbers.Integral, float: numbers.Real}
+
+
+def _check_field_types(obj):
+    """Raise ConfigError unless each dataclass field holds its annotated type.
+
+    Int fields take any integer and float fields any finite real number,
+    but neither takes a bool; a union field takes any of its members.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kinds = getattr(f.type, "__args__", (f.type,))
+        if isinstance(value, bool):
+            ok = bool in kinds
+        else:
+            ok = any(isinstance(value, _ABSTRACT_TYPES.get(k, k)) for k in kinds)
+        if not ok:
+            kind = getattr(f.type, "__name__", str(f.type))
+            raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
+        # NaN fails the comparison; an int past float range fails it too
+        if float in kinds and isinstance(value, numbers.Real) \
+                and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")

@@ -252,51 +252,63 @@ def _read_text(path):
 
 # Any run of up to 18 decimal digits fits in int64 (whose max has 19).
 _MAX_ID_DIGITS = 18
+_DIGITS = b"0123456789"
 
 
-def _canonical_edges(raw, num_nodes):
-    """The (m, 2) id array of ``edges.tsv`` bytes in exactly the layout
-    :func:`save_graph` writes, with every id below ``num_nodes``.
-
-    Returns None for any other bytes, so the caller's line loop can accept
-    the looser layouts it allows and name the line of a bad one.
-    """
-    if not raw:
-        return np.zeros((0, 2), dtype=np.int64)
-    if raw.translate(None, b"0123456789\t\n") or not raw.endswith(b"\n"):
-        return None
+def _parse_ids(raw, seps):
+    """``(ids, None)`` for bytes in the layout :func:`_id_text` writes, ids
+    as a ``(rows, len(seps))`` int64 array; for any other bytes ``(None,
+    offset)``, the offset of the first byte that departs from the layout."""
+    cols, sep = len(seps), np.frombuffer(seps, dtype=np.uint8)
     b = np.frombuffer(raw, dtype=np.uint8)
-    seps = np.flatnonzero(b < ord("0"))
-    if seps.size % 2 or not ((b[seps[0::2]] == ord("\t")).all()
-                             and (b[seps[1::2]] == ord("\n")).all()):
-        return None
-    widths = np.diff(seps, prepend=-1) - 1
-    if widths.min() < 1 or widths.max() > _MAX_ID_DIGITS:
-        return None
-    ids = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if ids.size != seps.size or int(ids.max()) >= num_nodes:
-        return None
-    return ids.reshape(-1, 2)
+    at = np.flatnonzero(b < ord("0"))  # the separators, once the byte set is checked
+    widths = np.diff(at, prepend=-1) - 1  # of the id before each
+    if (raw.translate(None, _DIGITS + seps) or raw[-1:] not in (b"", seps[-1:]) or at.size % cols
+            or not (b[at].reshape(-1, cols) == sep).all()
+            or widths.min(initial=1) < 1 or widths.max(initial=0) > _MAX_ID_DIGITS):
+        allowed = np.zeros(256, dtype=bool)
+        allowed[np.frombuffer(_DIGITS + seps, dtype=np.uint8)] = True
+        # A byte outside the set, a separator out of turn, an empty or an
+        # overlong id; failing those, a last row cut short at the end.
+        found = (np.flatnonzero(~allowed[b]), at[b[at] != np.resize(sep, at.size)],
+                 at[widths < 1], (at - widths + _MAX_ID_DIGITS)[widths > _MAX_ID_DIGITS],
+                 [b.size])
+        return None, min(int(f[0]) for f in found if len(f))
+    if widths.max(initial=0) <= 1:
+        ids = b[at - 1] - np.int64(ord("0"))
+    else:
+        ids = np.fromstring(raw, dtype=np.int64, sep=" ")
+    return ids.reshape(-1, cols), None
 
 
-def _canonical_labels(raw, num_nodes):
-    """Labels from ``labels.tsv`` bytes that are exactly ``num_nodes`` lines
-    of ``0\\n`` or ``1\\n``; None for any other bytes."""
-    if len(raw) != 2 * num_nodes:
-        return None
-    digits = raw[0::2]
-    if digits.translate(None, b"01") or raw[1::2].translate(None, b"\n"):
-        return None
-    return np.frombuffer(digits, dtype=np.uint8).astype(np.int64) - ord("0")
+def _read_ids(path, seps, limit, out_of_range):
+    """The ``(rows, len(seps))`` ids of a file :func:`save_graph` wrote: each
+    id 1 to 18 ASCII digits followed by its column's byte of ``seps``, and
+    below ``limit``. Any other bytes raise GraphFormatError naming the file
+    and the first line that departs, with ``out_of_range`` as the message
+    for an id at or past ``limit``."""
+    raw = path.read_bytes()
+    ids, bad = _parse_ids(raw, seps)
+    if bad is not None:  # the whole lines before the departing one
+        ids = _parse_ids(raw[:raw.rfind(b"\n", 0, bad) + 1], seps)[0]
+    if ids.size and ids.max() >= limit:
+        row = int(np.flatnonzero((ids >= limit).any(axis=1))[0])
+        raise GraphFormatError(f"{path.name} line {row + 1}: {out_of_range}")
+    if bad is not None:
+        line = raw.count(b"\n", 0, bad) + 1
+        layout = "".join(f"<id>{chr(s)}" for s in seps)
+        raise GraphFormatError(f"{path.name} line {line}: expected {layout!r}, "
+                               f"each id 1 to {_MAX_ID_DIGITS} ASCII digits")
+    return ids
 
 
 def load_graph(path):
     """Read a graph bundle directory written by :func:`save_graph`.
 
-    ``edges.tsv`` and ``labels.tsv`` in exactly the layout ``save_graph``
-    writes are parsed as whole arrays. Any other file, such as one with
-    CRLF line ends, blank lines or spaces around ids, goes through a line
-    reader, which also names the first bad line.
+    ``edges.tsv`` and ``labels.tsv`` must be in exactly the layout
+    ``save_graph`` writes; any other bytes, such as CRLF line ends, blank
+    lines, spaces around ids or a missing final newline, are refused with
+    the first line that departs from it.
     """
     root = Path(path)
     meta_path = root / "meta.json"
@@ -311,6 +323,8 @@ def load_graph(path):
     for key in ("name", "num_nodes", "feature_dim", "has_labels"):
         if key not in meta:
             raise GraphFormatError(f"meta.json missing key {key!r}")
+    if not isinstance(meta["name"], str):
+        raise GraphFormatError("meta.json name must be a string")
     n, d = meta["num_nodes"], meta["feature_dim"]
     # JSON integers only: bools, floats such as 3.7, strings and null are refused.
     if type(n) is not int or type(d) is not int or n < 0 or d < 1:
@@ -321,23 +335,7 @@ def load_graph(path):
     edges_path = root / "edges.tsv"
     if not edges_path.is_file():
         raise GraphFormatError(f"missing edges.tsv under {root}")
-    edges = _canonical_edges(edges_path.read_bytes(), n)
-    if edges is None:
-        edges = []
-        for lineno, line in enumerate(_read_text(edges_path).splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(f"edges.tsv line {lineno}: expected 'u\\tv'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as e:
-                raise GraphFormatError(f"edges.tsv line {lineno}: non-integer id") from e
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edges.tsv line {lineno}: node id out of range")
-            edges.append((u, v))
-        edges = np.array(edges, dtype=np.int64)
+    edges = _read_ids(edges_path, b"\t\n", n, "node id out of range")
 
     feat_path = root / "features.bin"
     if not feat_path.is_file():
@@ -356,21 +354,9 @@ def load_graph(path):
         lab_path = root / "labels.tsv"
         if not lab_path.is_file():
             raise GraphFormatError(f"missing labels.tsv under {root}")
-        labels = _canonical_labels(lab_path.read_bytes(), n)
-        if labels is None:
-            entries = [ln for ln in _read_text(lab_path).splitlines() if ln.strip()]
-            if len(entries) != n:
-                raise GraphFormatError(
-                    f"labels.tsv has {len(entries)} entries, expected {n}"
-                )
-            try:
-                labels = np.array([int(x) for x in entries], dtype=np.int64)
-            except ValueError as e:
-                raise GraphFormatError("labels.tsv: non-integer label") from e
-            except OverflowError as e:
-                raise GraphFormatError("labels.tsv: labels must be 0 or 1") from e
-            if labels.size and not np.isin(labels, (0, 1)).all():
-                raise GraphFormatError("labels.tsv: labels must be 0 or 1")
+        labels = _read_ids(lab_path, b"\n", 2, "labels must be 0 or 1")[:, 0]
+        if labels.size != n:
+            raise GraphFormatError(f"labels.tsv has {labels.size} entries, expected {n}")
 
     try:
         return build_graph(meta["name"], n, edges, features, labels)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffkernel as dk
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, _check_field_types
 
 __all__ = [
     "LossWeights", "AffinityScores", "affinity_scores", "affinity_margin",
@@ -49,6 +49,7 @@ class LossWeights:
     neg_samples_k: int = 5
 
     def validate(self):
+        _check_field_types(self)
         for name in ("self_weight", "nonneighbor_weight", "class_reg_weight"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and non-negative, "
@@ -143,9 +144,8 @@ def sample_nonneighbors(graph, k, rng):
     result lists node i's draws in order. A rank becomes a node id by
     counting the neighbors before it.
     """
+    LossWeights(neg_samples_k=k).validate()  # k's type and bound as a config's
     n = graph.num_nodes
-    if k < 1:
-        raise ConfigError("neg_samples_k must be at least 1")
     avail = n - 1 - graph.degrees
     skipped = avail == 0
     if skipped.any():

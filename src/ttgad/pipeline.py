@@ -12,9 +12,7 @@ import copy
 import itertools
 import json
 import math
-import numbers
 import os
-import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -22,7 +20,8 @@ import numpy as np
 
 from . import diffkernel as dk
 from . import evaluation, losses
-from .errors import CheckpointError, ConfigError, DataError, NumericalError
+from .errors import (CheckpointError, ConfigError, DataError, NumericalError,
+                     _check_field_types)
 from .gnn import (ModelBundle, ProjectionEncoder, assemble_bundle,
                   forward_embeddings, init_bundle, init_encoder,
                   parameter_shapes, predict)
@@ -68,7 +67,6 @@ class RunConfig:
 
     def validate(self):
         _check_field_types(self)
-        _check_field_types(self.weights)
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.source_epochs < 1:
@@ -109,31 +107,6 @@ class RunConfig:
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         return cls(weights=LossWeights(**wkwargs), **kwargs)
-
-
-_ABSTRACT_TYPES = {int: numbers.Integral, float: numbers.Real}
-
-
-def _check_field_types(obj):
-    """Raise ConfigError unless each dataclass field holds its annotated type.
-
-    Int fields take any integer and float fields any finite real number,
-    but neither takes a bool; a union field takes any of its members.
-    """
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        kinds = getattr(f.type, "__args__", (f.type,))
-        if isinstance(value, bool):
-            ok = bool in kinds
-        else:
-            ok = any(isinstance(value, _ABSTRACT_TYPES.get(k, k)) for k in kinds)
-        if not ok:
-            kind = getattr(f.type, "__name__", str(f.type))
-            raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
-        # NaN fails the comparison; an int past float range fails it too
-        if float in kinds and isinstance(value, numbers.Real) \
-                and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -303,6 +304,10 @@ def test_load_rejects_bad_meta(tmp_path, path3):
         (root / "meta.json").write_text(json.dumps({**meta, "has_labels": bad}))
         with pytest.raises(GraphFormatError, match="has_labels must be"):
             load_graph(root)
+    for bad in (None, 5, ["a"]):
+        (root / "meta.json").write_text(json.dumps({**meta, "has_labels": True, "name": bad}))
+        with pytest.raises(GraphFormatError, match="name must be a string"):
+            load_graph(root)
     (root / "meta.json").write_bytes(b'{"name": "g\xff"}')
     with pytest.raises(GraphFormatError, match="meta.json is not valid UTF-8"):
         load_graph(root)
@@ -325,15 +330,30 @@ def test_load_rejects_bad_edges(tmp_path, path3):
     with pytest.raises(GraphFormatError, match="expected"):
         load_graph(root)
     (root / "edges.tsv").write_text("0\tx\n")
-    with pytest.raises(GraphFormatError, match="non-integer"):
+    with pytest.raises(GraphFormatError, match="edges.tsv line 1: expected"):
         load_graph(root)
     (root / "edges.tsv").write_bytes(b"0\t1\n\xc3\n")
-    with pytest.raises(GraphFormatError, match="edges.tsv is not valid UTF-8"):
+    with pytest.raises(GraphFormatError, match="edges.tsv line 2: expected"):
         load_graph(root)
     (root / "edges.tsv").write_text("0\t1\n")
     (root / "labels.tsv").write_bytes(b"0\n0\n\x81\n")
-    with pytest.raises(GraphFormatError, match="labels.tsv is not valid UTF-8"):
+    with pytest.raises(GraphFormatError, match="labels.tsv line 3: expected"):
         load_graph(root)
+    # layouts only a hand-written file has, each refused at its first line
+    (root / "labels.tsv").write_text("0\n1\n0\n")
+    for name, raw, line in [("edges.tsv", b"0\t1\r\n1\t2\r\n", 1),
+                            ("edges.tsv", b"0\t1\n\n1\t2\n", 2),
+                            ("edges.tsv", b"0\t1\n1\t 2\n", 2),
+                            ("edges.tsv", b"0\t1\n1\t2", 2),
+                            ("labels.tsv", b"0\n1\n0", 3),
+                            ("labels.tsv", b"0\n1 \n0\n", 2)]:
+        saved = (root / name).read_bytes()
+        (root / name).write_bytes(raw)
+        with pytest.raises(GraphFormatError, match=f"{name} line {line}: expected"):
+            load_graph(root)
+        (root / name).write_bytes(saved)
+    assert graphs_equal(load_graph(root), build_graph("path3", 3, [(0, 1)],
+                                                      path3.features, [0, 1, 0]))
 
 
 def test_load_rejects_bad_labels(tmp_path, path3):
@@ -349,7 +369,7 @@ def test_load_rejects_bad_labels(tmp_path, path3):
 def test_load_refuses_label_beyond_int64(tmp_path, path3):
     root = save_graph(path3, tmp_path / "g")
     (root / "labels.tsv").write_text("0\n1\n" + "1" * 20 + "\n")
-    with pytest.raises(GraphFormatError, match="labels must be 0 or 1"):
+    with pytest.raises(GraphFormatError, match="labels.tsv line 3: expected"):
         load_graph(root)
 
 
@@ -382,47 +402,44 @@ def test_fuzzed_graph_loads_or_raises_data_error(saved_graph, data):
         pass
 
 
+EDGE_LAYOUT = "expected '<id>\\t<id>\\n', each id 1 to 18 ASCII digits"
+LABEL_LAYOUT = "expected '<id>\\n', each id 1 to 18 ASCII digits"
+
+
+def ref_read_ids(path, pattern, layout, limit, out_of_range):
+    """The ids of a TSV file one line at a time: every line ends in ``\\n``
+    and fully matches ``pattern``, whose groups hold ids below ``limit``."""
+    *lines, rest = path.read_bytes().split(b"\n")
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        match = re.fullmatch(pattern, line)
+        if match is None:
+            raise GraphFormatError(f"{path.name} line {lineno}: {layout}")
+        rows.append([int(i) for i in match.groups()])
+        if max(rows[-1]) >= limit:
+            raise GraphFormatError(f"{path.name} line {lineno}: {out_of_range}")
+    if rest:
+        raise GraphFormatError(f"{path.name} line {len(lines) + 1}: {layout}")
+    return np.array(rows, dtype=np.int64).reshape(-1, re.compile(pattern).groups)
+
+
 def ref_load_graph(root):
-    """``load_graph`` with the line loops it ran for every ``edges.tsv`` and
-    ``labels.tsv`` before the vectorised parse (a label beyond int64 is
-    refused as not 0 or 1 rather than escaping as ``OverflowError``); the
+    """``load_graph`` with its TSV files read by :func:`ref_read_ids`; the
     other files are taken as valid."""
     meta = json.loads((root / "meta.json").read_text())
     n, d = meta["num_nodes"], meta["feature_dim"]
-    edges = []
-    for lineno, line in enumerate(graphstore._read_text(root / "edges.tsv").splitlines(),
-                                  start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise GraphFormatError(f"edges.tsv line {lineno}: expected 'u\\tv'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise GraphFormatError(f"edges.tsv line {lineno}: non-integer id") from e
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edges.tsv line {lineno}: node id out of range")
-        edges.append((u, v))
+    edges = ref_read_ids(root / "edges.tsv", rb"(\d{1,18})\t(\d{1,18})", EDGE_LAYOUT,
+                         n, "node id out of range")
     raw = (root / "features.bin").read_bytes()
-    features = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
+    features = np.frombuffer(raw, dtype="<f4").reshape(n, d)
     labels = None
     if meta["has_labels"]:
-        text = graphstore._read_text(root / "labels.tsv")
-        entries = [ln for ln in text.splitlines() if ln.strip()]
-        if len(entries) != n:
-            raise GraphFormatError(f"labels.tsv has {len(entries)} entries, expected {n}")
-        try:
-            labels = np.array([int(x) for x in entries], dtype=np.int64)
-        except ValueError as e:
-            raise GraphFormatError("labels.tsv: non-integer label") from e
-        except OverflowError as e:
-            raise GraphFormatError("labels.tsv: labels must be 0 or 1") from e
-        if labels.size and not np.isin(labels, (0, 1)).all():
-            raise GraphFormatError("labels.tsv: labels must be 0 or 1")
+        labels = ref_read_ids(root / "labels.tsv", rb"(\d{1,18})", LABEL_LAYOUT,
+                              2, "labels must be 0 or 1")[:, 0]
+        if labels.size != n:
+            raise GraphFormatError(f"labels.tsv has {labels.size} entries, expected {n}")
     try:
-        return build_graph(meta["name"], n, np.array(edges, dtype=np.int64),
-                           features, labels)
+        return build_graph(meta["name"], n, edges, features, labels)
     except DataError as e:
         raise GraphFormatError(str(e)) from e
 
@@ -437,9 +454,9 @@ def outcome(load, root):
         return type(e), str(e)
 
 
-# Pieces that sit on either side of the canonical layout: ids that are
-# still in range or not, every separator the line reader treats apart,
-# signs, a byte that is not UTF-8 and an id too long for int64.
+# Pieces that sit on either side of the layout: ids that are still in
+# range or not, both separators, CR, a space, signs, a byte that is not
+# UTF-8 and an id too long for int64.
 TSV_PIECES = [b"0", b"1", b"3", b"9", b"00", b"\t", b"\n", b"\r", b"\r\n", b" ",
               b"+", b"-", b"\xff", b"1" * 20]
 
@@ -471,24 +488,6 @@ def test_load_matches_line_loop_reference(saved_graph, data):
         assert got == want
     else:
         assert graphs_equal(got, want)
-
-
-def test_saved_graph_loads_without_the_line_loop(tmp_path, monkeypatch, edgeless3):
-    # save_graph's own layout never reaches the line reader
-    read_text = graphstore._read_text
-
-    def refuse_tsv(path):
-        if path.suffix == ".tsv":
-            raise AssertionError(f"{path.name} went through the line loop")
-        return read_text(path)
-
-    monkeypatch.setattr(graphstore, "_read_text", refuse_tsv)
-    spec = SyntheticSpec(num_nodes=300, feature_dim=3, anomaly_rate=0.1,
-                         target_homophily=0.8, mean_degree=6.0, seed=4)
-    for i, graph in enumerate([generate_synthetic(spec), edgeless3]):
-        for g in (graph, graph.without_labels()):
-            root = save_graph(g, tmp_path / f"g{i}{g.labels is None}")
-            assert graphs_equal(load_graph(root), g)
 
 
 @settings(max_examples=30, deadline=None)

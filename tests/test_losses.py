@@ -65,8 +65,17 @@ def test_loss_weights_rejects_bad_values(path3):
     h = dk.Tensor(path3.features)
     for bad in (losses.LossWeights(nonneighbor_weight=-1.0),
                 losses.LossWeights(self_weight=float("nan"))):
-        with pytest.raises(ConfigError, match="must be finite and non-negative"):
+        with pytest.raises(ConfigError, match="must be finite"):
             losses.ttt_loss(h, path3, bad, np.random.default_rng(0))
+    # field types are checked by the weights themselves, not only through RunConfig
+    for change in ({"neg_samples_k": 2.5}, {"neg_samples_k": "3"}, {"neg_samples_k": True},
+                   {"self_weight": "0.1"}):
+        with pytest.raises(ConfigError, match="must be of type"):
+            losses.LossWeights(**change).validate()
+        with pytest.raises(ConfigError, match="must be of type"):
+            losses.ttt_loss(h, path3, losses.LossWeights(**change), np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="neg_samples_k must be of type int"):
+        losses.sample_nonneighbors(path3, 2.5, np.random.default_rng(0))
     losses.LossWeights(anomaly_weight="auto").validate()
     losses.LossWeights(anomaly_weight=1).validate()
 

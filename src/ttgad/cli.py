@@ -45,7 +45,7 @@ def _read_config_file(path):
             data = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
-    except ValueError as e:  # not JSON, or not UTF-8 text
+    except (ValueError, RecursionError) as e:  # not JSON, not UTF-8 text, or nested too deep
         raise ConfigError(f"config file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")

@@ -6,8 +6,8 @@ DataError and ShapeError -> 2, NumericalError -> 3, any other
 TtgadError -> 1.
 """
 
+import math
 import numbers
-import sys
 from dataclasses import fields
 
 
@@ -42,11 +42,12 @@ class ShapeError(TtgadError, ValueError):
 _ABSTRACT_TYPES = {int: numbers.Integral, float: numbers.Real}
 
 
-def _check_field_types(obj):
-    """Raise ConfigError unless each dataclass field holds its annotated type.
+def _check_field_types(obj, error=ConfigError):
+    """Raise ``error`` unless each dataclass field holds its annotated type.
 
-    Int fields take any integer and float fields any finite real number,
-    but neither takes a bool; a union field takes any of its members.
+    Int fields take any integer and float fields any finite real number, of
+    any numeric type, but neither takes a bool; a union field takes any of
+    its members.
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -57,8 +58,11 @@ def _check_field_types(obj):
             ok = any(isinstance(value, _ABSTRACT_TYPES.get(k, k)) for k in kinds)
         if not ok:
             kind = getattr(f.type, "__name__", str(f.type))
-            raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
-        # NaN fails the comparison; an int past float range fails it too
-        if float in kinds and isinstance(value, numbers.Real) \
-                and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            raise error(f"{f.name} must be of type {kind}, got {value!r}")
+        if float in kinds and isinstance(value, numbers.Real):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past float range
+                finite = False
+            if not finite:
+                raise error(f"{f.name} must be finite, got {value!r}")

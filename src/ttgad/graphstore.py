@@ -24,14 +24,13 @@ import os
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse
 
 from . import diffkernel as dk
-from .errors import DataError, GraphFormatError, ShapeError, TtgadError
+from .errors import DataError, GraphFormatError, ShapeError, TtgadError, _check_field_types
 
 __all__ = [
     "AttributedGraph",
@@ -316,7 +315,7 @@ def load_graph(path):
         raise GraphFormatError(f"missing meta.json under {root}")
     try:
         meta = json.loads(_read_text(meta_path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # bad syntax, or nested too deep
         raise GraphFormatError(f"meta.json is not valid JSON: {e}") from e
     if not isinstance(meta, dict):
         raise GraphFormatError("meta.json must hold a JSON object")
@@ -466,13 +465,7 @@ _DRAW_BLOCK_BYTES = 1 << 20
 
 
 def _validate_spec(spec):
-    for name, kind in (("num_nodes", Integral), ("feature_dim", Integral), ("seed", Integral),
-                       ("anomaly_rate", Real), ("target_homophily", Real),
-                       ("mean_degree", Real), ("noise_scale", Real)):
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, kind):  # as RunConfig's fields
-            raise DataError(f"{name} must be {'an integer' if kind is Integral else 'a number'}"
-                            f", got {value!r}")
+    _check_field_types(spec, DataError)
     if spec.num_nodes < 2:
         raise DataError("num_nodes must be at least 2")
     if spec.feature_dim < 1:
@@ -482,8 +475,8 @@ def _validate_spec(spec):
     if not (0.0 <= spec.target_homophily <= 1.0):
         raise DataError("target_homophily must lie in [0, 1]")
     for name in ("mean_degree", "noise_scale"):
-        if not 0 <= getattr(spec, name) < math.inf:
-            raise DataError(f"{name} must be finite and non-negative, got {getattr(spec, name)}")
+        if getattr(spec, name) < 0:
+            raise DataError(f"{name} must be non-negative, got {getattr(spec, name)}")
     if spec.seed < 0:
         raise DataError("seed must be non-negative")
     # Generation holds the float32 features, one float64 row block of the

@@ -464,11 +464,11 @@ class LoadedCheckpoint:
 def load_checkpoint(path, expect_nsaw=None):
     """Read a checkpoint back; inverse of :func:`save_checkpoint`.
 
-    The stored tensors are checked by name against the stored config's
-    layout, then assembled into a bundle. An unexpected or missing tensor,
-    one whose shape does not match the config, or one holding NaN or inf
-    raises :class:`CheckpointError` here, before any of the bundle is
-    allocated.
+    The descriptors are checked in one pass against the stored config's
+    layout as ``save_checkpoint`` writes it, blocks back to back in
+    ``parameter_items()`` order. Any departure, a wrong shape, or a tensor
+    holding NaN or inf raises :class:`CheckpointError` here, before any of
+    the bundle is allocated.
     ``expect_nsaw`` asserts the stored attention mode: loading a checkpoint
     whose mode differs is an error, never a silent fallback.
     """
@@ -479,7 +479,7 @@ def load_checkpoint(path, expect_nsaw=None):
         raise CheckpointError("malformed checkpoint: no header line")
     try:
         header = json.loads(raw[:newline])
-    except ValueError as e:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError) as e:  # invalid JSON, invalid UTF-8, or too deep
         raise CheckpointError(f"malformed checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError("malformed checkpoint header: not an object")
@@ -501,60 +501,55 @@ def load_checkpoint(path, expect_nsaw=None):
             f"checkpoint uses {stored} aggregation but {wanted} was requested")
 
     payload = raw[newline + 1:]
-    blocks = {}
-    end = 0
-    for desc in header["tensors"]:
+    descs = header["tensors"]
+    for desc in descs:
         entry = desc if isinstance(desc, dict) else {}
-        name = entry.get("name")
-        rows, cols, offset = (entry.get(k) for k in ("rows", "cols", "byte_offset"))
-        # Sizes are JSON integers; bools and floats are refused.
-        if not isinstance(name, str) or any(type(v) is not int for v in (rows, cols, offset)):
+        sizes = [entry.get(k) for k in ("rows", "cols", "byte_offset")]
+        # Sizes are JSON integers (bools and floats are refused), and a tensor is not empty.
+        if (not isinstance(entry.get("name"), str) or any(type(v) is not int for v in sizes)
+                or min(sizes[:2]) < 1):
             raise CheckpointError(f"malformed tensor descriptor: {desc!r}")
-        size = rows * cols * 8
-        if rows < 1 or cols < 1 or offset < 0 or offset + size > len(payload):
-            raise CheckpointError(f"corrupt tensor block {name!r}")
-        if name in blocks:
-            raise CheckpointError(f"duplicate tensor {name!r}")
-        blocks[name] = np.frombuffer(payload, dtype="<f8", count=rows * cols,
-                                     offset=offset).reshape(rows, cols)
-        end = max(end, offset + size)
-    if end != len(payload):
-        raise CheckpointError(
-            f"corrupt tensor block: {len(payload) - end} trailing byte(s)")
 
-    # The config records no feature dim; if its tensor is missing, the name check refuses.
-    def stored_cols(name):
-        return blocks[name].shape[1] if name in blocks else 1
-
-    feature_dim = (stored_cols("layers.0.W") // 2 if config.identity_encoder
-                   else stored_cols("source_encoder.weight"))
-    target_cols = (stored_cols("target_encoder.weight")
-                   if "target_encoder.weight" in blocks else None)
+    # The config records no feature dim, so the stored weights give it; if
+    # one is missing, the in-order pass below names it.
+    cols = {desc["name"]: desc["cols"] for desc in descs}
+    feature_dim = (cols.get("layers.0.W", 1) // 2 if config.identity_encoder
+                   else cols.get("source_encoder.weight", 1))
     try:
         layout = parameter_shapes(feature_dim, config.p, config.hidden_dim,
                                   config.attn_dim, config.num_layers,
-                                  config.identity_encoder, target_cols)
+                                  config.identity_encoder, cols.get("target_encoder.weight"))
     except ConfigError as e:
         raise CheckpointError(f"checkpoint {e}") from e
-    # A header may claim far more tensors than the file stores: list the
-    # layout only one entry past the stored count. Past it, a tensor is
-    # missing, and the first missing one lies within.
-    shapes = dict(itertools.islice(layout, len(blocks) + 1))
-    if len(shapes) > len(blocks):
-        missing = next(name for name in shapes if name not in blocks)
-        raise CheckpointError(f"missing tensor {missing!r}")
-    for name in blocks:
-        if name not in shapes:
-            raise CheckpointError(f"unexpected tensor {name!r}")
-    for name, shape in shapes.items():
-        if blocks[name].shape != shape:
-            raise CheckpointError(
-                f"tensor {name!r} has shape {blocks[name].shape}, but the "
-                f"config needs {shape}")
-        if not np.all(np.isfinite(blocks[name])):
+    # The layout is listed only one entry past the descriptors, so a header
+    # claiming far more layers than it stores is refused at once.
+    arrays = {}
+    offset = 0
+    for desc, entry in itertools.zip_longest(descs, layout):
+        if entry is None:
+            raise CheckpointError(f"unexpected tensor {desc['name']!r}")
+        name, shape = entry
+        if desc is None or desc["name"] != name:
+            found = "" if desc is None else f", found {desc['name']!r} in its place"
+            raise CheckpointError(f"missing tensor {name!r}{found}")
+        if (desc["rows"], desc["cols"]) != shape:
+            raise CheckpointError(f"tensor {name!r} has shape {(desc['rows'], desc['cols'])}, "
+                                  f"but the config needs {shape}")
+        if desc["byte_offset"] != offset:
+            raise CheckpointError(f"corrupt tensor block {name!r}: it starts at byte "
+                                  f"{desc['byte_offset']}, but earlier blocks end at {offset}")
+        count = shape[0] * shape[1]
+        if offset + 8 * count > len(payload):
+            raise CheckpointError(f"corrupt tensor block {name!r}: the payload ends inside it")
+        block = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        if not np.all(np.isfinite(block)):
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
+        arrays[name] = block.reshape(shape)
+        offset += 8 * count
+    if offset != len(payload):
+        raise CheckpointError(f"corrupt tensor block: {len(payload) - offset} trailing byte(s)")
 
-    bundle = assemble_bundle(blocks, config.nsaw_enabled)
+    bundle = assemble_bundle(arrays, config.nsaw_enabled)
 
     centroids = None
     stored = header.get("centroids")

@@ -177,7 +177,8 @@ class TestTrain:
 
     def test_invalid_json_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for raw in (b"{not json", b"\xff\xfe{}"):  # bad syntax, then not UTF-8
+        # bad syntax, not UTF-8, then nested too deep
+        for raw in (b"{not json", b"\xff\xfe{}", b"[" * 100_000):
             bad.write_bytes(raw)
             assert main(["train", "--config", str(bad), "--out",
                          str(tmp_path / "o")]) == 1

@@ -284,9 +284,10 @@ def test_load_missing_pieces(tmp_path, path3):
 
 def test_load_rejects_bad_meta(tmp_path, path3):
     root = save_graph(path3, tmp_path / "g")
-    (root / "meta.json").write_text("{not json")
-    with pytest.raises(GraphFormatError, match="not valid JSON"):
-        load_graph(root)
+    for bad in ("{not json", "[" * 100_000):  # bad syntax, then nested too deep
+        (root / "meta.json").write_text(bad)
+        with pytest.raises(GraphFormatError, match="not valid JSON"):
+            load_graph(root)
     meta = {"name": "g", "num_nodes": 3, "feature_dim": 2}
     (root / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(GraphFormatError, match="has_labels"):
@@ -597,6 +598,7 @@ def test_generate_synthetic_validates_spec():
 @pytest.mark.parametrize("field, value", [
     ("num_nodes", 10.5), ("num_nodes", 50.0), ("feature_dim", 2.5), ("seed", 1.5),
     ("seed", "a"), ("seed", True), ("anomaly_rate", "0.2"), ("mean_degree", None),
+    ("normal_center", [1.0, 1.0]),
 ])
 def test_generate_synthetic_refuses_spec_fields_of_the_wrong_type(field, value, monkeypatch):
     spec = SyntheticSpec(num_nodes=50, feature_dim=2, anomaly_rate=0.2,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +112,18 @@ class TestRunConfig:
         ("nonneighbor_weight", float("nan"), "nonneighbor_weight must be finite"),
         ("anomaly_weight", float("inf"), "anomaly_weight must be finite"),
         pytest.param("lr", 10 ** 400, "lr must be finite", id="lr-int-past-float-range"),
+        pytest.param("lr", np.float32("inf"), "lr must be finite", id="lr-float32-inf"),
+        pytest.param("lr", np.float16("-inf"), "lr must be finite", id="lr-float16-inf"),
     ])
     def test_validation_messages(self, field_name, value, msg):
         cfg = RunConfig.from_dict({field_name: value})
         with pytest.raises(ConfigError, match=msg):
             cfg.validate()
+
+    def test_numpy_floats_validate_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            RunConfig(lr=np.float32(0.01), dropout_rate=np.float16(0.5)).validate()
 
     def test_validate_checks_loss_weights(self):
         cfg = RunConfig(weights=LossWeights(anomaly_weight=0.5))
@@ -661,7 +669,8 @@ def checkpoint_parts(path):
 
 
 def rewrite(path, header, payload):
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(raw + b"\n" + payload)
 
 
 class TestCheckpoints:
@@ -745,9 +754,15 @@ class TestCheckpoints:
         path = tmp_path / "m.bin"
         save_checkpoint(bundle, centroids, cfg, path)
         header, payload = checkpoint_parts(path)
-        header["tensors"][0]["name"] = "mystery.weight"
-        rewrite(path, header, payload)
-        with pytest.raises(CheckpointError, match="unexpected tensor"):
+        renamed = [{**header["tensors"][0], "name": "mystery.weight"}, *header["tensors"][1:]]
+        rewrite(path, {**header, "tensors": renamed}, payload)
+        with pytest.raises(CheckpointError, match="missing tensor 'source_encoder.weight', "
+                           "found 'mystery.weight' in its place"):
+            load_checkpoint(path)
+        extra = {"name": "mystery.weight", "rows": 1, "cols": 1, "byte_offset": len(payload)}
+        header["tensors"].append(extra)
+        rewrite(path, header, payload + bytes(8))
+        with pytest.raises(CheckpointError, match="unexpected tensor 'mystery.weight'"):
             load_checkpoint(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
@@ -783,6 +798,14 @@ class TestCheckpoints:
         h_a, _ = forward_embeddings(bundle, graph, "source")
         h_b, _ = forward_embeddings(loaded.bundle, graph, "source")
         assert np.array_equal(h_a.values, h_b.values)
+        # the feature dims come from the stored weights by name, not by position
+        bundle.target_encoder = init_encoder(np.random.default_rng(0), 6, 5, "target")
+        save_checkpoint(bundle, centroids, cfg, path)
+        loaded = load_checkpoint(path)
+        got = dict(tensor_items(loaded.bundle))
+        for name, values in tensor_items(bundle):
+            assert np.array_equal(got[name], values), name
+        assert len(got) == len(bundle.parameter_items())
 
     @pytest.mark.parametrize("edit,msg", [
         (lambda c: c.pop("anomaly"), "malformed checkpoint centroids: KeyError"),
@@ -810,15 +833,46 @@ class TestCheckpoints:
         # every header written while RunConfig had neighbor_cap stores it as null
         (lambda h: h["config"].__setitem__("neighbor_cap", None),
          "unknown config key 'neighbor_cap'"),
+        # nested too deep for the JSON parser, which json.dumps cannot write either
+        (lambda h: b"[" * 100_000, "malformed checkpoint header"),
     ], ids=["config_not_object", "tensors_not_list", "name_not_string",
-            "config_too_large", "removed_config_key"])
+            "config_too_large", "removed_config_key", "nested_too_deep"])
     def test_bad_header_rejected(self, tmp_path, edit, msg):
         bundle, centroids, cfg = trained_pair(seed=22)
         path = tmp_path / "m.bin"
         save_checkpoint(bundle, centroids, cfg, path)
         header, payload = checkpoint_parts(path)
-        edit(header)
-        rewrite(path, header, payload)
+        rewrite(path, edit(header) or header, payload)
+        with pytest.raises(CheckpointError, match=msg):
+            load_checkpoint(path)
+
+    # Each edit keeps every descriptor's offset on its own block: only the
+    # order or the back-to-back layout that save_checkpoint writes is broken.
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda blocks: blocks.insert(1, blocks.pop(2)),
+         r"missing tensor 'layers\.0\.W', found 'layers\.0\.b' in its place"),
+        (lambda blocks: blocks.insert(2, blocks[1]),
+         r"missing tensor 'layers\.0\.b', found 'layers\.0\.W' in its place"),
+        (lambda blocks: blocks.insert(2, (None, bytes(8))),
+         r"corrupt tensor block 'layers\.0\.b': it starts at byte 776, but earlier "
+         r"blocks end at 768"),
+    ], ids=["swapped", "duplicated", "gap"])
+    def test_layout_other_than_the_written_one_rejected(self, tmp_path, edit, msg):
+        bundle, centroids, cfg = trained_pair(seed=26)
+        path = tmp_path / "m.bin"
+        save_checkpoint(bundle, centroids, cfg, path)
+        header, payload = checkpoint_parts(path)
+        blocks = [(d, payload[d["byte_offset"]:d["byte_offset"] + 8 * d["rows"] * d["cols"]])
+                  for d in header["tensors"]]
+        assert [d["name"] for d, _ in blocks[:3]] == [
+            "source_encoder.weight", "layers.0.W", "layers.0.b"]
+        edit(blocks)
+        header["tensors"], offset = [], 0
+        for desc, block in blocks:
+            if desc is not None:  # None stands for bytes no descriptor names
+                header["tensors"].append({**desc, "byte_offset": offset})
+            offset += len(block)
+        rewrite(path, header, b"".join(block for _, block in blocks))
         with pytest.raises(CheckpointError, match=msg):
             load_checkpoint(path)
 

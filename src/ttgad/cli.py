@@ -4,7 +4,8 @@ Subcommands: gen, train, adapt, eval, exp-margin, exp-homophily, gradcheck.
 Runs are driven by a JSON config file (flat run settings plus the paths
 source_graph / target_graph / output_dir); command-line flags override the
 file. Exit codes: 0 success, 1 usage, config or other package error,
-2 data error (including mismatched shapes) or OS error, 3 numerical failure.
+2 data error (including mismatched shapes) or OS error, 3 numerical failure,
+4 out of memory.
 """
 
 import argparse
@@ -13,7 +14,8 @@ import os
 import sys
 
 from . import evaluation, experiments
-from .errors import ConfigError, DataError, NumericalError, ShapeError, TtgadError
+from .errors import (ConfigError, DataError, NumericalError, OutOfMemoryError, ShapeError,
+                     TtgadError)
 from .graphstore import SyntheticSpec, compute_stats, generate_synthetic, \
     load_graph, save_graph
 from .pipeline import (TTT_INITS, RunConfig, adapt_target, full_model_grad_check,
@@ -27,7 +29,7 @@ STRUCTURAL_KEYS = ("p", "hidden_dim", "attn_dim", "num_layers",
 
 # process exit code per error kind; the first matching entry wins
 EXIT_CODES = ((ConfigError, 1), ((DataError, ShapeError, OSError), 2),
-              (NumericalError, 3), (TtgadError, 1))
+              (NumericalError, 3), (OutOfMemoryError, 4), (TtgadError, 1))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -340,8 +342,11 @@ def main(argv=None):
     try:
         return args.handler(args)
     except (TtgadError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return next(code for kinds, code in EXIT_CODES if isinstance(e, kinds))
+        error = e
+    except MemoryError as e:  # leaving this clause frees the traceback and the work it holds
+        error = OutOfMemoryError(f"{args.command}: out of memory" + (f" ({e})" if str(e) else ""))
+    print(f"error: {error}", file=sys.stderr)
+    return next(code for kinds, code in EXIT_CODES if isinstance(error, kinds))
 
 
 def entry():

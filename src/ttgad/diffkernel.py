@@ -33,8 +33,10 @@ weights of :func:`aggregate`, an SDDMM), so a pattern op keeps only
 per-slot scalars and per-node rows alive on the tape; per-slot rows exist
 only in bounded chunks inside one call. A record keeps what backward cannot
 cheaply recompute: :func:`attention` keeps its input, weight and softmax
-and recomputes the projection and the min's tie shares, and
-:func:`pair_cosine` recomputes its per-slot denominators.
+and recomputes the projection and the min's tie shares, :func:`aggregate`
+keeps no message, since ``W``'s share of it comes from the SpMM that
+``x``'s gradient runs anyway, and :func:`pair_cosine` recomputes its
+per-slot denominators.
 
 :func:`attention` and :func:`aggregate` need a symmetric pattern, one whose
 owner set ``reverse``, and refuse any other; only :func:`pair_cosine` also
@@ -224,7 +226,8 @@ _CHUNK_BYTES = 1 << 18
 
 # Products of a dense operand with a weight run in row blocks of about
 # _BLOCK_BYTES of float64 operand: a float32 input of linear is upcast one
-# block at a time, and aggregate's message exists one block at a time.
+# block at a time, and aggregate's message, in forward, and its M_w.T @ g,
+# in backward, exist one block at a time.
 _BLOCK_BYTES = 4 * _CHUNK_BYTES
 
 
@@ -595,11 +598,12 @@ def aggregate(w, x, W, b, pattern):
     zero), ``W`` is (out, 2 * width) and ``b`` is (1, out). ``W``'s left
     column block meets the message ``M_w @ x`` and its right block ``x``.
     The output starts as ``x @ W_x.T``, and the message's product is added
-    one row block of :func:`_row_blocks` at a time, so the (nodes, width)
-    message exists only when ``W`` trains, since its gradient reads the
-    message whole.
-    Backward adds ``M_w.T``'s share of ``x``'s gradient in the same row
-    blocks, after the dense share, as the unfused ops accumulated them.
+    one row block of :func:`_row_blocks` at a time, so no (nodes, width)
+    message exists, on a tape or off it.
+    Backward takes ``w``'s gradient first, an SDDMM of ``g @ W_m`` against
+    ``x``. Then, per row block, ``a = (M_w.T @ g)[lo:hi]`` gives ``x``'s
+    message share ``a @ W_m`` and ``W_m``'s gradient ``a.T @ x[lo:hi]``
+    (``g.T @ M_w @ x``), one SpMM whether or not ``W`` trains.
     """
     w, x, W, b = (_as_tensor(t) for t in (w, x, W, b))
     rev = _reverse("aggregate", pattern)
@@ -610,13 +614,12 @@ def aggregate(w, x, W, b, pattern):
                          f" + {b.shape}")
     xv, wv = x.values, w.values[:, 0]
     W_m, W_x = W.values[:, :k], W.values[:, k:]
-    message = _csr(wv, pattern) @ xv if _ACTIVE_TAPES and W.requires_grad else None
     vals = xv @ W_x.T
     blocks = _row_blocks(n, k)
     buf = np.empty((max(hi - lo for lo, hi in blocks), W.shape[0]))
     for lo, hi in blocks:
-        block = _csr_rows(wv, pattern, lo, hi) @ xv if message is None else message[lo:hi]
-        vals[lo:hi] += np.matmul(block, W_m.T, out=buf[:hi - lo])
+        vals[lo:hi] += np.matmul(_csr_rows(wv, pattern, lo, hi) @ xv, W_m.T,
+                                 out=buf[:hi - lo])
     vals += b.values
     np.maximum(vals, 0.0, out=vals)
     out = _make("aggregate", vals, w, x, W, b)
@@ -625,21 +628,25 @@ def aggregate(w, x, W, b, pattern):
     # Of the output only the relu mask is read; each other array only by the
     # gradients named beside it.
     mask = vals > 0
-    train_w, train_x, train_b = w.requires_grad, x.requires_grad, b.requires_grad
-    seen = xv if train_w or message is not None else None  # w's, W's
-    weights = wv if train_x else None  # x's
+    train_w, train_x, train_W, train_b = (t.requires_grad for t in (w, x, W, b))
+    seen = xv if train_w or train_W else None  # w's, W's
+    weights = wv if train_x or train_W else None  # x's, W's
 
     def bwd(g):
         g *= mask
-        g_msg = g @ W_m if train_w or train_x else None
-        gx = None
-        if train_x:  # g and g_msg are still held, so no whole SpMM result joins them
-            gx = g @ W_x
+        gw = None
+        if train_w:  # before gx, so g @ W_m is gone when gx is built
+            gw = _sampled_dot(g @ W_m, seen, pattern.rows, pattern.indices).reshape(-1, 1)
+        gx = g @ W_x if train_x else None
+        gW_m = np.zeros(W_m.shape) if train_W else None
+        if train_x or train_W:
             for lo, hi in blocks:
-                gx[lo:hi] += _csr_rows(weights, pattern, lo, hi, rev) @ g_msg
-        gw = (_sampled_dot(g_msg, seen, pattern.rows, pattern.indices).reshape(-1, 1)
-              if train_w else None)
-        gW = None if message is None else np.hstack([g.T @ message, g.T @ seen])
+                a = _csr_rows(weights, pattern, lo, hi, rev) @ g
+                if train_x:
+                    gx[lo:hi] += a @ W_m
+                if train_W:
+                    gW_m += a.T @ seen[lo:hi]
+        gW = np.hstack([gW_m, g.T @ seen]) if train_W else None
         return gw, gx, gW, g.sum(axis=0, keepdims=True) if train_b else None
 
     _record(out, (w, x, W, b), bwd)

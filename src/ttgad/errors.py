@@ -2,8 +2,8 @@
 its config dataclasses.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
-DataError and ShapeError -> 2, NumericalError -> 3, any other
-TtgadError -> 1.
+DataError and ShapeError -> 2, NumericalError -> 3, OutOfMemoryError -> 4,
+any other TtgadError -> 1.
 """
 
 import math
@@ -33,6 +33,10 @@ class CheckpointError(DataError):
 
 class NumericalError(TtgadError):
     """A computation produced non-finite values or failed a numeric check."""
+
+
+class OutOfMemoryError(TtgadError):
+    """A command ran out of the memory its process may use."""
 
 
 class ShapeError(TtgadError, ValueError):

@@ -19,7 +19,6 @@ rows turn ranks into node ids. Cosine gradients return to the nodes as
 SpMMs, with no per-pair embedding copies kept for backward.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,13 +50,13 @@ class LossWeights:
     def validate(self):
         _check_field_types(self)
         for name in ("self_weight", "nonneighbor_weight", "class_reg_weight"):
-            if not 0 <= getattr(self, name) < math.inf:
+            if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be finite and non-negative, "
                                   f"got {getattr(self, name)}")
         if isinstance(self.anomaly_weight, str):
             if self.anomaly_weight != "auto":
                 raise ConfigError("anomaly_weight must be a number or 'auto'")
-        elif not 1 <= self.anomaly_weight < math.inf:
+        elif self.anomaly_weight < 1:
             raise ConfigError(f"anomaly_weight must be finite and at least 1, "
                               f"got {self.anomaly_weight}")
         if self.neg_samples_k < 1:

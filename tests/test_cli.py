@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttgad
 from ttgad.cli import main
 from ttgad.errors import ConfigError
 from ttgad.graphstore import load_graph
@@ -600,6 +605,37 @@ class TestExitCodes:
         assert main(["eval", "--checkpoint", str(workspace["checkpoint"]),
                      "--graph", str(tmp_path / "missing")]) == 2
         assert "meta.json" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_out_of_memory_exits_4_without_a_traceback(self, workspace, tmp_path):
+        # Each command runs in a child whose address space may grow 32 MB past
+        # what it holds after importing ttgad: enough to load the 50k-node,
+        # 500k-slot graph, not enough for a forward pass over it.
+        big = tmp_path / "big"
+        assert main(["gen", "--out", str(big), "--seed", "1", "--quiet", "--nodes", "50000",
+                     "--dim", "4", "--mean-degree", "10"]) == 0
+        cfg = write_config(tmp_path / "c.json", source_graph=str(big))
+        child = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            from ttgad.cli import main
+            np.ones((512, 512)) @ np.ones((512, 512))  # BLAS maps its buffers on first use
+            with open("/proc/self/statm") as fh:
+                limit = int(fh.read().split()[0]) * resource.getpagesize() + (32 << 20)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            sys.exit(main(sys.argv[1:]))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(ttgad.__file__).parents[1]))
+        ckpt = str(workspace["checkpoint"])
+        for argv in (["train", "--config", cfg, "--out", str(tmp_path / "o")],
+                     ["adapt", "--checkpoint", ckpt, "--graph", str(big),
+                      "--out", str(tmp_path / "o")],
+                     ["eval", "--checkpoint", ckpt, "--graph", str(big)]):
+            done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 4, done.stderr
+            assert done.stderr.startswith(f"error: {argv[0]}: out of memory")
+            assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exits_3(self, workspace, tmp_path, capsys):

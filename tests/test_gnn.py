@@ -459,15 +459,17 @@ def nsaw_graph_and_bundle(n=60, w=40):
     return rng, g, small_bundle(w, width=w, num_layers=2)
 
 
-def test_training_step_tape_holds_at_most_7_75_node_rows_per_node():
+def test_training_step_tape_holds_at_most_5_5_node_rows_per_node():
     # One 2-layer nsaw training step at the default dropout: forward,
     # predict and the source loss. Per layer: the dropped-out input, its
-    # dropout mask, the message and the layer's relu mask (one byte per
-    # entry); then the float32 features (half a row), the final embeddings,
-    # the head's hidden rows and its mask and per-node scalars: 7.175. No record keeps an
+    # dropout mask and the layer's relu mask (one byte per entry); then the
+    # float32 features (half a row), the final embeddings, the head's hidden
+    # rows and its mask and per-node scalars: 5.175, against 7.175 when each
+    # layer's record kept its message for W's gradient. No record keeps an
     # output its backward does not read: not the encoder output, not a
-    # layer output whose relu mask is read, and not relu(x @ U.T), which
-    # the attention record recomputes.
+    # layer output whose relu mask is read, not a message, which W's
+    # gradient takes from the SpMM of x's, and not relu(x @ U.T), which the
+    # attention record recomputes.
     rng, g, bundle = nsaw_graph_and_bundle()
     with dk.Tape() as tape:
         h, _ = gnn.forward_embeddings(bundle, g, "source", training=True,
@@ -475,7 +477,7 @@ def test_training_step_tape_holds_at_most_7_75_node_rows_per_node():
         probs = gnn.predict(bundle, h)
         losses.train_loss_parts(probs, h, g, losses.LossWeights(), rng)
     rows = node_rows(tape, 60, 40)
-    assert 7 < rows <= 7.75, rows
+    assert 5 < rows <= 5.5, rows
 
 
 def adapting(bundle, rng, feature_dim):
@@ -488,8 +490,7 @@ def adapting(bundle, rng, feature_dim):
 
 def test_adaptation_step_tape_holds_at_most_4_0_node_rows_per_node():
     # The same forward and the adaptation loss, with only the target
-    # encoder training: the messages go too, since only the frozen W's
-    # gradient reads them. The float32 features (half a row), per layer the
+    # encoder training. The float32 features (half a row), per layer the
     # dropped-out input and two masks, and the final embeddings: 4.0.
     rng, g, bundle = nsaw_graph_and_bundle()
     adapting(bundle, rng, 40)
@@ -545,12 +546,13 @@ def test_adaptation_step_peaks_below_10_node_rows_per_node():
     assert rows <= 10, rows
 
 
-def test_source_training_step_peaks_below_12_5_node_rows_per_node():
-    # 11.8 rows, against 15.8 when the tape kept each layer's relu(x @ U.T).
-    # The peak sits in the affinity cosine's backward, 0.4 rows above the
-    # last layer's aggregate backward.
+def test_source_training_step_peaks_below_10_5_node_rows_per_node():
+    # 9.8 rows, against 11.8 when each layer's record kept its message and
+    # 15.8 when the tape also kept each layer's relu(x @ U.T). The peak sits
+    # in the affinity cosine's backward, 0.4 rows above the last layer's
+    # aggregate backward.
     rows = step_peak_rows("source")
-    assert rows <= 12.5, rows
+    assert rows <= 10.5, rows
 
 
 @pytest.mark.parametrize("nsaw, bound", [(True, 4.0), (False, 3.25)], ids=["nsaw", "plain"])

@@ -57,8 +57,9 @@ def test_loss_weights_rejects_bad_values(path3):
         losses.LossWeights(self_weight=-0.1).validate()
     with pytest.raises(ConfigError, match="neg_samples_k"):
         losses.LossWeights(neg_samples_k=0).validate()
+    # _check_field_types alone refuses non-finite values and ints past float range
     for name in ("self_weight", "nonneighbor_weight", "class_reg_weight", "anomaly_weight"):
-        for value in (float("nan"), float("inf")):
+        for value in (float("nan"), float("inf"), float("-inf"), 10 ** 400):
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 losses.LossWeights(**{name: value}).validate()
     # the adaptation objective validates its weights too, as the source one does

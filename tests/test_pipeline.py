@@ -944,6 +944,28 @@ def test_full_model_grad_check_smoke():
     assert result.ttt_report.max_rel_error <= 1e-4
 
 
+def test_full_model_grad_check_passes_with_every_blocked_path_multi_block(monkeypatch):
+    # At 64-byte chunks every SDDMM and cosine chunk holds one slot or row,
+    # and at 256-byte blocks 24 nodes split into 3 row blocks at the feature
+    # dim 4 and 4 at the width 5: linear's product and W's gradient, and
+    # aggregate's message and its M_w.T @ g, which gives both x's and W's
+    # message shares, all accumulate over several blocks.
+    monkeypatch.setattr(dk, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(dk, "_BLOCK_BYTES", 256)
+    counts = {}
+    row_blocks = dk._row_blocks
+
+    def counted(n, cols):
+        blocks = row_blocks(n, cols)
+        counts[cols] = len(blocks)
+        return blocks
+
+    monkeypatch.setattr(dk, "_row_blocks", counted)
+    for seed in range(3):
+        assert full_model_grad_check(seed=seed, num_points=1, num_nodes=24).passed, seed
+    assert counts == {4: 3, 5: 4}
+
+
 def test_full_model_grad_check_skips_points_with_a_relu_dead_row(monkeypatch):
     # A zeroed last layer makes every embedding row zero, so every draw is
     # skipped, and once the draws run out the check refuses rather than

@@ -10,8 +10,10 @@ one token per input (``None`` for an input that does not train) and a
 backward function that closes over only the arrays it reads, given which
 inputs train. So an op output that no later record reads is freed as soon as
 the forward drops it, and an op run with no active tape saves nothing.
-``Tape.backward(loss)`` replays the records in exact reverse execution order,
-accumulates gradients additively, and releases each record and each
+``Tape.backward(loss)`` replays the records in exact reverse execution order
+and keeps one gradient per tensor: each record's backward is handed the
+gradient accumulated so far for each input and adds its share into it, or
+returns a new array that becomes it. Backward releases each record and each
 intermediate gradient once it has been passed on; the returned
 :class:`Gradients` holds leaf tensors only. With no active tape, ops are
 plain numpy and scipy computations (eval mode).
@@ -31,7 +33,9 @@ over each row's slots. The backward passes of the first three are SpMMs
 with ``scipy.sparse.csr_matrix`` plus per-row scalars (and, for the slot
 weights of :func:`aggregate`, an SDDMM), so a pattern op keeps only
 per-slot scalars and per-node rows alive on the tape; per-slot rows exist
-only in bounded chunks inside one call. A record keeps what backward cannot
+only in bounded chunks inside one call, and the (nodes, width) temporaries
+of those backward passes one row block at a time, each added into the
+input's accumulated gradient. A record keeps what backward cannot
 cheaply recompute: :func:`attention` keeps its input, weight and softmax
 and recomputes the projection and the min's tie shares, :func:`aggregate`
 keeps no message, since ``W``'s share of it comes from the SpMM that
@@ -40,7 +44,7 @@ per-slot denominators.
 
 :func:`attention` and :func:`aggregate` need a symmetric pattern, one whose
 owner set ``reverse``, and refuse any other; only :func:`pair_cosine` also
-runs on a non-symmetric one, on the CSC view.
+runs on a non-symmetric one, through a CSR copy of its transpose.
 On a symmetric pattern the SDDMMs compute only the slots with ``row <= col``
 and copy each value to its mirror, and ``M.T`` is ``csr(data[reverse])`` on
 the same pattern, so every backward runs CSR SpMMs only.
@@ -153,11 +157,15 @@ class Tape:
     """Ordered record of executed ops for one forward pass; backward consumes it.
 
     A record is ``(out, ins, bwd)``: the output's token, one token per input
-    or None where the input does not train, and ``bwd``, which maps the
-    output's gradient to one gradient per input, None where the token is.
-    Each gradient ``bwd`` returns is a new array that nothing else holds, so
-    backward adds into it in place and ``bwd`` may overwrite the gradient it
-    is given.
+    or None where the input does not train, and ``bwd(g, accs)``. ``g`` is
+    the output's gradient, which nothing else holds, so ``bwd`` may
+    overwrite it; ``accs`` holds, per input, the gradient that the records
+    after this one have accumulated for it so far, or None. ``bwd`` returns
+    one gradient per input, None where the token is: either that input's
+    accumulator, with this record's share added into it in place, or an
+    array that nothing else holds (``g`` itself or a new one, a different
+    one per input), which backward adds into the accumulator or keeps as
+    the accumulator. Backward drops ``g`` once ``bwd`` returns.
     """
 
     def __init__(self):
@@ -185,12 +193,15 @@ class Tape:
             g = store.pop(out, None)
             if g is None:
                 continue
-            for token, grad in zip(ins, bwd(g)):
+            grads = bwd(g, [None if token is None else store.get(token) for token in ins])
+            g = None
+            for token, grad in zip(ins, grads):
                 if token is not None:
                     acc = store.setdefault(token, grad)
                     if acc is not grad:
                         acc += grad
-            acc = grad = None  # else one added into its accumulator lives through the next bwd
+            # else one added into its accumulator lives through the next bwd
+            acc = grad = grads = None
         return Gradients(store)
 
 
@@ -224,19 +235,31 @@ def _record(out, inputs, bwd):
 _CHUNK_BYTES = 1 << 18
 
 
-# Products of a dense operand with a weight run in row blocks of about
-# _BLOCK_BYTES of float64 operand: a float32 input of linear is upcast one
-# block at a time, and aggregate's message, in forward, and its M_w.T @ g,
-# in backward, exist one block at a time.
+# Per-node arrays that are not kept run in row blocks of at most
+# _BLOCK_BYTES of float64 (one row at least): a float32 input of linear is
+# upcast one block at a time, aggregate's message exists one block at a time
+# in forward, and so does every (nodes, width) temporary of the backward
+# passes of attention, aggregate and pair_cosine.
 _BLOCK_BYTES = 4 * _CHUNK_BYTES
 
 
 def _row_blocks(n, cols):
-    """``(lo, hi)`` row blocks of an ``(n, cols)`` operand; see _BLOCK_BYTES."""
+    """``(lo, hi)`` row blocks of an ``(n, cols)`` operand; see _BLOCK_BYTES.
+    As few blocks as that allows, of lengths that differ by one at most."""
     rows = max(_BLOCK_BYTES // (8 * max(cols, 1)), 1)
-    count = max(1, n // rows)  # so every block has between rows and 2 * rows rows
+    count = max(1, -(-n // rows))
     bounds = [n * i // count for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _add_rows(acc, fresh, lo, hi, op, a, b):
+    """Add ``op(a, b)`` (``np.matmul`` or ``np.multiply``) into rows ``lo:hi``
+    of an input's accumulated gradient; where the input had none, so ``acc``
+    is a new uninitialised array (``fresh``), write it there instead."""
+    if fresh:
+        op(a, b, out=acc[lo:hi])
+    else:
+        acc[lo:hi] += op(a, b)
 
 
 def linear(x, W, b=None, relu=False):
@@ -270,7 +293,7 @@ def linear(x, W, b=None, relu=False):
     w_shape = W.shape
     bias_trains = [t.requires_grad for t in bias]
 
-    def bwd(g):
+    def bwd(g, _):
         if mask is not None:
             g *= mask
         gW = None
@@ -293,8 +316,8 @@ def add(a, b):
     if _recording(out):
         # each side gets its own array: a later record may overwrite it
         live = a.requires_grad, b.requires_grad
-        _record(out, (a, b), lambda g: (g if live[0] else None,
-                                        g.copy() if live[1] else None))
+        _record(out, (a, b), lambda g, _: (g if live[0] else None,
+                                           g.copy() if live[1] else None))
     return out
 
 
@@ -307,8 +330,8 @@ def elementwise_mul(a, b):
         # each side's gradient reads the other side's values
         for_a = b.values if a.requires_grad else None
         for_b = a.values if b.requires_grad else None
-        _record(out, (a, b), lambda g: (None if for_a is None else g * for_a,
-                                        None if for_b is None else g * for_b))
+        _record(out, (a, b), lambda g, _: (None if for_a is None else g * for_a,
+                                           None if for_b is None else g * for_b))
     return out
 
 
@@ -317,7 +340,7 @@ def scalar_mul(x, c):
     c = float(c)
     out = _make("scalar_mul", x.values * c, x)
     if _recording(out):
-        _record(out, (x,), lambda g: (g * c,))
+        _record(out, (x,), lambda g, _: (g * c,))
     return out
 
 
@@ -331,7 +354,7 @@ def sigmoid(x):
     s[~pos] = ev / (1.0 + ev)
     out = _make("sigmoid", s, x)
     if _recording(out):
-        _record(out, (x,), lambda g: (g * s * (1.0 - s),))
+        _record(out, (x,), lambda g, _: (g * s * (1.0 - s),))
     return out
 
 
@@ -341,7 +364,7 @@ def sum(x):
     out = _make("sum", np.array([[x.values.sum()]]), x)
     if _recording(out):
         shape = x.shape
-        _record(out, (x,), lambda g: (np.full(shape, g[0, 0]),))
+        _record(out, (x,), lambda g, _: (np.full(shape, g[0, 0]),))
     return out
 
 
@@ -366,7 +389,7 @@ def masked_row_softmax(scores, mask):
     p = e / np.maximum(e.sum(axis=1, keepdims=True), 1.0)
     out = _make("masked_row_softmax", p, scores)
     if _recording(out):
-        _record(out, (scores,), lambda g: (p * (g - (p * g).sum(axis=1, keepdims=True)),))
+        _record(out, (scores,), lambda g, _: (p * (g - (p * g).sum(axis=1, keepdims=True)),))
     return out
 
 
@@ -477,7 +500,7 @@ def segment_mean(x, pattern):
     out = _make("segment_mean", sums / safe[:, None], x)
     if _recording(out):
         seg, inv = pattern.rows, 1.0 / safe
-        _record(out, (x,), lambda g: ((g * inv[:, None])[seg],))
+        _record(out, (x,), lambda g, _: ((g * inv[:, None])[seg],))
     return out
 
 
@@ -494,6 +517,14 @@ def _csr_rows(data, pattern, lo, hi, order=None):
     values = data[s0:s1] if order is None else data[order[s0:s1]]
     return scipy.sparse.csr_matrix((values, indices[s0:s1], indptr[lo:hi + 1] - s0),
                                    shape=(hi - lo, pattern.num_cols))
+
+
+def _csr_block(m, lo, hi):
+    """Rows ``lo:hi`` of the CSR matrix ``m`` over views of its arrays;
+    ``m[lo:hi]`` would copy them."""
+    s0, s1 = m.indptr[lo], m.indptr[hi]
+    return scipy.sparse.csr_matrix((m.data[s0:s1], m.indices[s0:s1], m.indptr[lo:hi + 1] - s0),
+                                   shape=(hi - lo, m.shape[1]))
 
 
 def _sampled_dot(a, b, rows, cols):
@@ -545,8 +576,9 @@ def attention(x, U, pattern):
     The record keeps ``x``, ``U`` and ``pre``, not ``z``. Backward gives each
     weight's gradient to the smaller of its two slots, 0.5 each on a tie,
     recomputes ``z``, bitwise the forward's, then runs the softmax's
-    backward, one SpMM into ``z``'s gradient, the relu mask ``z > 0`` (zero
-    derivative at exactly 0) and the two products of the projection.
+    backward. One row block at a time it takes ``z``'s gradient by one SpMM,
+    applies the relu mask ``z > 0`` (zero derivative at exactly 0) and adds
+    the two products of the projection into ``x``'s and ``U``'s gradients.
     """
     x, U = _as_tensor(x), _as_tensor(U)
     rev = _reverse("attention", pattern)
@@ -565,8 +597,9 @@ def attention(x, U, pattern):
         return pre, out
     indptr, seg = pattern.indptr, pattern.rows
     train_x, train_U = x.requires_grad, U.requires_grad
+    blocks = _row_blocks(n, x.shape[1])
 
-    def bwd(g):
+    def bwd(g, accs):
         mirrored = p[rev]
         # the share of each weight's gradient that its own slot takes
         own = np.where(p < mirrored, 1.0, np.where(p == mirrored, 0.5, 0.0))
@@ -579,12 +612,24 @@ def attention(x, U, pattern):
         del own, to_mirror
         inner = _segment_sums(p * gp, indptr)
         g_scores = p * (gp - inner[seg])
-        z = _relu_product(xv, Uv)
+        del inner
         # M_g @ z + M_g.T @ z is one SpMM of g + g[reverse]
-        gz = _csr(g_scores + g_scores[rev], pattern) @ z
-        gz *= z > 0
-        del z
-        return (gz @ Uv if train_x else None, gz.T @ xv if train_U else None)
+        g_scores += g_scores[rev]
+        z = _relu_product(xv, Uv)
+        gx, fresh = accs[0], accs[0] is None
+        if train_x and fresh:
+            gx = np.empty(xv.shape)
+        gU = np.zeros(Uv.shape) if train_U else None
+        for lo, hi in blocks:
+            gz = _csr_rows(g_scores, pattern, lo, hi) @ z
+            gz *= z[lo:hi] > 0
+            if hi == n:  # z's last read: one (nodes, attn) array fewer below
+                z = None
+            if train_x:
+                _add_rows(gx, fresh, lo, hi, np.matmul, gz, Uv)
+            if train_U:
+                gU += gz.T @ xv[lo:hi]
+        return gx, gU
 
     _record(out, (x, U), bwd)
     return pre, out
@@ -601,9 +646,11 @@ def aggregate(w, x, W, b, pattern):
     one row block of :func:`_row_blocks` at a time, so no (nodes, width)
     message exists, on a tape or off it.
     Backward takes ``w``'s gradient first, an SDDMM of ``g @ W_m`` against
-    ``x``. Then, per row block, ``a = (M_w.T @ g)[lo:hi]`` gives ``x``'s
-    message share ``a @ W_m`` and ``W_m``'s gradient ``a.T @ x[lo:hi]``
-    (``g.T @ M_w @ x``), one SpMM whether or not ``W`` trains.
+    ``x``, built one row block of ``g`` at a time. Then, per row block,
+    ``a = (M_w.T @ g)[lo:hi]`` gives ``W_m``'s gradient ``a.T @ x[lo:hi]``
+    (``g.T @ M_w @ x``) and ``x``'s message share ``a @ W_m``, which is
+    added into ``x``'s gradient with ``g[lo:hi] @ W_x``; one SpMM whether or
+    not ``W`` trains.
     """
     w, x, W, b = (_as_tensor(t) for t in (w, x, W, b))
     rev = _reverse("aggregate", pattern)
@@ -632,20 +679,29 @@ def aggregate(w, x, W, b, pattern):
     seen = xv if train_w or train_W else None  # w's, W's
     weights = wv if train_x or train_W else None  # x's, W's
 
-    def bwd(g):
+    def bwd(g, accs):
         g *= mask
         gw = None
-        if train_w:  # before gx, so g @ W_m is gone when gx is built
-            gw = _sampled_dot(g @ W_m, seen, pattern.rows, pattern.indices).reshape(-1, 1)
-        gx = g @ W_x if train_x else None
+        if train_w:  # before x's gradient exists, beside the SDDMM's gathers
+            gw = np.empty((pattern.indices.size, 1))
+            indptr = pattern.indptr
+            for lo, hi in blocks:
+                s0, s1 = indptr[lo], indptr[hi]
+                gw[s0:s1, 0] = _sampled_dot(g[lo:hi] @ W_m, seen,
+                                            pattern.rows[s0:s1] - lo, pattern.indices[s0:s1])
+        gx, fresh = accs[1], accs[1] is None
+        if train_x and fresh:
+            gx = np.empty(xv.shape)
         gW_m = np.zeros(W_m.shape) if train_W else None
         if train_x or train_W:
             for lo, hi in blocks:
                 a = _csr_rows(weights, pattern, lo, hi, rev) @ g
-                if train_x:
-                    gx[lo:hi] += a @ W_m
                 if train_W:
                     gW_m += a.T @ seen[lo:hi]
+                if train_x:
+                    _add_rows(gx, fresh, lo, hi, np.matmul, a, W_m)
+                    del a
+                    gx[lo:hi] += g[lo:hi] @ W_x
         gW = np.hstack([gW_m, g.T @ seen]) if train_W else None
         return gw, gx, gW, g.sum(axis=0, keepdims=True) if train_b else None
 
@@ -661,7 +717,9 @@ def pair_cosine(x, pattern):
     the guard gets value dot / 1e-12 (below 1 in magnitude) and exactly zero
     gradient, so an all-zero row gets exactly zero gradient. The record
     keeps the input, its squared norms and norms and the output; backward
-    recomputes the denominators.
+    recomputes the denominators and adds ``x``'s gradient one row block at
+    a time. On a pattern without ``reverse`` the transposed SpMM reads a CSR
+    of ``M.T``, built once per backward with one entry per pair.
     """
     x = _as_tensor(x)
     n = x.shape[0]
@@ -676,42 +734,41 @@ def pair_cosine(x, pattern):
     c = _self_dot(xv, pattern) / denom
     out = _make("pair_cosine", c.reshape(-1, 1), x)
 
-    def bwd(g):
+    def bwd(g, accs):
         # d c_s / d x_r = x_c / denom_s - c_s x_r / |x_r|^2, and symmetrically
         # for x_c: SpMMs carry the first terms, bincounts the second. Slots
-        # under the guard get zero; each per-slot array is built in place, so
-        # at most two exist at once beside g.
+        # under the guard get zero; each per-slot array is built in place.
         q = norms[rows] * norms[indices]
         dead = q < COSINE_EPS
         np.maximum(q, COSINE_EPS, out=q)
         np.divide(g[:, 0], q, out=q)
         q[dead] = 0.0
-        if rev is not None:
-            q += q[rev]
-        m = _csr(q, pattern)
-        pulled = m @ xv
-        if rev is None:
-            pulled += m.T @ xv
-        del q, m
         t = g[:, 0] * c
         t[dead] = 0.0
+        del dead
         if rev is None:
             self_w = (np.bincount(rows, weights=t, minlength=n)
                       + np.bincount(indices, weights=t, minlength=n))
+            # M.T's rows, for M.T @ x: one entry per pair
+            m_t = _csr(q, pattern).T.tocsr()
         else:
+            q += q[rev]
             t += t[rev]
             self_w = np.bincount(rows, weights=t, minlength=n)
+        del t
         # a row whose |x|^2 is subnormal (|x| < 1.5e-154) is under the guard
         # in every slot unless a neighbour's norm passes 6e141, so it has no
         # self term; the inverse of its |x|^2 would overflow, and inf * 0 is NaN
-        scale = self_w * np.divide(1.0, sq, out=np.zeros(n), where=sq >= _NORMAL_MIN)
-        # in row blocks of _CHUNK_BYTES: the returned array is backward's only
-        # (n, width) temporary
-        step = max(1, _CHUNK_BYTES // (8 * max(xv.shape[1], 1)))
-        for lo in range(0, n, step):
-            block = slice(lo, lo + step)
-            pulled[block] -= xv[block] * scale[block, None]
-        return (pulled,)
+        scale = self_w * np.divide(-1.0, sq, out=np.zeros(n), where=sq >= _NORMAL_MIN)
+        gx, fresh = accs[0], accs[0] is None
+        if fresh:
+            gx = np.empty(xv.shape)
+        for lo, hi in _row_blocks(*xv.shape):
+            _add_rows(gx, fresh, lo, hi, np.multiply, xv[lo:hi], scale[lo:hi, None])
+            gx[lo:hi] += _csr_rows(q, pattern, lo, hi) @ xv
+            if rev is None:
+                gx[lo:hi] += _csr_block(m_t, lo, hi) @ xv
+        return (gx,)
 
     if _recording(out):
         _record(out, (x,), bwd)
@@ -741,7 +798,7 @@ def binary_cross_entropy(probs, labels):
     loss = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean()
     out = _make("binary_cross_entropy", np.array([[loss]]), probs)
     if _recording(out):
-        _record(out, (probs,), lambda g: (g[0, 0] * (p - y) / (p * (1.0 - p)) / n,))
+        _record(out, (probs,), lambda g, _: (g[0, 0] * (p - y) / (p * (1.0 - p)) / n,))
     return out
 
 
@@ -760,7 +817,7 @@ def dropout(x, rate, rng, training):
     scale = 1.0 / (1.0 - rate)
     out = _make("dropout", x.values * keep * scale, x)
     if _recording(out):
-        _record(out, (x,), lambda g: (g * keep * scale,))
+        _record(out, (x,), lambda g, _: (g * keep * scale,))
     return out
 
 

@@ -231,6 +231,8 @@ def train_source(graph, config, rng=None):
             probs = predict(bundle, h)
             total, parts = losses.train_loss_parts(probs, h, graph,
                                                    config.weights, rng)
+            # the tape keeps what backward reads; the rest goes before it runs
+            del h, _, probs
         grads = tape.backward(total)
         dk.adam_step(params, grads, state)
 
@@ -338,6 +340,7 @@ def adapt_target(bundle, centroids, graph, config, rng=None):
             h, _ = forward_embeddings(work, graph, "target", training=True,
                                       rng=rng, dropout_rate=config.dropout_rate)
             loss = losses.ttt_loss(h, graph, config.weights, rng)
+            del h, _  # as in train_source
         grads = tape.backward(loss)
         dk.adam_step(params, grads, state)
 

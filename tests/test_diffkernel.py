@@ -124,7 +124,7 @@ def ref_pair_dot_op(x, pattern):
     out = dk._make("pair_dot", dk._self_dot(xv, pattern).reshape(-1, 1), x)
     if dk._recording(out):
         rev = pattern.reverse
-        dk._record(out, (x,), lambda g: (dk._csr(g[:, 0] + g[rev, 0], pattern) @ xv,))
+        dk._record(out, (x,), lambda g, _: (dk._csr(g[:, 0] + g[rev, 0], pattern) @ xv,))
     return out
 
 
@@ -141,7 +141,7 @@ def ref_segment_softmax_op(x, pattern):
     p = (e / denom[seg]) if flat.size else e
     out = dk._make("segment_softmax", p.reshape(-1, 1), x)
     if dk._recording(out):
-        def bwd(g):
+        def bwd(g, _):
             gp = g[:, 0]
             inner = dk._segment_sums(p * gp, indptr)
             return ((p * (gp - inner[seg])).reshape(-1, 1),)
@@ -156,7 +156,7 @@ def ref_reverse_min_op(x, pattern):
     xv, rev = x.values, pattern.reverse
     out = dk._make("reverse_min", np.minimum(xv, xv[rev]), x)
     if dk._recording(out):
-        def bwd(g):
+        def bwd(g, _):
             mirrored = xv[rev]
             wa = np.where(xv < mirrored, 1.0, np.where(xv == mirrored, 0.5, 0.0))
             return (g * wa + (g * (1.0 - wa))[rev],)
@@ -314,17 +314,17 @@ def test_linear_add_against_numpy():
     assert np.array_equal(dk.add(out, dk.Tensor(c)).values, a @ b + c)
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("relu", [False, True])
-def test_linear_against_numpy(monkeypatch, blocks, bias, relu):
-    # at a budget of 1000 rows of width 3, a 5-row float64 input is one
-    # block and a float32 input of 2100 rows is upcast in two
+def test_linear_against_numpy(monkeypatch, seed, bias, relu):
+    # at a budget of 1000 rows of width 3, seed 1's 5-row float64 input is
+    # one block and seed 2's float32 input of 2100 rows is upcast in three
     monkeypatch.setattr(dk, "_BLOCK_BYTES", 1000 * 8 * 3)
-    rng = np.random.default_rng(blocks)
-    x = rng.standard_normal((5, 3)) if blocks == 1 else rng.standard_normal(
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((5, 3)) if seed == 1 else rng.standard_normal(
         (2100, 3)).astype(np.float32)
-    assert len(dk._row_blocks(x.shape[0], 3)) == blocks
+    assert len(dk._row_blocks(x.shape[0], 3)) == (1 if seed == 1 else 3)
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal((1, 4)) if bias else None
     out = dk.linear(dk.Tensor._wrap(x, False), dk.Tensor(w),
@@ -687,11 +687,16 @@ def test_segment_ops_gradients():
 # Sparse pattern ops
 
 
+def _weighted(out, g):
+    """``sum(out * g)``, a scalar tape output."""
+    return dk.sum(dk.elementwise_mul(out, dk.Tensor(g.reshape(out.shape))))
+
+
 def _taped(op, inputs, g):
     """Run ``op`` on tape, backprop ``sum(out * g)``; return out and grads."""
     with dk.Tape() as tape:
         out = op()
-        loss = dk.sum(dk.elementwise_mul(out, dk.Tensor(g.reshape(out.shape))))
+        loss = _weighted(out, g)
     grads = tape.backward(loss)
     return out.values, [grads[t] for t in inputs]
 
@@ -879,8 +884,9 @@ def ref_aggregate(w, x, W, b, pattern, g, mask=None):
 
 @pytest.mark.parametrize("n, block_bytes, blocks", [
     (9, None, 1),        # isolated nodes, one block
-    pytest.param(1001, 111 * 8 * 40, 9, id="1001-0-9"),  # 111 or 112 rows
-    (9001, None, 2),     # the default budget: 4500 or 4501 rows
+    pytest.param(1001, 111 * 8 * 40, 10, id="1001-0-9"),  # 100 or 101 rows
+    # the default budget: 3000 or 3001 rows
+    pytest.param(9001, None, 3, id="9001-None-2"),
 ])
 @pytest.mark.parametrize("weights", ["attention", "plain"])
 def test_aggregate_matches_the_gather_scatter_oracle(monkeypatch, n, block_bytes, blocks,
@@ -1000,6 +1006,94 @@ def test_attention_grad_check_each_operand(operand):
     assert report.passed, report
 
 
+def _floor_budgets(monkeypatch):
+    """Every row block one row and every SDDMM chunk one slot."""
+    monkeypatch.setattr(dk, "_BLOCK_BYTES", 0)
+    monkeypatch.setattr(dk, "_CHUNK_BYTES", 0)
+
+
+@pytest.mark.parametrize("last", ["attention", "aggregate", "symmetric cosine",
+                                  "non-symmetric cosine"])
+def test_records_sharing_an_input_accumulate_its_gradient_block_by_block(monkeypatch, last):
+    # x feeds attention, aggregate and the cosine on a symmetric and on a
+    # non-symmetric pattern. Backward runs the record taped last first, so
+    # that one writes x's gradient into a new array and each other record
+    # adds its share into it, one row block at a time; each record takes
+    # the first place once. x's gradient must match the sum of the
+    # gather-scatter oracles within README's 1e-9, and central differences.
+    _floor_budgets(monkeypatch)
+    rng = np.random.default_rng(7)
+    n, d = 9, 3
+    sym = random_pattern(rng, n, True, self_pairs=True)
+    general = random_pattern(rng, n, False)
+    assert len(dk._row_blocks(n, d)) == n
+    U, w = rng.standard_normal((2, d)), rng.random((sym.indices.size, 1))
+    W, b = rng.standard_normal((d, 2 * d)), rng.standard_normal((1, d))
+    g_sym, g_general = rng.standard_normal(sym.indices.size), rng.standard_normal(
+        general.indices.size)
+    g_node = rng.standard_normal((n, d))
+    terms = {
+        "attention": (
+            lambda t: _weighted(dk.attention(t, dk.Tensor(U), sym)[1], g_sym),
+            lambda v: ref_symmetric_attention(v, U, sym, g_sym)[2]),
+        "aggregate": (
+            lambda t: _weighted(dk.aggregate(dk.Tensor(w), t, dk.Tensor(W), dk.Tensor(b), sym),
+                                g_node),
+            lambda v: ref_aggregate(w[:, 0], v, W, b, sym, g_node)[2]),
+        "symmetric cosine": (
+            lambda t: _weighted(dk.pair_cosine(t, sym), g_sym),
+            lambda v: ref_pair_cosine(v, sym.indptr, sym.indices, g_sym)[1]),
+        "non-symmetric cosine": (
+            lambda t: _weighted(dk.pair_cosine(t, general), g_general),
+            lambda v: ref_pair_cosine(v, general.indptr, general.indices, g_general)[1]),
+    }
+    order = [name for name in terms if name != last] + [last]
+
+    def f(t):
+        loss = terms[order[0]][0](t)
+        for name in order[1:]:
+            loss = dk.add(loss, terms[name][0](t))
+        return loss
+
+    x = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    with dk.Tape() as tape:
+        loss = f(x)
+    got = tape.backward(loss)[x]
+    _assert_rel_close(got, sum(oracle(x.values) for _, oracle in terms.values()), rtol=1e-9)
+    report = dk.grad_check(f, x)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("cosine_first", [True, False])
+def test_records_whose_two_inputs_are_one_tensor_give_it_both_shares(monkeypatch,
+                                                                     cosine_first):
+    # add(x, x) and elementwise_mul(x, x) hand backward the same accumulator
+    # for both inputs, or none where they reach x first; each side's share
+    # must land exactly once. A non-symmetric cosine taped before them
+    # backpropagates after them, and after it otherwise.
+    _floor_budgets(monkeypatch)
+    rng = np.random.default_rng(4)
+    n, d = 7, 3
+    general = random_pattern(rng, n, False)
+    g_cos = rng.standard_normal(general.indices.size)
+    g_add, g_mul = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+
+    def f(t):
+        cos = _weighted(dk.pair_cosine(t, general), g_cos)
+        same = dk.add(_weighted(dk.add(t, t), g_add), _weighted(dk.elementwise_mul(t, t), g_mul))
+        return dk.add(cos, same) if cosine_first else dk.add(same, cos)
+
+    x = dk.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    with dk.Tape() as tape:
+        loss = f(x)
+    got = tape.backward(loss)[x]
+    want = (2.0 * g_add + 2.0 * x.values * g_mul
+            + ref_pair_cosine(x.values, general.indptr, general.indices, g_cos)[1])
+    _assert_rel_close(got, want, rtol=1e-9)
+    report = dk.grad_check(f, x)
+    assert report.passed, report
+
+
 @pytest.mark.parametrize("op", [
     dk.add, dk.elementwise_mul,
     # a frozen W, as in adaptation, gets no gradient
@@ -1012,7 +1106,7 @@ def test_dense_ops_skip_gradient_of_frozen_side(op):
         with dk.Tape() as tape:
             op(a, b)
         (_, ins, bwd), = tape._entries
-        grads = bwd(np.ones((2, 2)))
+        grads = bwd(np.ones((2, 2)), [None, None])
         side = 0 if a is frozen else 1
         assert ins[side] is None and ins[1 - side] is live.token
         assert grads[side] is None

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import small_bundle
 from ttgad import diffkernel as dk
-from ttgad import gnn, losses
+from ttgad import gnn, losses, pipeline
 from ttgad.errors import ConfigError, ShapeError
 from ttgad.graphstore import SyntheticSpec, build_graph, generate_synthetic
 
@@ -502,23 +502,40 @@ def test_adaptation_step_tape_holds_at_most_4_0_node_rows_per_node():
     assert 3.5 < rows <= 4.0, rows
 
 
-def step_peak_rows(domain):
-    """tracemalloc peak of one 2-layer nsaw step on 2000 nodes and 24k slots
-    at width 40, from the taped forward to the end of backward, in rows of
-    320 bytes per node (per-slot scalars included): an adaptation step on
-    the target encoder, or a source training step on every parameter."""
-    n, w = 2000, 40
-    g = generate_synthetic(SyntheticSpec(num_nodes=n, feature_dim=w, anomaly_rate=0.05,
-                                         target_homophily=0.9, mean_degree=12.0,
-                                         seed=1, name="mid"))
+def mid_graph():
+    """2000 nodes and 24k slots at width 40."""
+    return generate_synthetic(SyntheticSpec(num_nodes=2000, feature_dim=40, anomaly_rate=0.05,
+                                            target_homophily=0.9, mean_degree=12.0,
+                                            seed=1, name="mid"))
+
+
+def traced_peak_rows(g, run):
+    """``(rows, run())``: the tracemalloc peak of ``run()`` above what was
+    allocated before it, in rows of 320 bytes per node of ``g`` (per-slot
+    scalars included), and its result."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * g.num_nodes * 40), result
+
+
+def step_peak_rows(domain, block_bytes=dk._BLOCK_BYTES):
+    """Peak of one 2-layer nsaw step on :func:`mid_graph` at width 40, from
+    the taped forward to the end of backward, with row blocks of
+    ``block_bytes``: an adaptation step on the target encoder, or a source
+    training step on every parameter."""
+    g, w = mid_graph(), 40
     rng = np.random.default_rng(0)
     bundle = small_bundle(w, width=w, num_layers=2)
     if domain == "target":
         adapting(bundle, rng, w)
     gnn.forward_embeddings(bundle, g, domain)  # caches the pattern's upper slots and CSR index
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+
+    def step():
         with dk.Tape() as tape:
             h, _ = gnn.forward_embeddings(bundle, g, domain, training=True,
                                           rng=rng, dropout_rate=0.7)
@@ -527,32 +544,62 @@ def step_peak_rows(domain):
             else:
                 loss, _ = losses.train_loss_parts(gnn.predict(bundle, h), h, g,
                                                   losses.LossWeights(), rng)
-        grads = tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+        return tape.backward(loss)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dk, "_BLOCK_BYTES", block_bytes)
+        rows, grads = traced_peak_rows(g, step)
     trained = [t for _, t in bundle.parameter_items() if t.requires_grad]
     assert all(np.any(grads[t] != 0.0) for t in trained)
-    return peak / (8 * n * w)
+    return rows
 
 
 def test_adaptation_step_peaks_below_10_node_rows_per_node():
-    # 9.4 rows, against 10.4 when backward kept the last gradient it passed
-    # on alive through the next record's backward, and 13.4 when the tape
-    # kept each layer's relu(x @ U.T). The peak sits in the last layer's
-    # aggregate backward; the two cosines' backward passes peak 0.75 rows or
-    # more below it.
+    # 8.8 rows at the default budget, where each row block is the whole
+    # graph, against 9.35 when each record returned a new gradient for the
+    # tape to add, 10.4 when backward kept the last gradient it passed on
+    # alive through the next record's backward and 13.4 when the tape kept
+    # each layer's relu(x @ U.T). The peak sits in the last layer's
+    # aggregate backward, beside x's new gradient, and its attention
+    # backward, beside relu(x @ U.T), is within 0.05 rows of it.
     rows = step_peak_rows("target")
-    assert rows <= 10, rows
+    assert rows <= 9.0, rows
 
 
 def test_source_training_step_peaks_below_10_5_node_rows_per_node():
-    # 9.8 rows, against 11.8 when each layer's record kept its message and
-    # 15.8 when the tape also kept each layer's relu(x @ U.T). The peak sits
-    # in the affinity cosine's backward, 0.4 rows above the last layer's
-    # aggregate backward.
+    # 9.6 rows, against 9.8 when each record returned a new gradient, 11.8
+    # when each layer's record kept its message and 15.8 when the tape also
+    # kept each layer's relu(x @ U.T). The peak sits in the non-neighbour
+    # cosine's backward, which writes the embeddings' first gradient.
     rows = step_peak_rows("source")
-    assert rows <= 10.5, rows
+    assert rows <= 10.0, rows
+
+
+def test_adaptation_step_peaks_below_8_node_rows_per_node_at_small_blocks():
+    # At 65536-byte blocks (a tenth of a row here) every (nodes, width)
+    # temporary of a backward is small: 7.8 rows, against 8.9 when each
+    # record returned a new gradient. The peak sits in the last layer's
+    # attention backward, beside relu(x @ U.T) and x's gradient.
+    rows = step_peak_rows("target", block_bytes=65536)
+    assert rows <= 8.0, rows
+
+
+def test_adaptation_call_peaks_below_8_25_node_rows_per_node_at_small_blocks():
+    # A whole 3-epoch pipeline.adapt_target call at 65536-byte blocks: 7.9
+    # rows, against 9.2 when each record returned a new gradient and the
+    # loop kept each step's embeddings and attention through backward, the
+    # eval pass and the next forward. The peak sits in a step's backward of
+    # a cosine, the affinity's or the non-neighbours'.
+    g, w = mid_graph(), 40
+    bundle = small_bundle(w, width=w, num_layers=2)
+    h, _ = gnn.forward_embeddings(bundle, g, "source")
+    centroids = pipeline.ClassCentroids.from_embeddings(h.values, g.labels)
+    del h, _
+    config = pipeline.RunConfig(p=w, hidden_dim=w, attn_dim=w, ttt_max_epochs=3, patience=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dk, "_BLOCK_BYTES", 65536)
+        rows, _ = traced_peak_rows(g, lambda: pipeline.adapt_target(bundle, centroids, g, config))
+    assert rows <= 8.25, rows
 
 
 @pytest.mark.parametrize("nsaw, bound", [(True, 4.0), (False, 3.25)], ids=["nsaw", "plain"])
